@@ -12,12 +12,10 @@ padicfun    p-adic gamma/beta, Volkenborn measure/integral, Carlitz
 spinzeta    spin generators over Z_p, matrix exp/log, local zeta values
 cli         command-line front end (``rpqcalc``)
 
-The hot modular-arithmetic loops live in ``rpqcalc._kernel`` with a
-compiled backend and a pure-Python fallback selected at import time
-(``rpqcalc._kernel.BACKEND`` names the active one).
+The modular-integer loops of the Riemann sums live in the pure-Python
+module ``rpqcalc._kernel``; ``KERNEL_BACKEND`` names it (``"python"``).
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .deform import (DeformParams, StructureFunction, bm_identity_suite,
                      rpq_binomial, rpq_factorial, rpq_number)
 from .errors import RpqError
@@ -41,6 +39,8 @@ from .spinzeta import (Mat2Padic, commutator, congruence_level,
                        spin_generators, zeta_p_factor, zeta_spin_half)
 
 __version__ = "0.1.0"
+
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND", "RpqError", "PadicNumber", "padic_valuation",

@@ -1,11 +1,10 @@
-"""Pure-Python kernel backend.
+"""Modular-integer loops behind the Volkenborn/Carlitz Riemann sums.
 
-Same contract as the compiled backend ``_core``: all inputs are plain
-integers already reduced modulo ``mod`` (a prime power), results are
-returned reduced modulo ``mod``.
+All inputs are plain integers already reduced modulo ``mod`` (a prime
+power); results are returned reduced modulo ``mod``.
 """
 
-BACKEND = "python"
+__all__ = ["power_table", "weighted_sum", "pow_weighted_sum"]
 
 
 def power_table(base, count, mod):
@@ -16,11 +15,6 @@ def power_table(base, count, mod):
         out[i] = acc
         acc = (acc * base) % mod
     return out
-
-
-def elementwise_mulmod(a, b, mod):
-    """[a[i]*b[i] mod mod] for equal-length integer lists."""
-    return [(x * y) % mod for x, y in zip(a, b, strict=True)]
 
 
 def weighted_sum(weights, values, mod):
@@ -36,14 +30,4 @@ def pow_weighted_sum(values, exponent, weights, mod):
     acc = 0
     for w, v in zip(weights, values, strict=True):
         acc += w * pow(v, exponent, mod)
-    return acc % mod
-
-
-def alt_sum(values, mod):
-    """Alternating sum values[0] - values[1] + values[2] - ... modulo mod."""
-    acc = 0
-    sign = 1
-    for v in values:
-        acc += sign * v
-        sign = -sign
     return acc % mod

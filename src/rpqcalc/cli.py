@@ -387,28 +387,27 @@ def _cmd_table(args) -> int:
     if args.kind in ("numbers", "factorials", "bernoulli", "euler",
                      "genocchi", "zigzag"):
         params = _params(args)
-    count = args.count
     if args.kind == "numbers":
         rows = [[str(n), _rat_str(deform.rpq_number(params, n))]
-                for n in range(count)]
+                for n in range(args.count)]
         header = ["n", "value"]
     elif args.kind == "factorials":
         rows = [[str(n), _rat_str(deform.rpq_factorial(params, n))]
-                for n in range(count)]
+                for n in range(args.count)]
         header = ["n", "value"]
     elif args.kind in ("bernoulli", "euler", "genocchi"):
         vals = series.generating_polynomials(
-            params, args.kind, args.x, count - 1)
+            params, args.kind, args.x, args.count - 1)
         rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
         header = ["n", "value"]
     elif args.kind == "zigzag":
-        vals = series.zigzag_numbers(params, count)
+        vals = series.zigzag_numbers(params, args.count)
         rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
         header = ["n", "value"]
     elif args.kind == "volkenborn":
         tw = _twist(args)
         rows = []
-        for r in range(count):
+        for r in range(args.count):
             rep = padicfun.volkenborn_moment(r, tw, args.levels)
             rows.append([str(r), str(rep.best_value),
                          str(rep.converged)])

@@ -18,8 +18,10 @@ run over ascending residues, so results are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Optional
 
 from . import _kernel
@@ -118,6 +120,10 @@ class TwistParams:
     def work_precision(self) -> int:
         return min(self.rho.precision if not self.rho.is_zero() else 64,
                    self.q.precision if not self.q.is_zero() else 64)
+
+    def shown(self, value: PadicNumber) -> PadicNumber:
+        """A level value as reported: truncated to ``precision`` digits."""
+        return value.with_precision(self.precision)
 
 
 def number_at(tw: TwistParams, z: int):
@@ -315,6 +321,25 @@ class ConvergenceReport:
         }
 
 
+def _converge(level_sum: Callable, max_level: int, shown: Callable,
+              valuation: Callable = attrgetter("valuation")
+              ) -> ConvergenceReport:
+    """Report level_sum(N) for N = 1..max_level, each level's value as
+    shown(s) and the valuations of successive differences (the zero
+    difference has valuation inf).
+
+    level_sum is called once per level in ascending order, so it may
+    carry a running total from one level to the next."""
+    if max_level < 1:
+        raise InvalidParameterError(
+            f"need at least one level; got {max_level}")
+    levels = tuple(range(1, max_level + 1))
+    sums = [level_sum(N) for N in levels]
+    return ConvergenceReport(
+        levels, tuple(shown(s) for s in sums),
+        tuple(valuation(b - a) for a, b in zip(sums, sums[1:])))
+
+
 def _level_sum(f: Callable, level: int, tw: TwistParams) -> PadicNumber:
     """One Riemann sum: (kappa rho^(p^N)/[p^N]) sum_x (q/rho)^x f(x)."""
     p = tw.prime
@@ -366,17 +391,35 @@ def volkenborn_integral(f: Callable, tw: TwistParams,
     reported, never assumed.
     """
     tw.require_volkenborn()
-    levels, values, diffs = [], [], []
-    prev = None
-    for N in range(1, max_level + 1):
-        s = _level_sum(f, N, tw)
-        levels.append(N)
-        values.append(s.with_precision(tw.precision))
-        if prev is not None:
-            d = s - prev
-            diffs.append(d.valuation if not d.is_zero() else float("inf"))
-        prev = s
-    return ConvergenceReport(tuple(levels), tuple(values), tuple(diffs))
+    return _converge(lambda N: _level_sum(f, N, tw), max_level, tw.shown)
+
+
+def _moment_level(r: int, base: PadicNumber, N: int, tw: TwistParams,
+                  rho_x: Optional[PadicNumber] = None,
+                  q_x: Optional[PadicNumber] = None) -> PadicNumber:
+    """Level-N sum (kappa rho^(p^N)/[p^N]) sum_t base^t [x+t]^r with
+    [x+t] = (rho_x rho^t - q_x q^t)/(rho - q), built from kernel power
+    tables (the hot path); rho_x = q_x = 1 (x = 0) when omitted.
+
+    base = (q/rho) rho^c gives the level sum of int rho^(ct) [x+t]^r
+    dmu(t)."""
+    p = tw.prime
+    W = min(tw.work_precision, base.absolute_precision)
+    if rho_x is not None:
+        W = min(W, rho_x.absolute_precision, q_x.absolute_precision)
+    mod = p ** W
+    count = p ** N
+    ta = _kernel.power_table(tw.rho.residue(W), count, mod)
+    tb = _kernel.power_table(tw.q.residue(W), count, mod)
+    weights = _kernel.power_table(base.residue(W), count, mod)
+    if rho_x is None:
+        vals = [(u - v) % mod for u, v in zip(ta, tb)]
+    else:
+        rx, qx = rho_x.residue(W), q_x.residue(W)
+        vals = [(rx * u - qx * v) % mod for u, v in zip(ta, tb)]
+    acc = _kernel.pow_weighted_sum(vals, r, weights, mod)
+    total = PadicNumber(p, 0, acc, W) if acc else PadicNumber.zero(p, W)
+    return _apply_prefactor(total / (tw.rho - tw.q) ** r, count, tw)
 
 
 def volkenborn_moment(r: int, tw: TwistParams,
@@ -387,35 +430,12 @@ def volkenborn_moment(r: int, tw: TwistParams,
     if r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
     tw.require_volkenborn()
-    p = tw.prime
-    W = tw.work_precision
-    mod = p ** W
-    levels, values, diffs = [], [], []
-    prev = None
     if tw.classical:
-        f = lambda t: Fraction(t) ** r
-        return volkenborn_integral(f, tw, max_level)
-    rho_u, q_u = tw.rho.residue(W), tw.q.residue(W)
-    what = tw.q / tw.rho
-    wu = what.residue(W)
-    denom = (tw.rho - tw.q) ** r
-    for N in range(1, max_level + 1):
-        count = p ** N
-        ta = _kernel.power_table(rho_u, count, mod)
-        tb = _kernel.power_table(q_u, count, mod)
-        weights = _kernel.power_table(wu, count, mod)
-        vals = [(x - y) % mod for x, y in zip(ta, tb)]
-        acc = _kernel.pow_weighted_sum(vals, r, weights, mod)
-        total = PadicNumber(p, 0, acc, W) if acc else \
-            PadicNumber.zero(p, W)
-        s = _apply_prefactor(total / denom, count, tw)
-        levels.append(N)
-        values.append(s.with_precision(tw.precision))
-        if prev is not None:
-            d = s - prev
-            diffs.append(d.valuation if not d.is_zero() else float("inf"))
-        prev = s
-    return ConvergenceReport(tuple(levels), tuple(values), tuple(diffs))
+        return volkenborn_integral(lambda t: Fraction(t) ** r, tw,
+                                   max_level)
+    base = tw.q / tw.rho
+    return _converge(lambda N: _moment_level(r, base, N, tw), max_level,
+                     tw.shown)
 
 
 def volkenborn_shift_check(f: Polynomial, tw: TwistParams,
@@ -490,9 +510,6 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
     if method not in ("direct", "moments"):
         raise InvalidParameterError("method must be direct or moments")
     tw.require_volkenborn()
-    p = tw.prime
-    W = tw.work_precision
-    mod = p ** W
     a = Fraction(a)
     if tw.classical:
         if isinstance(x, PadicNumber):
@@ -507,81 +524,28 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
     else:
         rho_x, q_x = tw.rho ** int(x), tw.q ** int(x)
     if method == "direct":
-        return _carlitz_direct(n, rho_a, rho_x, q_x, tw, max_level)
+        base = tw.q / tw.rho * rho_a
+        return _converge(
+            lambda N: _moment_level(n, base, N, tw, rho_x, q_x),
+            max_level, tw.shown)
     return _carlitz_moments(n, a, rho_x, q_x, tw, max_level)
 
 
-def _carlitz_direct(n, rho_a, rho_x, q_x, tw, max_level):
-    p = tw.prime
-    what = tw.q / tw.rho
-    W = min(tw.work_precision, (what * rho_a).absolute_precision,
-            rho_x.absolute_precision, q_x.absolute_precision)
-    mod = p ** W
-    base_w = (what * rho_a).residue(W)
-    rho_u, q_u = tw.rho.residue(W), tw.q.residue(W)
-    rx, qx = rho_x.residue(W), q_x.residue(W)
-    denom = (tw.rho - tw.q) ** n
-    levels, values, diffs = [], [], []
-    prev = None
-    for N in range(1, max_level + 1):
-        count = p ** N
-        ta = _kernel.power_table(rho_u, count, mod)
-        tb = _kernel.power_table(q_u, count, mod)
-        weights = _kernel.power_table(base_w, count, mod)
-        vals = [(rx * u - qx * v) % mod for u, v in zip(ta, tb)]
-        acc = _kernel.pow_weighted_sum(vals, n, weights, mod)
-        total = PadicNumber(p, 0, acc, W) if acc else \
-            PadicNumber.zero(p, W)
-        s = _apply_prefactor(total / denom, count, tw)
-        levels.append(N)
-        values.append(s.with_precision(tw.precision))
-        if prev is not None:
-            d = s - prev
-            diffs.append(d.valuation if not d.is_zero() else float("inf"))
-        prev = s
-    return ConvergenceReport(tuple(levels), tuple(values), tuple(diffs))
-
-
-def _twisted_moment_level(r: int, c: Fraction, N: int,
-                          tw: TwistParams) -> PadicNumber:
-    """Level-N sum for int rho^(ct) [t]^r dmu(t)."""
-    p = tw.prime
-    rho_c = _twist_power(tw.rho, c, tw)
-    base = tw.q / tw.rho * rho_c
-    W = min(tw.work_precision, base.absolute_precision)
-    mod = p ** W
-    base_w = base.residue(W)
-    rho_u, q_u = tw.rho.residue(W), tw.q.residue(W)
-    count = p ** N
-    ta = _kernel.power_table(rho_u, count, mod)
-    tb = _kernel.power_table(q_u, count, mod)
-    weights = _kernel.power_table(base_w, count, mod)
-    vals = [(u - v) % mod for u, v in zip(ta, tb)]
-    acc = _kernel.pow_weighted_sum(vals, r, weights, mod)
-    total = PadicNumber(p, 0, acc, W) if acc else PadicNumber.zero(p, W)
-    return _apply_prefactor(total / (tw.rho - tw.q) ** r, count, tw)
-
-
 def _carlitz_moments(n, a, rho_x, q_x, tw, max_level):
-    import math
-    p = tw.prime
+    """The umbral form: sum_r C(n,r) [x]^(n-r) q_x^r times the twisted
+    moment int rho^((a+n-r)t) [t]^r dmu(t)."""
     bracket_x = (rho_x - q_x) / (tw.rho - tw.q)
-    levels, values, diffs = [], [], []
-    prev = None
-    for N in range(1, max_level + 1):
-        s = PadicNumber.zero(p, tw.work_precision)
-        for r in range(n + 1):
-            c = a + n - r
-            mom = _twisted_moment_level(r, Fraction(c), N, tw)
-            s = s + math.comb(n, r) * bracket_x ** (n - r) \
-                * q_x ** r * mom
-        levels.append(N)
-        values.append(s.with_precision(tw.precision))
-        if prev is not None:
-            d = s - prev
-            diffs.append(d.valuation if not d.is_zero() else float("inf"))
-        prev = s
-    return ConvergenceReport(tuple(levels), tuple(values), tuple(diffs))
+    terms = [(math.comb(n, r) * bracket_x ** (n - r) * q_x ** r,
+              tw.q / tw.rho * _twist_power(tw.rho, a + n - r, tw))
+             for r in range(n + 1)]
+
+    def level(N):
+        s = PadicNumber.zero(tw.prime, tw.work_precision)
+        for r, (coeff, base) in enumerate(terms):
+            s = s + coeff * _moment_level(r, base, N, tw)
+        return s
+
+    return _converge(level, max_level, tw.shown)
 
 
 # -- fermionic integral -----------------------------------------------------
@@ -596,22 +560,19 @@ def fermionic_integral(f: Callable, prime: int,
     stabilization."""
     if not is_prime(prime) or prime == 2:
         raise InvalidParameterError("fermionic integral needs an odd prime")
-    levels, values, diffs = [], [], []
-    prev = None
-    total = Fraction(0)
-    upto = 0
-    for N in range(1, max_level + 1):
-        count = prime ** N
-        for x in range(upto, count):
+    total, upto = Fraction(0), 0
+
+    def level(N):
+        nonlocal total, upto
+        for x in range(upto, prime ** N):
             total += f(x) if x % 2 == 0 else -f(x)
-        upto = count
-        levels.append(N)
-        values.append(PadicNumber.from_rational(total, prime, precision))
-        if prev is not None:
-            d = total - prev
-            diffs.append(_rat_valuation(d, prime))
-        prev = total
-    return ConvergenceReport(tuple(levels), tuple(values), tuple(diffs))
+        upto = prime ** N
+        return total
+
+    return _converge(
+        level, max_level,
+        lambda t: PadicNumber.from_rational(t, prime, precision),
+        lambda d: _rat_valuation(d, prime))
 
 
 def _rat_valuation(x: Fraction, p: int):
@@ -698,15 +659,5 @@ def gamma_limit_at(x: PadicNumber, tw: TwistParams,
     x_k = x mod p^k; convergence is reported, not assumed."""
     if x.valuation < 0:
         raise InvalidParameterError("argument must be a p-adic integer")
-    levels, values, diffs = [], [], []
-    prev = None
-    for k in range(1, max_level + 1):
-        nk = x.residue(k)
-        g = padic_gamma_rpq(nk, tw)
-        levels.append(k)
-        values.append(g.with_precision(tw.precision))
-        if prev is not None:
-            d = g - prev
-            diffs.append(d.valuation if not d.is_zero() else float("inf"))
-        prev = g
-    return ConvergenceReport(tuple(levels), tuple(values), tuple(diffs))
+    return _converge(lambda k: padic_gamma_rpq(x.residue(k), tw),
+                     max_level, tw.shown)

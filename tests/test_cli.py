@@ -4,6 +4,8 @@ import csv
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from rpqcalc import cli
 from rpqcalc.deform import DeformParams, rpq_number
 from rpqcalc.series import generating_polynomials
@@ -98,6 +100,18 @@ class TestExitCodes:
     def test_diagnostics_on_stderr_only(self, capsys):
         code, out, err = run(capsys, "eval", "gamma", "-z", "-1")
         assert code == 3 and out == "" and err != ""
+
+    @pytest.mark.parametrize("argv", [
+        ("volkenborn", "--levels", "0"),
+        ("volkenborn", "--levels", "-2"),
+        ("carlitz", "--levels", "0"),
+        ("carlitz", "--levels", "0", "--method", "moments"),
+        ("table", "--kind", "volkenborn", "--levels", "0"),
+    ])
+    def test_no_levels_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "parameter" in err and "Traceback" not in err
 
 
 class TestCheck:
@@ -226,3 +240,13 @@ def test_zeta_eval_plain(capsys):
     assert code == 0
     expected = zeta_spin_half(2, 3).value
     assert out.strip() == f"{expected.numerator}/{expected.denominator}"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_zeta_table_matches_table_kind_zeta(capsys, fmt):
+    grid = ("--primes", "2,3,5", "--s-values", "3,4", "--format", fmt)
+    code, out, err = run(capsys, "zeta", "table", *grid)
+    assert code == 0 and err == ""
+    code_t, out_t, _ = run(capsys, "table", "--kind", "zeta", *grid)
+    assert code_t == 0
+    assert out == out_t and out != ""

@@ -250,6 +250,30 @@ class TestGammaLimit:
             gamma_limit_at(x, TW5, 4)
 
 
+class TestLevelBudget:
+    X = PadicNumber.from_rational(F(1, 2), 5, 12)
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    @pytest.mark.parametrize("call", [
+        lambda N: volkenborn_integral(lambda x: F(x), TW5, N),
+        lambda N: volkenborn_moment(2, TW5, N),
+        lambda N: volkenborn_moment(2, CL5, N),
+        lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="direct"),
+        lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="moments"),
+        lambda N: fermionic_integral(lambda x: x, 5, N),
+        lambda N: gamma_limit_at(TestLevelBudget.X, TW5, N),
+    ], ids=["integral", "moment", "classical_moment", "carlitz_direct",
+            "carlitz_moments", "fermionic", "gamma_limit"])
+    def test_needs_a_level(self, call, levels):
+        with pytest.raises(InvalidParameterError, match="at least one"):
+            call(levels)
+
+    def test_single_level_has_no_differences(self):
+        rep = volkenborn_moment(1, TW5, 1)
+        assert rep.levels == (1,) and rep.diff_valuations == ()
+        assert not rep.converged and len(rep.values) == 1
+
+
 class TestTwistValidation:
     def test_even_prime_rejected(self):
         with pytest.raises(InvalidParameterError):
