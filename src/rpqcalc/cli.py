@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import deform, gammabeta, padicfun, quadrature, series, spinzeta
 from ._util import exact_str
-from .deform import DeformParams, StructureFunction
+from .deform import (DeformParams, IdentityResult, StructureFunction,
+                     SuiteReport, rpq_number)
 from .errors import (ConvergenceDomainError, DecayCertificateError,
                      InvalidParameterError, InvalidRegimeError,
                      NoConvergenceError, PoleAtOriginError, PoleError,
@@ -35,6 +36,8 @@ DOMAIN_ERRORS = (ConvergenceDomainError, InvalidRegimeError, PoleError,
 
 CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
                  "padicfun", "spinzeta")
+
+MALFORMED = (ValueError, ZeroDivisionError, KeyError, TypeError)
 
 
 def _fraction(text: str) -> Fraction:
@@ -73,12 +76,11 @@ def _params(args) -> DeformParams:
     if args.kernel:
         try:
             with open(args.kernel) as fh:
-                payload = json.load(fh)
+                structure = StructureFunction.from_json(json.load(fh))
         except OSError as exc:
             raise _IOFail(str(exc))
-        structure = StructureFunction.custom(
-            [(s, t, Fraction(c)) for s, t, c in payload["numerator"]],
-            [(s, t, Fraction(c)) for s, t, c in payload["denominator"]])
+        except MALFORMED as exc:
+            raise InvalidParameterError(f"malformed --kernel file: {exc!r}")
     else:
         structure = StructureFunction.preset(args.preset)
     return DeformParams(args.p, args.q, structure, args.xi1, args.xi2)
@@ -182,7 +184,10 @@ def _cmd_eval(args) -> int:
 def _poly_from_coeffs(text: str) -> Polynomial:
     if not text:
         raise InvalidParameterError("--coeffs required (c0,c1,...)")
-    return Polynomial([Fraction(tok) for tok in text.split(",")])
+    try:
+        return Polynomial([Fraction(tok) for tok in text.split(",")])
+    except MALFORMED as exc:
+        raise InvalidParameterError(f"malformed --coeffs {text!r}: {exc}")
 
 
 # -- check ------------------------------------------------------------------
@@ -221,7 +226,6 @@ def _suites_for(module: str, args):
 
 
 def _preset_oracle_suite():
-    from .deform import IdentityResult, SuiteReport, rpq_number
     q = Fraction(1, 2)
     p = Fraction(9, 10)
     oracles = {
@@ -246,7 +250,6 @@ def _preset_oracle_suite():
 
 
 def _series_suite():
-    from .deform import IdentityResult, SuiteReport, rpq_number
     js = DeformParams.preset("jagannathan_srinivasa", p=1,
                              q=Fraction(1, 2))
     e = series.exp_lower(js, 10)
@@ -267,7 +270,6 @@ def _series_suite():
 
 
 def _beta_recurrence_suite(params):
-    from .deform import IdentityResult, SuiteReport, rpq_number
     results = []
     for (x, y) in ((1, 1), (2, 3), (4, 2)):
         b = gammabeta.beta_rpq(x, y, params).value
@@ -291,7 +293,6 @@ def _beta_recurrence_suite(params):
 
 
 def _measure_suite(tw):
-    from .deform import IdentityResult, SuiteReport
     results = []
     p = tw.prime
     for N in (1, 2):
@@ -307,7 +308,6 @@ def _measure_suite(tw):
 
 
 def _spin_suite():
-    from .deform import IdentityResult, SuiteReport
     Sm, Sz, Sp = spinzeta.spin_generators(1, 5, 12)
     results = [
         IdentityResult("[Sz,S+] = h S+",
@@ -383,6 +383,8 @@ def _cmd_check(args) -> int:
 # -- table ------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
+    if args.kind != "zeta" and args.count < 0:
+        raise InvalidParameterError(f"need --count >= 0; got {args.count}")
     params = None
     if args.kind in ("numbers", "factorials", "bernoulli", "euler",
                      "genocchi", "zigzag"):
@@ -434,15 +436,17 @@ def _cmd_table(args) -> int:
 # -- spin / zeta / p-adic commands -------------------------------------------
 
 def _load_matrix(args) -> Mat2Padic:
-    if args.matrix_file:
-        try:
+    if not (args.matrix_file or args.matrix_json):
+        raise InvalidParameterError("provide --matrix-file or --matrix-json")
+    try:
+        if args.matrix_file:
             with open(args.matrix_file) as fh:
                 return Mat2Padic.from_json(json.load(fh))
-        except OSError as exc:
-            raise _IOFail(str(exc))
-    if args.matrix_json:
         return Mat2Padic.from_json(json.loads(args.matrix_json))
-    raise InvalidParameterError("provide --matrix-file or --matrix-json")
+    except OSError as exc:
+        raise _IOFail(str(exc))
+    except MALFORMED as exc:
+        raise InvalidParameterError(f"malformed matrix JSON: {exc!r}")
 
 
 def _cmd_spin(args) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import InvalidParameterError, SingularityError
@@ -208,6 +209,10 @@ class DeformParams:
     def preset(cls, kind: str, p=1, q=Fraction(1, 2), xi1=None, xi2=None):
         return cls(p, q, StructureFunction.preset(kind), xi1, xi2)
 
+    @cached_property
+    def _factorials(self) -> list:
+        return [_one_like(self)]
+
     def powered(self, k: int) -> "DeformParams":
         """Parameters for R(p^k, q^k): p, q and both twists k-th powered."""
         return DeformParams(self.p ** k, self.q ** k, self.structure,
@@ -228,25 +233,14 @@ class DeformParams:
         d = x1 - x2
         if _scalar_is_zero(d):
             return False
-        for n in range(1, window + 1):
-            lhs = rpq_number(self, n)
-            rhs = c * (x1 ** n - x2 ** n) / d
-            if not _scalar_eq(lhs, rhs):
-                return False
-        return True
+        return all(rpq_number(self, n) == c * (x1 ** n - x2 ** n) / d
+                   for n in range(1, window + 1))
 
 
 def _scalar_is_zero(x) -> bool:
     if isinstance(x, PadicNumber):
         return x.is_zero()
     return x == 0
-
-
-def _scalar_eq(a, b) -> bool:
-    if isinstance(a, PadicNumber) or isinstance(b, PadicNumber):
-        return (a - b).is_zero() if isinstance(a, PadicNumber) \
-            else (b - a).is_zero()
-    return a == b
 
 
 def rpq_number(params: DeformParams, n: int):
@@ -272,13 +266,14 @@ def _zero_like(params: DeformParams):
 
 
 def rpq_factorial(params: DeformParams, n: int):
-    """[n]! = [1][2]...[n]; empty product 1 for n = 0."""
+    """[n]! = [1][2]...[n]; empty product 1 for n = 0.  Memoised."""
     if n < 0:
         raise InvalidParameterError(f"factorial needs n >= 0; got {n}")
-    acc = _one_like(params)
-    for k in range(1, n + 1):
-        acc = acc * rpq_number(params, k)
-    return acc
+    facts = params._factorials
+    for k in range(len(facts), n + 1):
+        # a slot write, not append: a racing thread rewrites the same value
+        facts[k:k + 1] = [facts[k - 1] * rpq_number(params, k)]
+    return facts[n]
 
 
 def _one_like(params: DeformParams):

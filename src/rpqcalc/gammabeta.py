@@ -16,6 +16,7 @@ the bases involved, otherwise an error explains the constraint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -288,10 +289,6 @@ def power_basis_identity_suite(params: DeformParams, n: int, k: int,
     return SuiteReport("power_basis_identities", tuple(results))
 
 
-def _binom2(k: int) -> int:
-    return k * (k - 1) // 2
-
-
 def _iterate_derivative(f: Polynomial, params: DeformParams,
                         k: int) -> Polynomial:
     for _ in range(k):
@@ -316,7 +313,7 @@ def power_basis_derivative_suite(params: DeformParams, n: int, k: int,
     results.append(IdentityResult("forward n=1 rule", lhs, rhs))
     # D^k (x (-) a)^n = xi1^C(k,2) [n]!/[n-k]! (xi1^k x (-) a)^(n-k)
     lhs_k = _iterate_derivative(base, params, k)
-    coeff = x1 ** _binom2(k) * rpq_factorial(params, n) \
+    coeff = x1 ** math.comb(k, 2) * rpq_factorial(params, n) \
         / rpq_factorial(params, n - k)
     rhs_k = coeff * power_basis_poly(
         a, n - k, "minus", params).scale_arg(x1 ** k)
@@ -329,7 +326,7 @@ def power_basis_derivative_suite(params: DeformParams, n: int, k: int,
     results.append(IdentityResult("reverse n=1 rule", lhs_r, rhs_r))
     # D^k (a (-) x)^n = (-1)^k xi2^C(k,2) [n]!/[n-k]! (a (-) xi2^k x)^(n-k)
     lhs_rk = _iterate_derivative(rev, params, k)
-    coeff_r = Fraction(-1) ** k * x2 ** _binom2(k) \
+    coeff_r = Fraction(-1) ** k * x2 ** math.comb(k, 2) \
         * rpq_factorial(params, n) / rpq_factorial(params, n - k)
     rhs_rk = coeff_r * power_basis_poly_reversed(
         a, n - k, params).scale_arg(x2 ** k)
@@ -373,9 +370,9 @@ def taylor_expand(f: Polynomial, a, params: DeformParams,
     for k in range(deg + 1):
         fact = rpq_factorial(params, k)
         if form == "forward":
-            c = x1 ** (-_binom2(k)) * g(a * x1 ** (-k)) / fact
+            c = x1 ** (-math.comb(k, 2)) * g(a * x1 ** (-k)) / fact
         else:
-            c = Fraction(-1) ** k * x2 ** (-_binom2(k)) \
+            c = Fraction(-1) ** k * x2 ** (-math.comb(k, 2)) \
                 * g(a * x2 ** (-k)) / fact
         coeffs.append(c)
         g = rpq_derivative_poly(g, params)
@@ -430,7 +427,6 @@ def beta_reflection_report(params: DeformParams, x,
     b = beta_rpq(x, 1 - x, params, truncation)
     gg = gamma_rpq(x, params, truncation).value \
         * gamma_rpq(1 - x, params, truncation).value
-    import math
     sin_ref = Fraction(math.sin(math.pi * float(x))).limit_denominator(
         10 ** 18)
     classical_rhs = PI_64 / sin_ref if sin_ref != 0 else None

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -101,8 +102,13 @@ class TwistParams:
         return cls(prime, one, one, StructureFunction.preset("classical"),
                    precision)
 
+    @cached_property
     def deform_params(self) -> DeformParams:
         return DeformParams(self.rho, self.q, self.structure)
+
+    @cached_property
+    def _restricted_factorials(self) -> list:
+        return [PadicNumber.one(self.prime, self.work_precision)] * 2
 
     def powered(self, k: int) -> "TwistParams":
         return TwistParams(self.prime, self.rho ** k, self.q ** k,
@@ -130,25 +136,24 @@ def number_at(tw: TwistParams, z: int):
     """[z] for any integer z (negative included, via exact powers)."""
     if tw.classical:
         return PadicNumber.from_rational(z, tw.prime, tw.work_precision)
-    return tw.structure.value(tw.rho ** z, tw.q ** z, tw.deform_params())
+    return tw.structure.value(tw.rho ** z, tw.q ** z, tw.deform_params)
 
 
 def padic_factorial_rpq(n: int, tw: TwistParams) -> PadicNumber:
-    """Restricted factorial prod_{j < n, p not | j} [j]."""
+    """Restricted factorial prod_{j < n, p not | j} [j].  Memoised."""
     if n < 0:
         raise InvalidParameterError("factorial needs n >= 0")
-    p = tw.prime
-    acc = PadicNumber.one(p, tw.work_precision)
-    for j in range(1, n):
-        if j % p:
-            acc = acc * number_at(tw, j)
-    return acc
+    facts = tw._restricted_factorials
+    for j in range(len(facts) - 1, n):
+        # a slot write, not append: a racing thread rewrites the same value
+        facts[j + 1:j + 2] = [
+            facts[j] * number_at(tw, j) if j % tw.prime else facts[j]]
+    return facts[n]
 
 
 def padic_gamma_rpq(n: int, tw: TwistParams) -> PadicNumber:
     """(-1)^n times the restricted factorial; negative integers through
     the recurrence Gamma(z) = Gamma(z+1)/delta(z)."""
-    p = tw.prime
     if n >= 0:
         g = padic_factorial_rpq(n, tw)
         return g if n % 2 == 0 else -g
@@ -200,13 +205,13 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     p = tw.prime
-    dp = tw.deform_params()
+    dp = tw.deform_params
     twp = tw.powered(p)
     results = []
     m = n // p
     fact_n = rpq_factorial(dp, n)
     bracket_p = rpq_number(dp, p)
-    fact_m_powered = rpq_factorial(twp.deform_params(), m)
+    fact_m_powered = rpq_factorial(twp.deform_params, m)
     lhs = padic_gamma_rpq(n + 1, tw)
     rhs = fact_n / (bracket_p ** m * fact_m_powered)
     if (n + 1) % 2:
@@ -231,7 +236,7 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
         for j, mj in enumerate(levels):
             lhs_r = rpq_factorial(dp, mj) / (
                 bracket_p ** mj
-                * rpq_factorial(twp.deform_params(), mj))
+                * rpq_factorial(twp.deform_params, mj))
             rhs_r = PadicNumber.one(p, tw.work_precision)
             for k in range(1, mj + 1):
                 rhs_r = rhs_r * (rho ** k - q ** k) / (
@@ -257,7 +262,7 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
         twj = tw.powered(p ** j)
         prod = prod * padic_gamma_rpq(nj + 1, twj)
         nj1 = nj // p
-        prod = prod * rpq_number(twj.deform_params(), p) ** nj1
+        prod = prod * rpq_number(twj.deform_params, p) ** nj1
         sign += nj + 1
     if sign % 2:
         prod = -prod

@@ -10,6 +10,7 @@ produced by csc and coth.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .deform import DeformParams, IdentityResult, SuiteReport, \
@@ -17,10 +18,6 @@ from .deform import DeformParams, IdentityResult, SuiteReport, \
 from .errors import (InvalidParameterError, PoleAtOriginError,
                      SingularDeformationError)
 from .poly import Polynomial, rpq_derivative_poly
-
-
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 class FormalSeries:
@@ -251,7 +248,7 @@ def _exp_series(params: DeformParams, order: int, xi) -> FormalSeries:
         f = rpq_factorial(params, n)
         if f == 0:
             raise SingularDeformationError(f"[{n}]! = 0")
-        coeffs.append(xi ** _binom2(n) / f)
+        coeffs.append(xi ** math.comb(n, 2) / f)
     return FormalSeries(coeffs)
 
 
@@ -358,7 +355,7 @@ def generating_polynomials(params: DeformParams, family: str, x,
         raise InvalidParameterError("convention must be lower or upper")
     make = exp_lower if convention == "lower" else exp_upper
     e = make(params, order + 1)
-    exz = make(params, order + 1).scale_arg(x)
+    exz = e.scale_arg(x)
     if family == "bernoulli":
         em1 = e - FormalSeries([Fraction(1)] + [Fraction(0)] * (order + 1))
         if em1.coeffs[1] == 0:

@@ -353,6 +353,8 @@ class LocalZetaRational:
 def zeta_p_factor(shift_a: int, multiplier_m: int,
                   prime: int) -> LocalZetaRational:
     """zeta_p(m s - a) = 1/(1 - p^a t^m) under t = p^(-s)."""
+    if not is_prime(prime):
+        raise InvalidParameterError(f"need a prime; got {prime}")
     if multiplier_m < 1:
         raise InvalidParameterError("multiplier must be >= 1")
     den = Polynomial({0: Fraction(1),

@@ -113,6 +113,34 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "parameter" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "eval", "--prime", "4", "-s", "3"),
+        ("zeta", "table", "--primes", "3,9"),
+        ("table", "--kind", "zeta", "--primes", "1"),
+    ])
+    def test_non_prime_zeta_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "prime" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "integral", "--coeffs", "1,x"),
+        ("eval", "derivative", "--coeffs", "1/0"),
+        ("spin", "log", "--matrix-json", "{"),
+        ("spin", "log", "--matrix-json", '{"a":1}'),
+        ("spin", "level", "--matrix-json", "[1, 2]"),
+        ("eval", "number", "--kernel", "KERNEL"),
+        ("table", "--kind", "numbers", "--count", "-3"),
+    ])
+    def test_malformed_input_is_two(self, capsys, tmp_path, argv):
+        kernel = tmp_path / "no_denominator.json"
+        kernel.write_text(json.dumps({"numerator": [[1, 0, "1"],
+                                                    [0, 1, "-1"]]}))
+        argv = [str(kernel) if a == "KERNEL" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err != ""
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_single_module(self, capsys):

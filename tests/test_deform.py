@@ -1,11 +1,15 @@
 """Structure functions, deformed numbers/factorials/binomials."""
 
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpqcalc import deform
 from rpqcalc.deform import (DeformParams, StructureFunction,
                             bm_identity_suite, bm_number, rpq_binomial,
                             rpq_factorial, rpq_number)
@@ -89,6 +93,66 @@ class TestFactorials:
         for n in range(1, 16):
             assert rpq_factorial(pr, n) == \
                 rpq_number(pr, n) * rpq_factorial(pr, n - 1)
+
+
+def _padic_params():
+    return DeformParams(PadicNumber.from_rational(6, 5, 12),
+                        PadicNumber.from_rational(11, 5, 12))
+
+
+def _running_product(params, n):
+    acc = deform._one_like(params)
+    for k in range(1, n + 1):
+        acc = acc * rpq_number(params, k)
+    return acc
+
+
+class TestFactorialMemo:
+    def test_each_number_computed_once(self, monkeypatch):
+        pr = preset("jagannathan_srinivasa")
+        calls = []
+
+        def counting(params, n):
+            calls.append(n)
+            return rpq_number(params, n)
+
+        monkeypatch.setattr(deform, "rpq_number", counting)
+        for n in range(51):
+            rpq_factorial(pr, n)
+        assert sorted(calls) == list(range(1, 51))
+
+    @pytest.mark.parametrize("make", [
+        lambda: preset("biedenharn_macfarlane"), _padic_params],
+        ids=["rational", "padic"])
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.lists(st.integers(min_value=0, max_value=30),
+                          min_size=1, max_size=12))
+    def test_any_order_matches_running_product(self, make, order):
+        pr, fresh = make(), make()
+        for n in order:
+            got, want = rpq_factorial(pr, n), _running_product(fresh, n)
+            assert got == want and repr(got) == repr(want)
+        assert pr == fresh and repr(pr) == repr(fresh)
+
+    def test_threads_share_one_memo(self):
+        pr = preset("jagannathan_srinivasa")
+        want = [_running_product(preset("jagannathan_srinivasa"), n)
+                for n in range(41)]
+        orders = [random.Random(seed).sample(range(41), 41)
+                  for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as ex:
+                futures = [ex.submit(lambda o: [(n, rpq_factorial(pr, n))
+                                                for n in o], order)
+                           for order in orders]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert all(value == want[n] for n, value in got)
+        assert [rpq_factorial(pr, n) for n in range(41)] == want
 
 
 class TestBinomials:

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from rpqcalc import padicfun
+from rpqcalc.deform import DeformParams
 from rpqcalc.errors import InvalidParameterError, NoConvergenceError
 from rpqcalc.padic import PadicNumber
 from rpqcalc.padicfun import (ConvergenceReport, TwistParams,
@@ -236,6 +238,46 @@ class TestPadicBeta:
             rhs = -(padic_gamma_rpq(x, TW5)
                     * padic_gamma_rpq(1 - x, TW5))
             assert lhs == rhs
+
+
+MAKERS = {
+    "twisted5": lambda: TwistParams.make(5, 6, 11, precision=12),
+    "twisted3": lambda: TwistParams.make(3, 4, 7, precision=12),
+    "classical5": lambda: TwistParams.classical_limit(5),
+}
+
+
+class TestRestrictedFactorialMemo:
+    def test_each_number_computed_once(self, monkeypatch):
+        tw = MAKERS["twisted5"]()
+        calls = []
+
+        def counting(tw, z):
+            calls.append(z)
+            return number_at(tw, z)
+
+        monkeypatch.setattr(padicfun, "number_at", counting)
+        for n in range(51):
+            padic_factorial_rpq(n, tw)
+        assert calls == [j for j in range(1, 50) if j % 5]
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_filled_memo_matches_fresh_params(self, make):
+        filled = make()
+        padic_factorial_rpq(60, filled)
+        for n in range(-6, 40):
+            got, want = padic_gamma_rpq(n, filled), padic_gamma_rpq(n, make())
+            assert got == want and str(got) == str(want), n
+        for x, y in ((1, 1), (3, 7), (4, -2), (-3, 5), (-2, -1), (20, 19)):
+            got = padic_beta_rpq(x, y, filled)
+            want = padic_beta_rpq(x, y, make())
+            assert got == want and str(got) == str(want), (x, y)
+        assert filled == make() and repr(filled) == repr(make())
+
+    def test_deform_params_built_once(self):
+        tw = TwistParams.make(5, 6, 11, precision=12)
+        assert tw.deform_params is tw.deform_params
+        assert tw.deform_params == DeformParams(tw.rho, tw.q, tw.structure)
 
 
 class TestGammaLimit:

@@ -143,6 +143,13 @@ class TestZetaFactors:
         t = F(1, 27)
         assert z.eval_t(t) == 1 / (1 - 3 * t ** 3)
 
+    @pytest.mark.parametrize("n", [-3, 0, 1, 4, 9, 91])
+    def test_non_prime_rejected(self, n):
+        with pytest.raises(InvalidParameterError):
+            zeta_p_factor(0, 1, n)
+        with pytest.raises(InvalidParameterError):
+            zeta_spin_half(n, 3)
+
     def test_igusa_constant_term(self):
         for p in (3, 5, 7):
             assert igusa_Zf(p).eval_t(F(0)) == 1 - F(1, p)
