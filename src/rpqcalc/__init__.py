@@ -12,8 +12,9 @@ padicfun    p-adic gamma/beta, Volkenborn measure/integral, Carlitz
 spinzeta    spin generators over Z_p, matrix exp/log, local zeta values
 cli         command-line front end (``rpqcalc``)
 
-The modular-integer loops of the Riemann sums live in the pure-Python
-module ``rpqcalc._kernel``; ``KERNEL_BACKEND`` names it (``"python"``).
+The Volkenborn/Carlitz Riemann sums of all levels come from one running
+total in the pure-Python module ``rpqcalc._kernel``; ``KERNEL_BACKEND``
+names it (``"python"``).
 """
 
 from .deform import (DeformParams, StructureFunction, bm_identity_suite,

@@ -1,33 +1,27 @@
-"""Modular-integer loops behind the Volkenborn/Carlitz Riemann sums.
+"""The modular-integer loop behind the Volkenborn/Carlitz Riemann sums.
 
 All inputs are plain integers already reduced modulo ``mod`` (a prime
 power); results are returned reduced modulo ``mod``.
 """
 
-__all__ = ["power_table", "weighted_sum", "pow_weighted_sum"]
+__all__ = ["level_sums"]
 
 
-def power_table(base, count, mod):
-    """[base^0, base^1, ..., base^(count-1)] modulo mod."""
-    out = [0] * count
-    acc = 1 % mod
-    for i in range(count):
-        out[i] = acc
-        acc = (acc * base) % mod
-    return out
+def level_sums(values, base, p, levels, mod):
+    """[sum_{t < p^N} base^t values[t] modulo mod for N = 1..levels].
 
-
-def weighted_sum(weights, values, mod):
-    """Sum of weights[i]*values[i] modulo mod."""
-    acc = 0
-    for w, v in zip(weights, values, strict=True):
-        acc += w * v
-    return acc % mod
-
-
-def pow_weighted_sum(values, exponent, weights, mod):
-    """Sum of weights[i]*values[i]^exponent modulo mod."""
-    acc = 0
-    for w, v in zip(weights, values, strict=True):
-        acc += w * pow(v, exponent, mod)
-    return acc % mod
+    One running total over the iterable ``values``, read off at
+    t = p, p^2, ..., p^levels; at most p^levels values are taken, and
+    a ``ValueError`` is raised if fewer are given."""
+    values = iter(values)
+    sums = []
+    acc, weight, done = 0, 1, 0
+    for n in range(1, levels + 1):
+        end = p ** n
+        for done, v in zip(range(done + 1, end + 1), values):
+            acc += weight * v
+            weight = weight * base % mod
+        if done != end:
+            raise ValueError(f"values ran out after {done} of {end}")
+        sums.append(acc % mod)
+    return sums

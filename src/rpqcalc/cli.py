@@ -47,6 +47,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1; got {n}")
+    return n
+
+
 def _common_parser() -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--preset", default="jagannathan_srinivasa",
@@ -61,7 +71,7 @@ def _common_parser() -> argparse.ArgumentParser:
     c.add_argument("--rho", type=_fraction, default=None,
                    help="p-adic twist parameter (rational embedded)")
     c.add_argument("--prime", type=int, default=5)
-    c.add_argument("--precision", type=int, default=16)
+    c.add_argument("--precision", type=_positive_int, default=16)
     c.add_argument("--order", type=int, default=16)
     c.add_argument("--format", choices=("json", "csv", "plain"),
                    default="plain")

@@ -135,6 +135,7 @@ class PadicNumber:
         """Embed a rational with p not dividing the reduced denominator's
         prime-to-p part (any rational is fine: p-powers go to the
         valuation)."""
+        _check_prime(prime)  # before int_valuation, which loops at p = 1
         x = Fraction(x)
         if x == 0:
             return cls.zero(prime, prec)

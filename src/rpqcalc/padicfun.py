@@ -9,7 +9,7 @@ the untwisted Volkenborn measure 1/p^N.
 
 The measure implemented here is
 
-    mu(a + p^N Z_p) = kappa * rho^(p^N) * (q/rho)^a / [p^N],
+    mu(a + p^N Z_p) = rho^(p^N) * (q/rho)^a / [p^N],
 
 whose distribution relation is exact (checked in the test suite); at
 rho = 1 it reduces to the familiar q^a / [p^N] weight.  Riemann sums
@@ -22,8 +22,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
-from typing import Callable, Optional
+from itertools import accumulate, count, islice, repeat
+from operator import attrgetter, mul
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import _kernel
 from .deform import (DeformParams, IdentityResult, StructureFunction,
@@ -48,9 +49,7 @@ class TwistParams:
     ``|rho - 1|_p < 1`` and ``|q - 1|_p < 1`` are required throughout;
     the Volkenborn operations need the stronger exp/log-domain bounds
     ``v(rho - 1) >= 1`` and ``v(q - 1) >= 1`` (automatic for odd p once
-    the weak bound holds).  ``kappa`` is the scalar hook for
-    experimenting with general kernels; the proved theory is the
-    two-base specialization kappa = 1.
+    the weak bound holds).
     """
 
     prime: int
@@ -58,7 +57,6 @@ class TwistParams:
     q: PadicNumber
     structure: StructureFunction = field(default_factory=_js_structure)
     precision: int = DEFAULT_PRECISION
-    kappa: Fraction = Fraction(1)
 
     def __post_init__(self):
         if not is_prime(self.prime) or self.prime == 2:
@@ -84,14 +82,13 @@ class TwistParams:
 
     @classmethod
     def make(cls, prime: int, rho, q, precision: int = DEFAULT_PRECISION,
-             structure: Optional[StructureFunction] = None,
-             kappa=Fraction(1)) -> "TwistParams":
+             structure: Optional[StructureFunction] = None
+             ) -> "TwistParams":
         work = precision + DEFAULT_LEVELS + 8
         emb = lambda v: v if isinstance(v, PadicNumber) \
             else PadicNumber.from_rational(Fraction(v), prime, work)
         return cls(prime, emb(rho), emb(q),
-                   structure or _js_structure(), precision,
-                   Fraction(kappa))
+                   structure or _js_structure(), precision)
 
     @classmethod
     def classical_limit(cls, prime: int,
@@ -112,7 +109,7 @@ class TwistParams:
 
     def powered(self, k: int) -> "TwistParams":
         return TwistParams(self.prime, self.rho ** k, self.q ** k,
-                           self.structure, self.precision, self.kappa)
+                           self.structure, self.precision)
 
     def require_volkenborn(self):
         for name, v in (("rho", self.rho), ("q", self.q)):
@@ -274,7 +271,7 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
 # -- Volkenborn measure and integral --------------------------------------
 
 def volkenborn_measure(a: int, level: int, tw: TwistParams) -> PadicNumber:
-    """mu(a + p^N Z_p) = kappa rho^(p^N) (q/rho)^a / [p^N]."""
+    """mu(a + p^N Z_p) = rho^(p^N) (q/rho)^a / [p^N]."""
     p = tw.prime
     if level < 0 or not 0 <= a < p ** level:
         raise InvalidParameterError(
@@ -282,8 +279,7 @@ def volkenborn_measure(a: int, level: int, tw: TwistParams) -> PadicNumber:
     tw.require_volkenborn()
     m = p ** level
     w = tw.q / tw.rho
-    mass = tw.rho ** m * w ** a / number_at(tw, m)
-    return mass * tw.kappa if tw.kappa != 1 else mass
+    return tw.rho ** m * w ** a / number_at(tw, m)
 
 
 @dataclass(frozen=True)
@@ -326,63 +322,64 @@ class ConvergenceReport:
         }
 
 
-def _converge(level_sum: Callable, max_level: int, shown: Callable,
+def _converge(sums: Iterable, max_level: int, shown: Callable,
               valuation: Callable = attrgetter("valuation")
               ) -> ConvergenceReport:
-    """Report level_sum(N) for N = 1..max_level, each level's value as
-    shown(s) and the valuations of successive differences (the zero
-    difference has valuation inf).
-
-    level_sum is called once per level in ascending order, so it may
-    carry a running total from one level to the next."""
+    """Report the first max_level of the level sums (N = 1, 2, ...):
+    each level's value as shown(s) and the valuations of successive
+    differences (the zero difference has valuation inf).  sums is not
+    iterated when the level budget is empty."""
     if max_level < 1:
         raise InvalidParameterError(
             f"need at least one level; got {max_level}")
-    levels = tuple(range(1, max_level + 1))
-    sums = [level_sum(N) for N in levels]
+    sums = list(islice(sums, max_level))
     return ConvergenceReport(
-        levels, tuple(shown(s) for s in sums),
+        tuple(range(1, max_level + 1)), tuple(shown(s) for s in sums),
         tuple(valuation(b - a) for a, b in zip(sums, sums[1:])))
 
 
-def _level_sum(f: Callable, level: int, tw: TwistParams) -> PadicNumber:
-    """One Riemann sum: (kappa rho^(p^N)/[p^N]) sum_x (q/rho)^x f(x)."""
-    p = tw.prime
-    count = p ** level
-    W = tw.work_precision
+def _at_levels(running: Iterable, p: int) -> Iterator:
+    """Items p, p^2, p^3, ... (counting from 0) of running: the level
+    sums, when running yields the partial sums from the empty one."""
+    mark = p
+    for i, total in enumerate(running):
+        if i == mark:
+            yield total
+            mark *= p
+
+
+def _from_residue(s: int, p: int, W: int) -> PadicNumber:
+    return PadicNumber(p, 0, s, W) if s else PadicNumber.zero(p, W)
+
+
+def _level_sums(f: Callable, max_level: int,
+                tw: TwistParams) -> Iterator[PadicNumber]:
+    """Riemann sums (rho^(p^N)/[p^N]) sum_{x<p^N} (q/rho)^x f(x) for
+    N = 1..max_level from one pass over x < p^max_level: exact values
+    with p-free denominators through the kernel, others through a
+    PadicNumber running total (the tests' reference path)."""
+    p, W = tw.prime, tw.work_precision
     mod = p ** W
     what = tw.q / tw.rho
-    wu = what.residue(W)
-    vals = [f(x) for x in range(count)]
-    exact = all(isinstance(v, (int, Fraction)) for v in vals)
-    if exact:
-        weights = _kernel.power_table(wu, count, mod)
-        res = []
-        for v in vals:
-            fr = Fraction(v)
-            if fr.denominator % p == 0:
-                exact = False
-                break
-            res.append(fr.numerator * pow(fr.denominator, -1, mod) % mod)
-        if exact:
-            total_u = _kernel.weighted_sum(weights, res, mod)
-            total = PadicNumber(p, 0, total_u, W) if total_u else \
-                PadicNumber.zero(p, W)
-            return _apply_prefactor(total, count, tw)
-    total = PadicNumber.zero(p, W)
-    wx = PadicNumber.one(p, W)
-    for x in range(count):
-        total = total + wx * vals[x]
-        wx = wx * what
-    return _apply_prefactor(total, count, tw)
+    vals = [f(x) for x in range(p ** max_level)]
+    if all(isinstance(v, (int, Fraction)) and v.denominator % p
+           for v in vals):
+        residues = (v.numerator * pow(v.denominator, -1, mod) % mod
+                    for v in vals)
+        totals = (_from_residue(s, p, W) for s in _kernel.level_sums(
+            residues, what.residue(W), p, max_level, mod))
+    else:
+        weights = accumulate(repeat(what), mul,
+                             initial=PadicNumber.one(p, W))
+        totals = _at_levels(accumulate(map(mul, weights, vals),
+                                       initial=PadicNumber.zero(p, W)), p)
+    for N, total in enumerate(totals, 1):
+        yield _apply_prefactor(total, p ** N, tw)
 
 
 def _apply_prefactor(total: PadicNumber, count: int,
                      tw: TwistParams) -> PadicNumber:
-    out = tw.rho ** count * total / number_at(tw, count)
-    if tw.kappa != 1:
-        out = out * tw.kappa
-    return out
+    return tw.rho ** count * total / number_at(tw, count)
 
 
 def volkenborn_integral(f: Callable, tw: TwistParams,
@@ -390,57 +387,61 @@ def volkenborn_integral(f: Callable, tw: TwistParams,
                         ) -> ConvergenceReport:
     """Riemann sums of f over residue classes for N = 1..max_level.
 
-    f is evaluated at the integers 0..p^N - 1 (the restriction of a
-    uniformly differentiable function); stabilization is certified by
-    strictly increasing valuations of successive differences and is
+    f is evaluated at the integers 0..p^max_level - 1 (the restriction
+    of a uniformly differentiable function); stabilization is certified
+    by strictly increasing valuations of successive differences and is
     reported, never assumed.
     """
     tw.require_volkenborn()
-    return _converge(lambda N: _level_sum(f, N, tw), max_level, tw.shown)
+    return _converge(_level_sums(f, max_level, tw), max_level, tw.shown)
 
 
-def _moment_level(r: int, base: PadicNumber, N: int, tw: TwistParams,
-                  rho_x: Optional[PadicNumber] = None,
-                  q_x: Optional[PadicNumber] = None) -> PadicNumber:
-    """Level-N sum (kappa rho^(p^N)/[p^N]) sum_t base^t [x+t]^r with
-    [x+t] = (rho_x rho^t - q_x q^t)/(rho - q), built from kernel power
-    tables (the hot path); rho_x = q_x = 1 (x = 0) when omitted.
+def _bracket_powers(r: int, rx: int, qx: int, rho: int, q: int,
+                    mod: int) -> Iterator[int]:
+    """(rx rho^t - qx q^t)^r modulo mod for t = 0, 1, 2, ..."""
+    a = b = 1
+    while True:
+        yield pow((rx * a - qx * b) % mod, r, mod)
+        a = a * rho % mod
+        b = b * q % mod
 
-    base = (q/rho) rho^c gives the level sum of int rho^(ct) [x+t]^r
-    dmu(t)."""
+
+def _moment_sums(r: int, base: PadicNumber, max_level: int,
+                 tw: TwistParams, rho_x: Optional[PadicNumber] = None,
+                 q_x: Optional[PadicNumber] = None
+                 ) -> Iterator[PadicNumber]:
+    """Level sums (rho^(p^N)/[p^N]) sum_{t<p^N} base^t [x+t]^r for
+    N = 1..max_level, [x+t] = (rho_x rho^t - q_x q^t)/(rho - q), from one
+    kernel call (the hot path); rho_x = q_x = 1 (x = 0) when omitted.
+    base = (q/rho) rho^c gives int rho^(ct) [x+t]^r dmu(t)."""
     p = tw.prime
     W = min(tw.work_precision, base.absolute_precision)
+    rx = qx = 1
     if rho_x is not None:
         W = min(W, rho_x.absolute_precision, q_x.absolute_precision)
-    mod = p ** W
-    count = p ** N
-    ta = _kernel.power_table(tw.rho.residue(W), count, mod)
-    tb = _kernel.power_table(tw.q.residue(W), count, mod)
-    weights = _kernel.power_table(base.residue(W), count, mod)
-    if rho_x is None:
-        vals = [(u - v) % mod for u, v in zip(ta, tb)]
-    else:
         rx, qx = rho_x.residue(W), q_x.residue(W)
-        vals = [(rx * u - qx * v) % mod for u, v in zip(ta, tb)]
-    acc = _kernel.pow_weighted_sum(vals, r, weights, mod)
-    total = PadicNumber(p, 0, acc, W) if acc else PadicNumber.zero(p, W)
-    return _apply_prefactor(total / (tw.rho - tw.q) ** r, count, tw)
+    mod = p ** W
+    brackets = _bracket_powers(r, rx, qx, tw.rho.residue(W),
+                               tw.q.residue(W), mod)
+    sums = _kernel.level_sums(brackets, base.residue(W), p, max_level, mod)
+    scale = (tw.rho - tw.q) ** r
+    for N, s in enumerate(sums, 1):
+        yield _apply_prefactor(_from_residue(s, p, W) / scale, p ** N, tw)
 
 
 def volkenborn_moment(r: int, tw: TwistParams,
                       max_level: int = DEFAULT_LEVELS
                       ) -> ConvergenceReport:
-    """int [t]^r dmu(t), with the [t] values built from kernel power
-    tables (the hot path)."""
+    """int [t]^r dmu(t), with the [t] values streamed as residues to
+    the kernel (the hot path)."""
     if r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
     tw.require_volkenborn()
     if tw.classical:
         return volkenborn_integral(lambda t: Fraction(t) ** r, tw,
                                    max_level)
-    base = tw.q / tw.rho
-    return _converge(lambda N: _moment_level(r, base, N, tw), max_level,
-                     tw.shown)
+    return _converge(_moment_sums(r, tw.q / tw.rho, max_level, tw),
+                     max_level, tw.shown)
 
 
 def volkenborn_shift_check(f: Polynomial, tw: TwistParams,
@@ -530,9 +531,8 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
         rho_x, q_x = tw.rho ** int(x), tw.q ** int(x)
     if method == "direct":
         base = tw.q / tw.rho * rho_a
-        return _converge(
-            lambda N: _moment_level(n, base, N, tw, rho_x, q_x),
-            max_level, tw.shown)
+        return _converge(_moment_sums(n, base, max_level, tw, rho_x, q_x),
+                         max_level, tw.shown)
     return _carlitz_moments(n, a, rho_x, q_x, tw, max_level)
 
 
@@ -540,17 +540,14 @@ def _carlitz_moments(n, a, rho_x, q_x, tw, max_level):
     """The umbral form: sum_r C(n,r) [x]^(n-r) q_x^r times the twisted
     moment int rho^((a+n-r)t) [t]^r dmu(t)."""
     bracket_x = (rho_x - q_x) / (tw.rho - tw.q)
-    terms = [(math.comb(n, r) * bracket_x ** (n - r) * q_x ** r,
-              tw.q / tw.rho * _twist_power(tw.rho, a + n - r, tw))
-             for r in range(n + 1)]
-
-    def level(N):
-        s = PadicNumber.zero(tw.prime, tw.work_precision)
-        for r, (coeff, base) in enumerate(terms):
-            s = s + coeff * _moment_level(r, base, N, tw)
-        return s
-
-    return _converge(level, max_level, tw.shown)
+    coeffs = [math.comb(n, r) * bracket_x ** (n - r) * q_x ** r
+              for r in range(n + 1)]
+    streams = [_moment_sums(
+        r, tw.q / tw.rho * _twist_power(tw.rho, a + n - r, tw), max_level,
+        tw) for r in range(n + 1)]
+    zero = PadicNumber.zero(tw.prime, tw.work_precision)
+    return _converge((sum(map(mul, coeffs, moments), zero)
+                      for moments in zip(*streams)), max_level, tw.shown)
 
 
 # -- fermionic integral -----------------------------------------------------
@@ -565,17 +562,10 @@ def fermionic_integral(f: Callable, prime: int,
     stabilization."""
     if not is_prime(prime) or prime == 2:
         raise InvalidParameterError("fermionic integral needs an odd prime")
-    total, upto = Fraction(0), 0
-
-    def level(N):
-        nonlocal total, upto
-        for x in range(upto, prime ** N):
-            total += f(x) if x % 2 == 0 else -f(x)
-        upto = prime ** N
-        return total
-
+    terms = (f(x) if x % 2 == 0 else -f(x) for x in count())
     return _converge(
-        level, max_level,
+        _at_levels(accumulate(terms, initial=Fraction(0)), prime),
+        max_level,
         lambda t: PadicNumber.from_rational(t, prime, precision),
         lambda d: _rat_valuation(d, prime))
 
@@ -664,5 +654,5 @@ def gamma_limit_at(x: PadicNumber, tw: TwistParams,
     x_k = x mod p^k; convergence is reported, not assumed."""
     if x.valuation < 0:
         raise InvalidParameterError("argument must be a p-adic integer")
-    return _converge(lambda k: padic_gamma_rpq(x.residue(k), tw),
+    return _converge((padic_gamma_rpq(x.residue(k), tw) for k in count(1)),
                      max_level, tw.shown)

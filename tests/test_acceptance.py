@@ -270,7 +270,8 @@ def test_criterion_7_cli(capsys, tmp_path):
             code = cli.main(argv + ["--format", "csv", "--out",
                                     str(out)])
             assert code == 0
-            rows = list(csvmod.reader(out.open()))
+            with out.open() as fh:
+                rows = list(csvmod.reader(fh))
             assert rows[0] == ["n", "value"]
             for n_str, val in rows[1:]:
                 assert F(val) == expected(n_str)

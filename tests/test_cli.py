@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from rpqcalc import cli
 from rpqcalc.deform import DeformParams, rpq_number
 from rpqcalc.series import generating_polynomials
 from rpqcalc.spinzeta import zeta_spin_half
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -142,6 +148,36 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("volkenborn", "--precision", "-20"),
+        ("spin", "exp", "--precision", "-5"),
+        ("pgamma", "-n", "5", "--precision", "0"),
+        ("pgamma", "-n", "5", "--precision", "x"),
+    ])
+    def test_precision_below_one_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--precision" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("prime", ["0", "1"])
+    @pytest.mark.parametrize("argv", [
+        ("pgamma", "-n", "5"),
+        ("pbeta", "-x", "1", "-y", "2"),
+        ("volkenborn",),
+        ("carlitz",),
+        ("table", "--kind", "volkenborn"),
+    ])
+    def test_prime_below_two_is_two(self, argv, prime):
+        # a subprocess with a timeout: p = 1 used to loop forever
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpqcalc.cli", *argv, "--prime", prime],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "not prime" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestCheck:
     def test_single_module(self, capsys):
         code, out, _ = run(capsys, "check", "--module", "deform")
@@ -167,7 +203,8 @@ class TestTables:
                          "--format", "csv", "--primes", "2,3",
                          "--s-values", "3,4", "--out", str(out_path))
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        with out_path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["p", "s", "value-num", "value-den"]
         for p, s, num, den in rows[1:]:
             expected = zeta_spin_half(int(p), int(s)).value
@@ -180,7 +217,8 @@ class TestTables:
                          "--count", "12", "--out", str(out_path))
         assert code == 0
         js = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
-        rows = list(csv.reader(out_path.open()))
+        with out_path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["n", "value"]
         assert len(rows) == 13
         for n_str, val in rows[1:]:
@@ -194,7 +232,8 @@ class TestTables:
         assert code == 0
         cl = DeformParams.preset("classical", p=1, q=1)
         expected = generating_polynomials(cl, "bernoulli", F(0), 8)
-        rows = list(csv.reader(out_path.open()))
+        with out_path.open() as fh:
+            rows = list(csv.reader(fh))
         for n_str, val in rows[1:]:
             assert F(val) == expected[int(n_str)]
 
@@ -204,7 +243,8 @@ class TestTables:
                          "--count", "0", "--format", "csv",
                          "--out", str(out_path))
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        with out_path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows == [["n", "value"]]
 
 

@@ -1,6 +1,7 @@
-"""The modular-integer loops of ``rpqcalc._kernel``."""
+"""The modular-integer loop of ``rpqcalc._kernel``."""
 
 import random
+from itertools import count
 
 import pytest
 
@@ -11,56 +12,59 @@ from rpqcalc import _kernel
 M27 = 5 ** 27
 
 
+def brute_force(values, base, p, levels, mod):
+    return [sum(pow(base, t, mod) * values[t] for t in range(p ** n)) % mod
+            for n in range(1, levels + 1)]
+
+
 def test_reference_values():
-    assert _kernel.power_table(2, 5, 1000) == [1, 2, 4, 8, 16]
-    assert _kernel.weighted_sum([1, 2], [3, 4], 100) == 11
-    assert _kernel.pow_weighted_sum([2, 3], 2, [1, 1], 100) == 13
-    assert _kernel.pow_weighted_sum([4, 9], 0, [5, 6], 7) == 4
+    # 1 + 2*2 + 3*4 = 17; the next six terms add 4080
+    assert _kernel.level_sums(range(1, 10), 2, 3, 2, 1000) == [17, 97]
+    assert _kernel.level_sums([5, 6, 7, 8], 3, 2, 2, 7) == [2, 1]
 
 
 def test_reference_values_past_64_bits():
-    assert _kernel.power_table(2 ** 40, 4, M27) == [
-        1, 1099511627776, 2062538365746971801, 985605613747141451]
-    assert _kernel.weighted_sum(
-        [M27 - 1, 2 ** 60 % M27, 3], [M27 - 2, 5 ** 26, 7], M27) == \
-        1490116119384765648
-    assert _kernel.pow_weighted_sum(
-        [2 ** 50 % M27, M27 - 1, 0], 3, [1, 2, 3], M27) == \
-        2933954059722590372
+    # -(1 - 2 + 4 - ...) over 2, 4 and 8 terms
+    assert _kernel.level_sums([M27 - 1] * 8, M27 - 2, 2, 3, M27) == \
+        [1, 5, 85]
+    vals = [(2 ** 61 + 7 * t ** 3) % M27 for t in range(25)]
+    assert _kernel.level_sums(vals, 2 ** 40, 5, 2, M27) == \
+        [5986761523609671785, 3821512440495466675]
 
 
 def test_empty_and_trivial_modulus():
-    assert _kernel.power_table(3, 0, 7) == []
-    assert _kernel.power_table(3, 3, 1) == [0, 0, 0]
-    assert _kernel.weighted_sum([], [], 7) == 0
-    assert _kernel.pow_weighted_sum([], 3, [], 7) == 0
+    values = iter(range(100))
+    assert _kernel.level_sums(values, 3, 5, 0, 7) == []
+    assert next(values) == 0  # no level, nothing read
+    assert _kernel.level_sums(range(9), 3, 3, 2, 1) == [0, 0]
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        _kernel.weighted_sum([1, 2], [3], 7)
-    with pytest.raises(ValueError):
-        _kernel.pow_weighted_sum([1], 2, [1, 2], 7)
+    with pytest.raises(ValueError, match="ran out"):
+        _kernel.level_sums([1, 2, 3], 2, 2, 2, 7)
+    with pytest.raises(ValueError, match="ran out"):
+        _kernel.level_sums([], 2, 3, 1, 7)
+
+
+def test_reads_only_what_the_levels_need():
+    values = count()
+    assert _kernel.level_sums(values, 1, 3, 2, 10 ** 6) == [3, 36]
+    assert next(values) == 9
 
 
 @pytest.mark.parametrize("mod", [5 ** 10, M27, 7 ** 28, 3 ** 60])
 def test_matches_builtin_pow(mod):
     rng = random.Random(mod)
-    count = 200
-    base = rng.randrange(1, mod)
-    vals = [rng.randrange(mod) for _ in range(count)]
-    w = [rng.randrange(mod) for _ in range(count)]
-    assert _kernel.power_table(base, count, mod) == \
-        [pow(base, i, mod) for i in range(count)]
-    assert _kernel.weighted_sum(w, vals, mod) == \
-        sum(a * b for a, b in zip(w, vals)) % mod
-    for e in (0, 1, 2, 7):
-        assert _kernel.pow_weighted_sum(vals, e, w, mod) == \
-            sum(a * pow(b, e, mod) for a, b in zip(w, vals)) % mod
+    for p, levels in ((3, 4), (5, 3), (7, 2)):
+        base = rng.randrange(1, mod)
+        vals = [rng.randrange(mod) for _ in range(p ** levels)]
+        assert _kernel.level_sums(iter(vals), base, p, levels, mod) == \
+            brute_force(vals, base, p, levels, mod)
 
 
 def test_public_names():
-    assert _kernel.__all__ == [
-        "power_table", "weighted_sum", "pow_weighted_sum"]
+    assert _kernel.__all__ == ["level_sums"]
     assert all(callable(getattr(_kernel, n)) for n in _kernel.__all__)
+    # eager: the loop runs inside the call that a timing span wraps
+    assert type(_kernel.level_sums(iter([1, 2]), 1, 2, 1, 7)) is list
     assert rpqcalc.KERNEL_BACKEND == "python"

@@ -1,5 +1,6 @@
 """p-adic gamma/beta, Volkenborn measure/integral, Carlitz values."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,12 @@ from rpqcalc.poly import Polynomial
 TW5 = TwistParams.make(5, 6, 11, precision=12)
 TW3 = TwistParams.make(3, 4, 7, precision=12)
 CL5 = TwistParams.classical_limit(5)
+
+MAKERS = {
+    "twisted5": lambda: TwistParams.make(5, 6, 11, precision=12),
+    "twisted3": lambda: TwistParams.make(3, 4, 7, precision=12),
+    "classical5": lambda: TwistParams.classical_limit(5),
+}
 
 
 class TestFactorialAndGamma:
@@ -150,14 +157,38 @@ class TestVolkenbornIntegral:
         with pytest.raises(NoConvergenceError):
             _ = rep.value
 
-    def test_moment_fast_path_matches_generic(self):
-        mom = volkenborn_moment(2, TW5, 4)
+    @pytest.mark.parametrize("r", range(6), ids="r{}".format)
+    @pytest.mark.parametrize("p,rho,q,levels", [(3, 4, 7, 5), (5, 6, 11, 4),
+                                                (7, 8, 15, 3)],
+                             ids=["p3", "p5", "p7"])
+    def test_moment_fast_path_matches_generic(self, p, rho, q, levels, r):
+        tw = TwistParams.make(p, rho, q, precision=12)
+        mom = volkenborn_moment(r, tw, levels)
         def f(x):
-            b = (TW5.rho ** x - TW5.q ** x) / (TW5.rho - TW5.q)
-            return b * b
-        gen = volkenborn_integral(f, TW5, 4)
+            return ((tw.rho ** x - tw.q ** x) / (tw.rho - tw.q)) ** r
+        gen = volkenborn_integral(f, tw, levels)
+        assert len(mom.values) == len(gen.values) == levels
         for a, b in zip(mom.values, gen.values):
-            assert (a - b).is_zero()
+            assert (a - b).is_zero() and repr(a) == repr(b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_residue_and_padic_paths_agree(self, make, seed):
+        # Fraction values take the kernel's residue path, PadicNumber
+        # values the running PadicNumber total; the path is chosen once
+        # for all levels, so the two must agree level by level
+        tw = make()
+        p, W = tw.prime, tw.work_precision
+        rng = random.Random(seed)
+        dens = [d for d in range(1, 30) if d % p]
+        poly = Polynomial([F(rng.randrange(-50, 50), rng.choice(dens))
+                           for _ in range(rng.randrange(1, 6))])
+        exact = volkenborn_integral(lambda x: poly(F(x)), tw, 4)
+        padic = volkenborn_integral(
+            lambda x: PadicNumber.from_rational(poly(F(x)), p, W), tw, 4)
+        assert [repr(v) for v in exact.values] == \
+            [repr(v) for v in padic.values]
+        assert exact.diff_valuations == padic.diff_valuations
 
     def test_shift_identity_converges(self):
         rep = volkenborn_shift_check(Polynomial.monomial(1), TW5, 5)
@@ -238,13 +269,6 @@ class TestPadicBeta:
             rhs = -(padic_gamma_rpq(x, TW5)
                     * padic_gamma_rpq(1 - x, TW5))
             assert lhs == rhs
-
-
-MAKERS = {
-    "twisted5": lambda: TwistParams.make(5, 6, 11, precision=12),
-    "twisted3": lambda: TwistParams.make(3, 4, 7, precision=12),
-    "classical5": lambda: TwistParams.classical_limit(5),
-}
 
 
 class TestRestrictedFactorialMemo:
