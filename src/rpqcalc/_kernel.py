@@ -1,4 +1,9 @@
-"""The modular-integer loop behind the Volkenborn/Carlitz Riemann sums.
+"""The modular-integer loop behind the Riemann sums of general integrands.
+
+``padicfun.volkenborn_integral`` sends the residues of an exact
+integrand f here; the moments and Carlitz values do not come here, as
+each of their level sums has a closed form.  The loop also serves the
+tests as the Riemann-sum oracle for those closed forms.
 
 All inputs are plain integers already reduced modulo ``mod`` (a prime
 power); results are returned reduced modulo ``mod``.

@@ -24,7 +24,7 @@ from .errors import (ConvergenceDomainError, DecayCertificateError,
                      InvalidParameterError, InvalidRegimeError,
                      NoConvergenceError, PoleAtOriginError, PoleError,
                      RpqError, SingularDeformationError, SingularityError)
-from .padic import PadicNumber
+from .padic import PadicNumber, is_prime
 from .padicfun import TwistParams
 from .poly import Polynomial
 from .spinzeta import Mat2Padic
@@ -57,6 +57,16 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _prime(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"p = {p} is not prime")
+    return p
+
+
 def _common_parser() -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--preset", default="jagannathan_srinivasa",
@@ -70,7 +80,7 @@ def _common_parser() -> argparse.ArgumentParser:
     c.add_argument("--xi2", type=_fraction, default=None)
     c.add_argument("--rho", type=_fraction, default=None,
                    help="p-adic twist parameter (rational embedded)")
-    c.add_argument("--prime", type=int, default=5)
+    c.add_argument("--prime", type=_prime, default=5)
     c.add_argument("--precision", type=_positive_int, default=16)
     c.add_argument("--order", type=int, default=16)
     c.add_argument("--format", choices=("json", "csv", "plain"),

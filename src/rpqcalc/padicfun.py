@@ -374,12 +374,31 @@ def _level_sums(f: Callable, max_level: int,
         totals = _at_levels(accumulate(map(mul, weights, vals),
                                        initial=PadicNumber.zero(p, W)), p)
     for N, total in enumerate(totals, 1):
-        yield _apply_prefactor(total, p ** N, tw)
+        yield _apply_prefactor(total, N, tw)
 
 
-def _apply_prefactor(total: PadicNumber, count: int,
+def _apply_prefactor(total: PadicNumber, N: int,
                      tw: TwistParams) -> PadicNumber:
-    return tw.rho ** count * total / number_at(tw, count)
+    """The level-N value rho^(p^N) total / [p^N]."""
+    count = tw.prime ** N
+    bracket = number_at(tw, count)
+    if bracket.is_zero():
+        raise _too_deep(N, tw, f"[p^{N}] vanishes")
+    return _resolved(tw.rho ** count * total / bracket, N, tw)
+
+
+def _resolved(value: PadicNumber, N: int, tw: TwistParams) -> PadicNumber:
+    """value, unless it is zero modulo p^k with k < 1 (no digit left)."""
+    if value.is_zero() and value.absolute_precision < 1:
+        raise _too_deep(N, tw, "the value keeps no digit")
+    return value
+
+
+def _too_deep(N: int, tw: TwistParams, why: str) -> InvalidParameterError:
+    return InvalidParameterError(
+        f"level {N} is beyond the working precision of "
+        f"{tw.work_precision} digits of p = {tw.prime} ({why}); use fewer "
+        f"levels or a higher precision")
 
 
 def volkenborn_integral(f: Callable, tw: TwistParams,
@@ -396,51 +415,72 @@ def volkenborn_integral(f: Callable, tw: TwistParams,
     return _converge(_level_sums(f, max_level, tw), max_level, tw.shown)
 
 
-def _bracket_powers(r: int, rx: int, qx: int, rho: int, q: int,
-                    mod: int) -> Iterator[int]:
-    """(rx rho^t - qx q^t)^r modulo mod for t = 0, 1, 2, ..."""
-    a = b = 1
+def _geometric_sums(a: int, p: int, W: int) -> Iterator[int]:
+    """sum_{t<p^N} a^t modulo p^W for N = 1, 2, ...: exactly
+    (a^(p^N) - 1)/(a - 1), the power p^v of a - 1 divided out of the
+    numerator (computed modulo p^(W+v)) and the unit part inverted; p^N
+    when a = 1 mod p^W."""
+    mod = p ** W
+    a %= mod
+    if a == 1:
+        yield from (pow(p, N, mod) for N in count(1))
+        return
+    pv = p ** int_valuation(a - 1, p)
+    inv = pow((a - 1) // pv, -1, mod)
+    power = a
     while True:
-        yield pow((rx * a - qx * b) % mod, r, mod)
-        a = a * rho % mod
-        b = b * q % mod
+        power = pow(power, p, mod * pv)
+        yield (power - 1) // pv * inv % mod
 
 
-def _moment_sums(r: int, base: PadicNumber, max_level: int,
-                 tw: TwistParams, rho_x: Optional[PadicNumber] = None,
+def _moment_residues(r: int, b: int, rx: int, qx: int, rho: int, q: int,
+                     p: int, W: int) -> Iterator[int]:
+    """sum_{t<p^N} b^t (rx rho^t - qx q^t)^r modulo p^W for N = 1, 2, ...
+
+    By the binomial theorem the summand is r + 1 geometric series in t
+    with ratios A_k = b rho^(r-k) q^k, so a level costs r + 1 modular
+    powers instead of p^N terms."""
+    mod = p ** W
+    coeffs = [math.comb(r, k) * pow(rx, r - k, mod) * pow(-qx, k, mod)
+              for k in range(r + 1)]
+    series = [_geometric_sums(b * pow(rho, r - k, mod) * pow(q, k, mod),
+                              p, W) for k in range(r + 1)]
+    for sums in zip(*series):
+        yield sum(map(mul, coeffs, sums)) % mod
+
+
+def _moment_sums(r: int, base: PadicNumber, tw: TwistParams,
+                 rho_x: Optional[PadicNumber] = None,
                  q_x: Optional[PadicNumber] = None
                  ) -> Iterator[PadicNumber]:
     """Level sums (rho^(p^N)/[p^N]) sum_{t<p^N} base^t [x+t]^r for
-    N = 1..max_level, [x+t] = (rho_x rho^t - q_x q^t)/(rho - q), from one
-    kernel call (the hot path); rho_x = q_x = 1 (x = 0) when omitted.
-    base = (q/rho) rho^c gives int rho^(ct) [x+t]^r dmu(t)."""
+    N = 1, 2, ..., [x+t] = (rho_x rho^t - q_x q^t)/(rho - q), in closed
+    form; rho_x = q_x = 1 (x = 0) when omitted.  base = (q/rho) rho^c
+    gives int rho^(ct) [x+t]^r dmu(t)."""
     p = tw.prime
     W = min(tw.work_precision, base.absolute_precision)
     rx = qx = 1
     if rho_x is not None:
         W = min(W, rho_x.absolute_precision, q_x.absolute_precision)
         rx, qx = rho_x.residue(W), q_x.residue(W)
-    mod = p ** W
-    brackets = _bracket_powers(r, rx, qx, tw.rho.residue(W),
-                               tw.q.residue(W), mod)
-    sums = _kernel.level_sums(brackets, base.residue(W), p, max_level, mod)
+    sums = _moment_residues(r, base.residue(W), rx, qx, tw.rho.residue(W),
+                            tw.q.residue(W), p, W)
     scale = (tw.rho - tw.q) ** r
     for N, s in enumerate(sums, 1):
-        yield _apply_prefactor(_from_residue(s, p, W) / scale, p ** N, tw)
+        yield _apply_prefactor(_from_residue(s, p, W) / scale, N, tw)
 
 
 def volkenborn_moment(r: int, tw: TwistParams,
                       max_level: int = DEFAULT_LEVELS
                       ) -> ConvergenceReport:
-    """int [t]^r dmu(t), with the [t] values streamed as residues to
-    the kernel (the hot path)."""
+    """int [t]^r dmu(t), each level in closed form (the hot path)."""
     if r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
     tw.require_volkenborn()
     if tw.classical:
         return volkenborn_integral(lambda t: Fraction(t) ** r, tw,
                                    max_level)
-    return _converge(_moment_sums(r, tw.q / tw.rho, max_level, tw),
+    return _converge(_moment_sums(r, tw.q / tw.rho, tw),
                      max_level, tw.shown)
 
 
@@ -531,7 +571,7 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
         rho_x, q_x = tw.rho ** int(x), tw.q ** int(x)
     if method == "direct":
         base = tw.q / tw.rho * rho_a
-        return _converge(_moment_sums(n, base, max_level, tw, rho_x, q_x),
+        return _converge(_moment_sums(n, base, tw, rho_x, q_x),
                          max_level, tw.shown)
     return _carlitz_moments(n, a, rho_x, q_x, tw, max_level)
 
@@ -543,11 +583,12 @@ def _carlitz_moments(n, a, rho_x, q_x, tw, max_level):
     coeffs = [math.comb(n, r) * bracket_x ** (n - r) * q_x ** r
               for r in range(n + 1)]
     streams = [_moment_sums(
-        r, tw.q / tw.rho * _twist_power(tw.rho, a + n - r, tw), max_level,
-        tw) for r in range(n + 1)]
+        r, tw.q / tw.rho * _twist_power(tw.rho, a + n - r, tw), tw)
+        for r in range(n + 1)]
     zero = PadicNumber.zero(tw.prime, tw.work_precision)
-    return _converge((sum(map(mul, coeffs, moments), zero)
-                      for moments in zip(*streams)), max_level, tw.shown)
+    return _converge((_resolved(sum(map(mul, coeffs, moments), zero), N, tw)
+                      for N, moments in enumerate(zip(*streams), 1)),
+                     max_level, tw.shown)
 
 
 # -- fermionic integral -----------------------------------------------------

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpqcalc import cli
 from rpqcalc.deform import DeformParams, rpq_number
@@ -176,6 +178,63 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "not prime" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--module", "padicfun", "--prime", "1"),
+        ("table", "--kind", "bernoulli", "--prime", "1"),
+        ("eval", "number", "-n", "3", "--prime", "9"),
+        ("spin", "exp", "--prime", "4"),
+    ])
+    def test_non_prime_is_two_everywhere(self, capsys, argv):
+        # --prime is checked even where the command does not use it
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--prime" in err and "not prime" in err
+
+    def test_prime_two_stays_valid(self, capsys):
+        code, out, err = run(capsys, "zeta", "eval", "--prime", "2")
+        assert code == 0 and out != "" and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("volkenborn", "--moment", "2", "--levels", "29", "--prime", "5"),
+        ("volkenborn", "--moment", "2", "--levels", "28", "--prime", "5"),
+        ("carlitz", "-n", "2", "--levels", "40", "--prime", "7",
+         "--method", "moments"),
+        ("carlitz", "-n", "2", "--levels", "40", "--prime", "7",
+         "--method", "direct"),
+        ("table", "--kind", "volkenborn", "--levels", "30", "--prime", "3"),
+    ])
+    def test_too_deep_levels_are_two(self, capsys, argv):
+        # at the default precision of 16 the working precision is 30
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "parameter error: level 2" in err
+        assert "working precision of 30 digits" in err
+
+    def test_deepest_resolved_level(self, capsys):
+        code, out, _ = run(capsys, "volkenborn", "--moment", "2",
+                           "--levels", "27", "--prime", "5")
+        assert code == 0 and "zero" not in out
+
+
+@settings(max_examples=12, deadline=None)
+@given(command=st.sampled_from(["volkenborn", "carlitz", "table"]),
+       n=st.integers(min_value=0, max_value=6),
+       levels=st.integers(min_value=1, max_value=40),
+       prime=st.sampled_from([3, 5, 7, 11]),
+       method=st.sampled_from(["direct", "moments"]))
+def test_riemann_commands_fuzz(command, n, levels, prime, method):
+    argv = {"volkenborn": ["volkenborn", "--moment", str(n)],
+            "carlitz": ["carlitz", "-n", str(n), "--method", method],
+            "table": ["table", "--kind", "volkenborn", "--count", str(n)],
+            }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rpqcalc.cli", *argv, "--levels", str(levels),
+         "--prime", str(prime)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestCheck:

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpqcalc import padicfun
+from rpqcalc import _kernel, padicfun
 from rpqcalc.deform import DeformParams
 from rpqcalc.errors import InvalidParameterError, NoConvergenceError
 from rpqcalc.padic import PadicNumber
@@ -201,6 +204,115 @@ class TestVolkenbornIntegral:
         obj = rep.to_json()
         assert obj["levels"] == [1, 2, 3]
         assert len(obj["values"]) == 3
+
+
+def bracket_stream(r, rx, qx, rho, q, mod):
+    """(rx rho^t - qx q^t)^r modulo mod for t = 0, 1, 2, ...: the
+    summands of the moment Riemann sums, term by term."""
+    a = b = 1
+    while True:
+        yield pow((rx * a - qx * b) % mod, r, mod)
+        a = a * rho % mod
+        b = b * q % mod
+
+
+# enough levels to sum a few hundred terms per case
+ORACLE_LEVELS = {3: 6, 5: 4, 7: 3}
+
+
+@st.composite
+def moment_cases(draw):
+    """r, b, rx, qx, rho, q, p, W with units = 1 mod p; edge "one" makes
+    some ratio A_k = b rho^(r-k) q^k equal 1 mod p^W, edge "deep" gives
+    it v_p(A_k - 1) >= 2."""
+    p = draw(st.sampled_from(sorted(ORACLE_LEVELS)))
+    W = draw(st.integers(min_value=1, max_value=14))
+    mod = p ** W
+    unit = st.integers(min_value=0, max_value=p ** (W - 1) - 1).map(
+        lambda u: 1 + p * u)
+    r = draw(st.integers(min_value=0, max_value=6))
+    rho, q, b = draw(unit), draw(unit), draw(unit)
+    x = draw(st.integers(min_value=-40, max_value=40).filter(bool))
+    rx, qx = pow(rho, x, mod), pow(q, x, mod)
+    edge = draw(st.sampled_from(["none", "one", "deep"]))
+    if edge != "none":
+        k = draw(st.integers(min_value=0, max_value=r))
+        target = 1 if edge == "one" else draw(unit.map(
+            lambda u: (1 + p * p * u) % mod))
+        b = target * pow(rho ** (r - k) * q ** k, -1, mod) % mod
+    return r, b, rx, qx, rho, q, p, W
+
+
+class TestClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(moment_cases())
+    def test_matches_riemann_sum(self, case):
+        r, b, rx, qx, rho, q, p, W = case
+        levels, mod = ORACLE_LEVELS[p], p ** W
+        closed = list(islice(
+            padicfun._moment_residues(r, b, rx, qx, rho, q, p, W), levels))
+        riemann = _kernel.level_sums(bracket_stream(r, rx, qx, rho, q, mod),
+                                     b, p, levels, mod)
+        assert closed == riemann
+
+    @pytest.mark.parametrize("a", [1, 1 + 5 ** 12, 1 + 2 * 5 ** 3, 6, 0, 5])
+    def test_geometric_sums(self, a):
+        W = 12
+        mod = 5 ** W
+        sums = list(islice(padicfun._geometric_sums(a, 5, W), 4))
+        assert sums == [sum(pow(a, t, mod) for t in range(5 ** N)) % mod
+                        for N in range(1, 5)]
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_unit_ratio_matches_generic(self, r):
+        # q = 1/rho makes A_k = rho^(r - 2k - 2), which is 1 at k = r/2 - 1
+        tw = TwistParams.make(5, 6, F(1, 6), precision=12)
+        mom = volkenborn_moment(r, tw, 4)
+        def f(x):
+            return ((tw.rho ** x - tw.q ** x) / (tw.rho - tw.q)) ** r
+        gen = volkenborn_integral(f, tw, 4)
+        assert [repr(v) for v in mom.values] == \
+            [repr(v) for v in gen.values]
+
+    def test_no_kernel_needed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel was called")
+        for name in _kernel.__all__:
+            monkeypatch.setattr(_kernel, name, refuse)
+        reports = [volkenborn_moment(3, TW5, 5)] + [
+            carlitz_bernoulli(3, F(1), 2, TW5, 5, method=m)
+            for m in ("direct", "moments")]
+        for rep in reports:
+            assert isinstance(rep, ConvergenceReport)
+            assert rep.levels == (1, 2, 3, 4, 5)
+        with pytest.raises(AssertionError, match="kernel"):
+            volkenborn_integral(lambda x: F(x), TW5, 2)
+
+
+class TestDeepLevels:
+    # TW5's working precision is 26 digits
+    @pytest.mark.parametrize("call", [
+        lambda N: volkenborn_moment(2, TW5, N),
+        lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="direct"),
+        lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="moments"),
+    ], ids=["moment", "carlitz_direct", "carlitz_moments"])
+    def test_too_deep_is_a_parameter_error(self, call):
+        with pytest.raises(InvalidParameterError,
+                           match=r"level \d+ is beyond the working "
+                                 r"precision of 26 digits"):
+            call(40)
+
+    def test_bracket_vanishing(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"level 25 .*\[p\^25\] vanishes"):
+            volkenborn_moment(0, TW5, 10 ** 9)
+
+    def test_value_without_digits(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"level 24 .*keeps no digit"):
+            volkenborn_moment(2, TW5, 24)
+        rep = volkenborn_moment(2, TW5, 23)
+        assert not rep.values[-1].is_zero()
 
 
 class TestCarlitz:
