@@ -82,7 +82,6 @@ def _common_parser() -> argparse.ArgumentParser:
                    help="p-adic twist parameter (rational embedded)")
     c.add_argument("--prime", type=_prime, default=5)
     c.add_argument("--precision", type=_positive_int, default=16)
-    c.add_argument("--order", type=int, default=16)
     c.add_argument("--format", choices=("json", "csv", "plain"),
                    default="plain")
     c.add_argument("--out", metavar="PATH")

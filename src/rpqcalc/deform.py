@@ -154,6 +154,10 @@ class DeformParams:
     For rational parameters the standing assumption 0 < q < p <= 1 is
     enforced (p != q always); R(p^n, q^n) is sanity-checked positive on
     a finite window at binding time.
+
+    Unhashable over p-adic values: ``PadicNumber``'s precision-aware
+    ``==`` is not transitive (1 + O(5) equals 1 + O(5^2) and 6 + O(5^2),
+    which differ), so no hash is consistent with it.
     """
 
     p: object

@@ -19,16 +19,16 @@ run over ascending residues, so results are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, islice, repeat, takewhile
 from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import _kernel
-from .deform import (DeformParams, IdentityResult, StructureFunction,
-                     SuiteReport, rpq_factorial, rpq_number)
+from .deform import (DeformParams, IdentityResult, SuiteReport,
+                     rpq_factorial, rpq_number)
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      NoConvergenceError)
 from .padic import PadicNumber, int_valuation, is_prime
@@ -38,10 +38,6 @@ DEFAULT_LEVELS = 6
 DEFAULT_PRECISION = 16
 
 
-def _js_structure() -> StructureFunction:
-    return StructureFunction.preset("jagannathan_srinivasa")
-
-
 @dataclass(frozen=True)
 class TwistParams:
     """p-adic deformation parameters.
@@ -49,14 +45,16 @@ class TwistParams:
     ``|rho - 1|_p < 1`` and ``|q - 1|_p < 1`` are required throughout;
     the Volkenborn operations need the stronger exp/log-domain bounds
     ``v(rho - 1) >= 1`` and ``v(q - 1) >= 1`` (automatic for odd p once
-    the weak bound holds).
+    the weak bound holds).  The kernel is the two-base one, or [j] = j
+    when ``classical``.  Unhashable, as ``DeformParams`` over p-adic
+    values is (see there).
     """
 
     prime: int
     rho: PadicNumber
     q: PadicNumber
-    structure: StructureFunction = field(default_factory=_js_structure)
     precision: int = DEFAULT_PRECISION
+    classical: bool = False
 
     def __post_init__(self):
         if not is_prime(self.prime) or self.prime == 2:
@@ -76,19 +74,13 @@ class TwistParams:
         if not self.classical and (self.rho - self.q).is_zero():
             raise InvalidParameterError("need rho != q at this precision")
 
-    @property
-    def classical(self) -> bool:
-        return self.structure.kind == "classical"
-
     @classmethod
-    def make(cls, prime: int, rho, q, precision: int = DEFAULT_PRECISION,
-             structure: Optional[StructureFunction] = None
+    def make(cls, prime: int, rho, q, precision: int = DEFAULT_PRECISION
              ) -> "TwistParams":
         work = precision + DEFAULT_LEVELS + 8
         emb = lambda v: v if isinstance(v, PadicNumber) \
             else PadicNumber.from_rational(Fraction(v), prime, work)
-        return cls(prime, emb(rho), emb(q),
-                   structure or _js_structure(), precision)
+        return cls(prime, emb(rho), emb(q), precision)
 
     @classmethod
     def classical_limit(cls, prime: int,
@@ -96,20 +88,17 @@ class TwistParams:
                         ) -> "TwistParams":
         work = precision + DEFAULT_LEVELS + 8
         one = PadicNumber.one(prime, work)
-        return cls(prime, one, one, StructureFunction.preset("classical"),
-                   precision)
+        return cls(prime, one, one, precision, classical=True)
 
     @cached_property
     def deform_params(self) -> DeformParams:
-        return DeformParams(self.rho, self.q, self.structure)
-
-    @cached_property
-    def _restricted_factorials(self) -> list:
-        return [PadicNumber.one(self.prime, self.work_precision)] * 2
+        """The matching preset: the check suites' reference."""
+        kind = "classical" if self.classical else "jagannathan_srinivasa"
+        return DeformParams.preset(kind, self.rho, self.q)
 
     def powered(self, k: int) -> "TwistParams":
         return TwistParams(self.prime, self.rho ** k, self.q ** k,
-                           self.structure, self.precision)
+                           self.precision, self.classical)
 
     def require_volkenborn(self):
         for name, v in (("rho", self.rho), ("q", self.q)):
@@ -121,43 +110,62 @@ class TwistParams:
 
     @property
     def work_precision(self) -> int:
-        return min(self.rho.precision if not self.rho.is_zero() else 64,
-                   self.q.precision if not self.q.is_zero() else 64)
+        return min(self.rho.precision, self.q.precision)
 
     def shown(self, value: PadicNumber) -> PadicNumber:
         """A level value as reported: truncated to ``precision`` digits."""
         return value.with_precision(self.precision)
 
 
-def number_at(tw: TwistParams, z: int):
-    """[z] for any integer z (negative included, via exact powers)."""
+def number_at(tw: TwistParams, z: int) -> PadicNumber:
+    """[z] = (rho^z - q^z)/(rho - q), or z when classical, for any
+    integer z (negative included, via exact powers)."""
     if tw.classical:
         return PadicNumber.from_rational(z, tw.prime, tw.work_precision)
-    return tw.structure.value(tw.rho ** z, tw.q ** z, tw.deform_params)
+    return (tw.rho ** z - tw.q ** z) / (tw.rho - tw.q)
+
+
+def _bracket_product(m: int, sign: int, tw: TwistParams) -> PadicNumber:
+    """prod [j] over j = sign k, 1 <= k < m, p not | k (sign = +-1): the
+    units (rho^j - q^j)/p^v, v = v(rho - q), multiplied modulo p^(W-v)
+    over running powers, then unit(rho - q)^(-count) once.  W - v digits, as
+    the PadicNumber product has; W if empty or classical."""
+    p, W = tw.prime, tw.work_precision
+    if tw.classical:
+        mod = p ** W
+        acc = 1
+        for k in range(1, m):
+            if k % p:
+                acc = acc * sign * k % mod
+        return PadicNumber(p, 0, acc, W)
+    d = tw.rho - tw.q
+    v = d.valuation
+    big, pv, mod = p ** W, p ** v, p ** (W - v)
+    a, b = (pow(x.residue(W), sign, big) for x in (tw.rho, tw.q))
+    acc, count, ak, bk = 1, 0, 1, 1
+    for k in range(1, m):
+        ak, bk = ak * a % big, bk * b % big
+        if k % p:
+            acc = acc * ((ak - bk) % big // pv) % mod
+            count += 1
+    return PadicNumber(p, 0, acc * pow(d.unit, -count, mod),
+                       W - v if count else W)
 
 
 def padic_factorial_rpq(n: int, tw: TwistParams) -> PadicNumber:
-    """Restricted factorial prod_{j < n, p not | j} [j].  Memoised."""
+    """Restricted factorial prod_{j < n, p not | j} [j]."""
     if n < 0:
         raise InvalidParameterError("factorial needs n >= 0")
-    facts = tw._restricted_factorials
-    for j in range(len(facts) - 1, n):
-        # a slot write, not append: a racing thread rewrites the same value
-        facts[j + 1:j + 2] = [
-            facts[j] * number_at(tw, j) if j % tw.prime else facts[j]]
-    return facts[n]
+    return _bracket_product(n, 1, tw)
 
 
 def padic_gamma_rpq(n: int, tw: TwistParams) -> PadicNumber:
     """(-1)^n times the restricted factorial; negative integers through
-    the recurrence Gamma(z) = Gamma(z+1)/delta(z)."""
-    if n >= 0:
-        g = padic_factorial_rpq(n, tw)
-        return g if n % 2 == 0 else -g
-    g = padic_gamma_rpq(0, tw)
-    for z in range(-1, n - 1, -1):
-        g = g / delta_factor(z, tw)
-    return g
+    the recurrence Gamma(z) = Gamma(z+1)/delta(z), which unrolls to
+    (-1)^n / prod_{n <= z < 0, p not | z} [z]."""
+    g = padic_factorial_rpq(n, tw) if n >= 0 \
+        else _bracket_product(1 - n, -1, tw).inverse()
+    return g if n % 2 == 0 else -g
 
 
 def delta_factor(z: int, tw: TwistParams) -> PadicNumber:
@@ -177,14 +185,6 @@ def gamma_recurrence_check(tw: TwistParams, z_max: int) -> SuiteReport:
             padic_gamma_rpq(z + 1, tw),
             delta_factor(z, tw) * padic_gamma_rpq(z, tw)))
     return SuiteReport("padic_gamma_recurrence", tuple(results))
-
-
-def _digit_sum(n: int, p: int) -> int:
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
 
 
 def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
@@ -221,15 +221,12 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
             f"product rule k={k}",
             number_at(tw, k * p),
             number_at(twp, k) * bracket_p))
+    # base-p digit levels floor(n/p^j), j = 0, 1, ... while nonzero
+    levels = list(takewhile(bool, (n // p ** j for j in count())))
     # product-ratio identity (two-base kernel): with m = floor(n/p^j),
     # [m]!/([p]^m [m]!') = prod_{k<=m} (rho^k - q^k)/(rho^kp - q^kp)
-    if tw.structure.kind == "jagannathan_srinivasa" and not tw.classical:
+    if not tw.classical:
         rho, q = tw.rho, tw.q
-        levels = []
-        nn = n
-        while nn:
-            levels.append(nn)
-            nn //= p
         for j, mj in enumerate(levels):
             lhs_r = rpq_factorial(dp, mj) / (
                 bracket_p ** mj
@@ -241,21 +238,14 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
             results.append(IdentityResult(
                 f"product ratio at level j={j}", lhs_r, rhs_r))
     # digit bookkeeping
-    s = _digit_sum(n, p)
-    legendre = sum(n // p ** j for j in range(1, n.bit_length() * 4)
-                   if p ** j <= n)
+    s = sum(nj % p for nj in levels)
     results.append(IdentityResult(
-        "digit-sum exponent", Fraction(legendre),
+        "digit-sum exponent", Fraction(sum(levels[1:])),
         Fraction(n - s, p - 1)))
     # full factorization of [n]! into gammas at powered parameters
-    digits_levels = []
-    nn = n
-    while nn:
-        digits_levels.append(nn)
-        nn //= p
     prod = PadicNumber.one(p, tw.work_precision)
     sign = 0
-    for j, nj in enumerate(digits_levels):
+    for j, nj in enumerate(levels):
         twj = tw.powered(p ** j)
         prod = prod * padic_gamma_rpq(nj + 1, twj)
         nj1 = nj // p
@@ -357,8 +347,13 @@ def _level_sums(f: Callable, max_level: int,
     """Riemann sums (rho^(p^N)/[p^N]) sum_{x<p^N} (q/rho)^x f(x) for
     N = 1..max_level from one pass over x < p^max_level: exact values
     with p-free denominators through the kernel, others through a
-    PadicNumber running total (the tests' reference path)."""
+    PadicNumber running total (the tests' reference path).  Before f
+    runs, refuse the first level with no digit: N = W (classical), or
+    v(rho - q) + N = W, where [p^N] vanishes (lifting the exponent)."""
     p, W = tw.prime, tw.work_precision
+    limit = W - (0 if tw.classical else (tw.rho - tw.q).valuation)
+    if max_level >= limit:
+        raise _too_deep(limit, tw, "the value keeps no digit")
     mod = p ** W
     what = tw.q / tw.rho
     vals = [f(x) for x in range(p ** max_level)]
