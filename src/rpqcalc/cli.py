@@ -10,24 +10,15 @@ parameter error, 3 domain error (message names the violated bound),
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
 
-from . import deform, gammabeta, padicfun, quadrature, series, spinzeta
 from ._util import exact_str
-from .deform import (DeformParams, IdentityResult, StructureFunction,
-                     SuiteReport, rpq_number)
 from .errors import (ConvergenceDomainError, DecayCertificateError,
                      InvalidParameterError, InvalidRegimeError,
                      NoConvergenceError, PoleAtOriginError, PoleError,
                      RpqError, SingularDeformationError, SingularityError)
-from .padic import PadicNumber, is_prime
-from .padicfun import TwistParams
-from .poly import Polynomial
-from .spinzeta import Mat2Padic
 
 DOMAIN_ERRORS = (ConvergenceDomainError, InvalidRegimeError, PoleError,
                  PoleAtOriginError, SingularDeformationError,
@@ -58,6 +49,7 @@ def _positive_int(text: str) -> int:
 
 
 def _prime(text: str) -> int:
+    from .padic import is_prime  # loaded only when --prime is given
     try:
         p = int(text)
     except ValueError:
@@ -67,17 +59,25 @@ def _prime(text: str) -> int:
     return p
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("--preset", default="jagannathan_srinivasa",
-                   help="structure-function preset name")
-    c.add_argument("--kernel", metavar="PATH",
+def _deform_parser() -> argparse.ArgumentParser:
+    """The options of _params, registered only where it runs."""
+    d = argparse.ArgumentParser(add_help=False)
+    d.add_argument("--preset",
+                   help="structure-function preset name "
+                        "(default jagannathan_srinivasa)")
+    d.add_argument("--kernel", metavar="PATH",
                    help="JSON file with a custom kernel "
                         "{numerator:[[s,t,coeff]...], denominator:[...]}")
-    c.add_argument("-p", type=_fraction, default=Fraction(1))
-    c.add_argument("-q", type=_fraction, default=Fraction(1, 2))
-    c.add_argument("--xi1", type=_fraction, default=None)
-    c.add_argument("--xi2", type=_fraction, default=None)
+    d.add_argument("-p", type=_fraction, help="default 1")
+    d.add_argument("--xi1", type=_fraction)
+    d.add_argument("--xi2", type=_fraction)
+    return d
+
+
+def _common_parser() -> argparse.ArgumentParser:
+    c = argparse.ArgumentParser(add_help=False)
+    c.add_argument("-q", type=_fraction,
+                   help="default 1/2, or 1 + 2 --prime for a p-adic twist")
     c.add_argument("--rho", type=_fraction, default=None,
                    help="p-adic twist parameter (rational embedded)")
     c.add_argument("--prime", type=_prime, default=5)
@@ -88,8 +88,9 @@ def _common_parser() -> argparse.ArgumentParser:
     return c
 
 
-def _params(args) -> DeformParams:
-    if args.kernel and args.preset != "jagannathan_srinivasa":
+def _params(args):
+    from .deform import DeformParams, StructureFunction  # eval and table
+    if args.kernel and args.preset is not None:
         raise InvalidParameterError(
             "--preset and --kernel are mutually exclusive")
     if args.kernel:
@@ -101,13 +102,18 @@ def _params(args) -> DeformParams:
         except MALFORMED as exc:
             raise InvalidParameterError(f"malformed --kernel file: {exc!r}")
     else:
-        structure = StructureFunction.preset(args.preset)
-    return DeformParams(args.p, args.q, structure, args.xi1, args.xi2)
+        structure = StructureFunction.preset(
+            args.preset if args.preset is not None
+            else "jagannathan_srinivasa")
+    p = args.p if args.p is not None else Fraction(1)
+    q = args.q if args.q is not None else Fraction(1, 2)
+    return DeformParams(p, q, structure, args.xi1, args.xi2)
 
 
-def _twist(args) -> TwistParams:
+def _twist(args):
+    from .padicfun import TwistParams  # the p-adic commands only
     rho = args.rho if args.rho is not None else 1 + args.prime
-    q = args.q if args.q != Fraction(1, 2) else Fraction(1 + 2 * args.prime)
+    q = args.q if args.q is not None else Fraction(1 + 2 * args.prime)
     return TwistParams.make(args.prime, rho, q, precision=args.precision)
 
 
@@ -135,6 +141,8 @@ def _emit(args, payload, plain_line: str | None = None):
 
 
 def _to_csv(payload) -> str:
+    import csv  # --format csv only
+    import io
     buf = io.StringIO()
     w = csv.writer(buf)
     if isinstance(payload, dict) and "rows" in payload:
@@ -154,6 +162,7 @@ def _rat_str(x: Fraction) -> str:
 # -- eval -------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
+    from . import deform  # already loaded by _params
     params = _params(args)
     op = args.operation
     if op == "number":
@@ -169,6 +178,7 @@ def _cmd_eval(args) -> int:
         _emit(args, {"op": "binomial", "m": args.m, "n": args.n,
                      "value": _rat_str(val)}, _rat_str(val))
     elif op == "gamma":
+        from . import gammabeta  # gamma and beta only
         g = gammabeta.gamma_rpq(args.z, params,
                                 truncation=args.truncation)
         _emit(args, {"op": "gamma", "z": _rat_str(args.z),
@@ -176,6 +186,7 @@ def _cmd_eval(args) -> int:
                      "tail_bound": _rat_str(g.tail_bound),
                      "exact": g.exact}, _rat_str(g.value))
     elif op == "beta":
+        from . import gammabeta  # gamma and beta only
         b = gammabeta.beta_rpq(args.x, args.y, params,
                                truncation=args.truncation)
         _emit(args, {"op": "beta", "x": _rat_str(args.x),
@@ -183,12 +194,14 @@ def _cmd_eval(args) -> int:
                      "tail_bound": _rat_str(b.tail_bound),
                      "exact": b.exact}, _rat_str(b.value))
     elif op == "integral":
+        from . import quadrature  # integral only
         f = _poly_from_coeffs(args.coeffs)
         val = quadrature.definite_integral_poly(f, args.a, args.b, params)
         _emit(args, {"op": "integral", "a": _rat_str(args.a),
                      "b": _rat_str(args.b), "value": _rat_str(val)},
               _rat_str(val))
     elif op == "derivative":
+        from . import series  # derivative only
         f = _poly_from_coeffs(args.coeffs)
         d = series.rpq_derivative(f, params)
         coeffs = [_rat_str(d.coefficient(k))
@@ -200,7 +213,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _poly_from_coeffs(text: str) -> Polynomial:
+def _poly_from_coeffs(text: str):
+    from .poly import Polynomial  # integral and derivative only
     if not text:
         raise InvalidParameterError("--coeffs required (c0,c1,...)")
     try:
@@ -212,16 +226,22 @@ def _poly_from_coeffs(text: str) -> Polynomial:
 # -- check ------------------------------------------------------------------
 
 def _suites_for(module: str, args):
+    # each branch loads only the module it checks (and what that imports)
+    from .deform import DeformParams
     q = Fraction(1, 2)
     js = DeformParams.preset("jagannathan_srinivasa", p=1, q=q)
     if module == "deform":
+        from . import deform
         yield deform.bm_identity_suite(q, 2, 1)
         yield deform.bm_identity_suite(q, 5, 3)
         yield _preset_oracle_suite()
     elif module == "series":
+        from . import series
         yield series.operator_algebra_check(js, 8)
         yield _series_suite()
     elif module == "quadrature":
+        from . import quadrature
+        from .poly import Polynomial
         f = Polynomial({3: Fraction(2), 1: Fraction(-1), 0: Fraction(5)})
         g = Polynomial({2: Fraction(1, 2), 1: Fraction(3)})
         yield quadrature.fundamental_theorem_check(
@@ -229,11 +249,13 @@ def _suites_for(module: str, args):
         yield quadrature.integration_by_parts_check(
             f, g, Fraction(0), Fraction(1), js)
     elif module == "gammabeta":
+        from . import gammabeta
         yield gammabeta.power_basis_identity_suite(js, 3, 2)
         yield gammabeta.power_basis_derivative_suite(js, 3, 2)
         yield _beta_recurrence_suite(js)
     elif module == "padicfun":
-        tw = TwistParams.make(5, 6, 11, precision=12)
+        from . import padicfun
+        tw = padicfun.TwistParams.make(5, 6, 11, precision=12)
         yield padicfun.gamma_recurrence_check(tw, 10)
         yield padicfun.factorial_decomposition_check(7, tw)
         yield padicfun.padic_beta_suite(tw, [(1, 1), (2, 3)])
@@ -245,6 +267,7 @@ def _suites_for(module: str, args):
 
 
 def _preset_oracle_suite():
+    from .deform import DeformParams, IdentityResult, SuiteReport, rpq_number
     q = Fraction(1, 2)
     p = Fraction(9, 10)
     oracles = {
@@ -269,6 +292,8 @@ def _preset_oracle_suite():
 
 
 def _series_suite():
+    from . import series
+    from .deform import DeformParams, IdentityResult, SuiteReport, rpq_number
     js = DeformParams.preset("jagannathan_srinivasa", p=1,
                              q=Fraction(1, 2))
     e = series.exp_lower(js, 10)
@@ -289,6 +314,8 @@ def _series_suite():
 
 
 def _beta_recurrence_suite(params):
+    from . import gammabeta
+    from .deform import IdentityResult, SuiteReport, rpq_number
     results = []
     for (x, y) in ((1, 1), (2, 3), (4, 2)):
         b = gammabeta.beta_rpq(x, y, params).value
@@ -312,6 +339,8 @@ def _beta_recurrence_suite(params):
 
 
 def _measure_suite(tw):
+    from . import padicfun
+    from .deform import IdentityResult, SuiteReport
     results = []
     p = tw.prime
     for N in (1, 2):
@@ -327,6 +356,10 @@ def _measure_suite(tw):
 
 
 def _spin_suite():
+    from . import spinzeta
+    from .deform import IdentityResult, SuiteReport
+    from .padic import PadicNumber
+    from .spinzeta import Mat2Padic
     Sm, Sz, Sp = spinzeta.spin_generators(1, 5, 12)
     results = [
         IdentityResult("[Sz,S+] = h S+",
@@ -373,6 +406,8 @@ def _cmd_check(args) -> int:
             report["passed"] = report["passed"] and suite.passed
         entry = {"module": module, "suites": suites}
         if module == "gammabeta" and args.classical_limit:
+            from . import gammabeta
+            from .deform import DeformParams
             js35 = DeformParams.preset("jagannathan_srinivasa", p=1,
                                        q=Fraction(3, 5))
             js9 = DeformParams.preset("jagannathan_srinivasa", p=1,
@@ -408,24 +443,35 @@ def _cmd_table(args) -> int:
     if args.kind in ("numbers", "factorials", "bernoulli", "euler",
                      "genocchi", "zigzag"):
         params = _params(args)
+    elif any(getattr(args, name, None) is not None
+             for name in ("preset", "kernel", "p", "xi1", "xi2")):
+        raise InvalidParameterError(
+            f"table --kind {args.kind} takes no --preset, --kernel, -p, "
+            f"--xi1 or --xi2")
+    # each kind loads only the module it tabulates
     if args.kind == "numbers":
+        from . import deform
         rows = [[str(n), _rat_str(deform.rpq_number(params, n))]
                 for n in range(args.count)]
         header = ["n", "value"]
     elif args.kind == "factorials":
+        from . import deform
         rows = [[str(n), _rat_str(deform.rpq_factorial(params, n))]
                 for n in range(args.count)]
         header = ["n", "value"]
     elif args.kind in ("bernoulli", "euler", "genocchi"):
+        from . import series
         vals = series.generating_polynomials(
             params, args.kind, args.x, args.count - 1)
         rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
         header = ["n", "value"]
     elif args.kind == "zigzag":
+        from . import series
         vals = series.zigzag_numbers(params, args.count)
         rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
         header = ["n", "value"]
     elif args.kind == "volkenborn":
+        from . import padicfun
         tw = _twist(args)
         rows = []
         for r in range(args.count):
@@ -434,6 +480,7 @@ def _cmd_table(args) -> int:
                          str(rep.converged)])
         header = ["r", "moment", "converged"]
     elif args.kind == "zeta":
+        from . import spinzeta
         rows = []
         for p in args.primes:
             for s in args.s_values:
@@ -454,7 +501,8 @@ def _cmd_table(args) -> int:
 
 # -- spin / zeta / p-adic commands -------------------------------------------
 
-def _load_matrix(args) -> Mat2Padic:
+def _load_matrix(args):
+    from .spinzeta import Mat2Padic  # spin log and level only
     if not (args.matrix_file or args.matrix_json):
         raise InvalidParameterError("provide --matrix-file or --matrix-json")
     try:
@@ -469,6 +517,7 @@ def _load_matrix(args) -> Mat2Padic:
 
 
 def _cmd_spin(args) -> int:
+    from . import spinzeta  # spin loads no deformed calculus
     if args.operation == "exp":
         gens = dict(zip(
             ("minus", "z", "plus"),
@@ -490,6 +539,7 @@ def _cmd_spin(args) -> int:
 
 def _cmd_zeta(args) -> int:
     if args.operation == "eval":
+        from . import spinzeta  # zeta loads no deformed calculus
         z = spinzeta.zeta_spin_half(args.prime, args.s)
         _emit(args, z.to_json(),
               f"{z.value.numerator}/{z.value.denominator}")
@@ -500,6 +550,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_volkenborn(args) -> int:
+    from . import padicfun  # the p-adic commands load no Fraction layers
     tw = _twist(args)
     rep = padicfun.volkenborn_moment(args.moment, tw, args.levels)
     payload = rep.to_json()
@@ -509,6 +560,7 @@ def _cmd_volkenborn(args) -> int:
 
 
 def _cmd_pgamma(args) -> int:
+    from . import padicfun  # the p-adic commands load no Fraction layers
     tw = _twist(args)
     g = padicfun.padic_gamma_rpq(args.n, tw)
     _emit(args, {"n": args.n, "value": g.to_json(), "text": str(g)},
@@ -517,6 +569,7 @@ def _cmd_pgamma(args) -> int:
 
 
 def _cmd_pbeta(args) -> int:
+    from . import padicfun  # the p-adic commands load no Fraction layers
     tw = _twist(args)
     b = padicfun.padic_beta_rpq(args.x, args.y, tw)
     _emit(args, {"x": args.x, "y": args.y, "value": b.to_json(),
@@ -525,6 +578,7 @@ def _cmd_pbeta(args) -> int:
 
 
 def _cmd_carlitz(args) -> int:
+    from . import padicfun  # the p-adic commands load no Fraction layers
     tw = _twist(args)
     rep = padicfun.carlitz_bernoulli(args.n, args.a_param, args.x_int,
                                      tw, args.levels, args.method)
@@ -539,13 +593,14 @@ def _cmd_carlitz(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
+    deform_opts = _deform_parser()
     top = argparse.ArgumentParser(
         prog="rpqcalc",
         description="Exact deformed quantum calculus and p-adic "
                     "special functions")
     sub = top.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("eval", parents=[common],
+    ev = sub.add_parser("eval", parents=[common, deform_opts],
                         help="evaluate a single quantity")
     ev.add_argument("operation",
                     choices=("number", "factorial", "binomial", "gamma",
@@ -568,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--classical-limit", action="store_true")
     ck.set_defaults(func=_cmd_check)
 
-    tb = sub.add_parser("table", parents=[common],
+    tb = sub.add_parser("table", parents=[common, deform_opts],
                         help="emit value tables over parameter grids")
     tb.add_argument("--kind", required=True,
                     choices=("numbers", "factorials", "bernoulli",

@@ -12,11 +12,11 @@ rationals or truncated p-adic numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from ._util import Frozen
 from .errors import InvalidParameterError, SingularityError
 from .padic import PadicNumber
 
@@ -42,8 +42,7 @@ def _laurent_eval(terms, u, v):
     return acc if acc is not None else Fraction(0)
 
 
-@dataclass(frozen=True)
-class StructureFunction:
+class StructureFunction(Frozen):
     """The deformation kernel R(u, v).
 
     ``custom`` kernels are rational functions N/D with integer Laurent
@@ -51,11 +50,11 @@ class StructureFunction:
     is enforced at construction by requiring N(1,1) = 0, D(1,1) != 0.
     """
 
-    kind: str
-    numerator: Optional[tuple] = None
-    denominator: Optional[tuple] = None
+    _fields = ("kind", "numerator", "denominator")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, numerator: Optional[tuple] = None,
+                 denominator: Optional[tuple] = None):
+        self._set(kind, numerator, denominator)
         if self.kind in PRESET_KINDS:
             if self.numerator is not None or self.denominator is not None:
                 raise InvalidParameterError(
@@ -147,8 +146,7 @@ def _default_twists(kind: str, p, q):
     return p, q  # jagannathan_srinivasa and custom kernels
 
 
-@dataclass(frozen=True)
-class DeformParams:
+class DeformParams(Frozen):
     """Bound deformation parameters: scalars p, q, twist bases, kernel.
 
     For rational parameters the standing assumption 0 < q < p <= 1 is
@@ -160,23 +158,17 @@ class DeformParams:
     which differ), so no hash is consistent with it.
     """
 
-    p: object
-    q: object
-    structure: StructureFunction = field(
-        default_factory=lambda: StructureFunction.preset(
-            "jagannathan_srinivasa"))
-    xi1: object = None
-    xi2: object = None
+    _fields = ("p", "q", "structure", "xi1", "xi2")
 
-    def __post_init__(self):
-        kind = self.structure.kind
-        p, q = self.p, self.q
+    def __init__(self, p, q, structure: Optional[StructureFunction] = None,
+                 xi1=None, xi2=None):
+        if structure is None:
+            structure = StructureFunction.preset("jagannathan_srinivasa")
+        kind = structure.kind
         rational = not (isinstance(p, PadicNumber)
                         or isinstance(q, PadicNumber))
         if rational:
-            object.__setattr__(self, "p", Fraction(p))
-            object.__setattr__(self, "q", Fraction(q))
-            p, q = self.p, self.q
+            p, q = Fraction(p), Fraction(q)
         if kind != "classical":
             if rational:
                 if not (0 < q and q < p <= 1):
@@ -184,16 +176,14 @@ class DeformParams:
                         f"need 0 < q < p <= 1; got p = {p}, q = {q}")
             elif (p - q) == 0:
                 raise InvalidParameterError("need p != q")
-        if self.xi1 is None:
+        if xi1 is None:
             x1, x2 = _default_twists(kind, p, q)
-            object.__setattr__(self, "xi1", x1)
-            if self.xi2 is None:
-                object.__setattr__(self, "xi2", x2)
-        elif self.xi2 is None:
+            xi1, xi2 = x1, x2 if xi2 is None else xi2
+        elif xi2 is None:
             raise InvalidParameterError("set both twist bases or neither")
         if rational:
-            object.__setattr__(self, "xi1", Fraction(self.xi1))
-            object.__setattr__(self, "xi2", Fraction(self.xi2))
+            xi1, xi2 = Fraction(xi1), Fraction(xi2)
+        self._set(p, q, structure, xi1, xi2)
         self._bind_check(rational)
 
     def _bind_check(self, rational: bool, window: int = POSITIVITY_WINDOW):
@@ -303,8 +293,7 @@ def bm_number(q, n: int):
     return (q ** n - q ** -n) / (q - q ** -1)
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     lhs: object
     rhs: object
@@ -321,8 +310,7 @@ class IdentityResult:
         return res == 0
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     results: tuple
 

@@ -17,9 +17,8 @@ the bases involved, otherwise an error explains the constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .deform import (DeformParams, IdentityResult, SuiteReport,
                      rpq_factorial, rpq_number)
@@ -135,8 +134,7 @@ def power_basis_poly_reversed(a, n: int,
     return acc
 
 
-@dataclass(frozen=True)
-class InfiniteProduct:
+class InfiniteProduct(NamedTuple):
     """Truncated infinite power-basis product with its tail ratio."""
 
     partial: Fraction
@@ -161,8 +159,7 @@ def power_basis_infinite(x, y, mode: str, params: DeformParams,
 
 # -- gamma ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaValue:
+class GammaValue(NamedTuple):
     value: Fraction
     terms: int
     tail_bound: Fraction  # relative; 0 on the exact integer path
@@ -226,8 +223,7 @@ def gamma_rpq(z, params: DeformParams,
     return GammaValue(pre * prod, terms, bound, False)
 
 
-@dataclass(frozen=True)
-class BetaValue:
+class BetaValue(NamedTuple):
     value: Fraction
     tail_bound: Fraction
     exact: bool

@@ -19,14 +19,14 @@ run over ascending residues, so results are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, count, islice, repeat, takewhile
 from operator import attrgetter, mul
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import _kernel
+from ._util import Frozen
 from .deform import (DeformParams, IdentityResult, SuiteReport,
                      rpq_factorial, rpq_number)
 from .errors import (ConvergenceDomainError, InvalidParameterError,
@@ -38,8 +38,7 @@ DEFAULT_LEVELS = 6
 DEFAULT_PRECISION = 16
 
 
-@dataclass(frozen=True)
-class TwistParams:
+class TwistParams(Frozen):
     """p-adic deformation parameters.
 
     ``|rho - 1|_p < 1`` and ``|q - 1|_p < 1`` are required throughout;
@@ -50,13 +49,11 @@ class TwistParams:
     values is (see there).
     """
 
-    prime: int
-    rho: PadicNumber
-    q: PadicNumber
-    precision: int = DEFAULT_PRECISION
-    classical: bool = False
+    _fields = ("prime", "rho", "q", "precision", "classical")
 
-    def __post_init__(self):
+    def __init__(self, prime: int, rho: PadicNumber, q: PadicNumber,
+                 precision: int = DEFAULT_PRECISION, classical: bool = False):
+        self._set(prime, rho, q, precision, classical)
         if not is_prime(self.prime) or self.prime == 2:
             raise InvalidParameterError(
                 f"p-adic special functions need an odd prime; got "
@@ -272,8 +269,7 @@ def volkenborn_measure(a: int, level: int, tw: TwistParams) -> PadicNumber:
     return tw.rho ** m * w ** a / number_at(tw, m)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Riemann sums over increasing partition depth with the valuations
     of successive differences as the convergence certificate."""
 

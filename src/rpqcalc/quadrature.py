@@ -9,10 +9,10 @@ antiderivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from ._util import Frozen
 from .deform import DeformParams, IdentityResult, SuiteReport
 from .errors import (DecayCertificateError, InvalidParameterError,
                      InvalidRegimeError)
@@ -22,8 +22,7 @@ from .poly import (Polynomial, rpq_antiderivative_poly,
 REGIMES = ("q_over_p", "p_over_q")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Frozen):
     """Node-sum configuration.
 
     ``q_over_p`` uses nodes q^r a / p^(r+1) (requires |q/p| < 1);
@@ -31,11 +30,11 @@ class QuadratureSpec:
     magnitude within the selected regime.
     """
 
-    params: DeformParams
-    terms: int = 200
-    regime: str = "q_over_p"
+    _fields = ("params", "terms", "regime")
 
-    def __post_init__(self):
+    def __init__(self, params: DeformParams, terms: int = 200,
+                 regime: str = "q_over_p"):
+        self._set(params, terms, regime)
         if self.regime not in REGIMES:
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
         if self.terms < 1:
@@ -95,8 +94,7 @@ def jackson_sum(f, a, spec: QuadratureSpec,
     return spec.prefactor() * a * total
 
 
-@dataclass(frozen=True)
-class DecayCertificate:
+class DecayCertificate(Frozen):
     """Caller-supplied bound |f(z) z^gamma| <= bound on the node set.
 
     ``gamma`` in (0, 1) certifies the small-node tail.  The large-node
@@ -105,12 +103,12 @@ class DecayCertificate:
     reported as uncertified.
     """
 
-    gamma: Fraction
-    bound: Fraction
-    gamma_large: Optional[Fraction] = None
-    bound_large: Optional[Fraction] = None
+    _fields = ("gamma", "bound", "gamma_large", "bound_large")
 
-    def __post_init__(self):
+    def __init__(self, gamma: Fraction, bound: Fraction,
+                 gamma_large: Optional[Fraction] = None,
+                 bound_large: Optional[Fraction] = None):
+        self._set(gamma, bound, gamma_large, bound_large)
         if not 0 < self.gamma < 1:
             raise DecayCertificateError(
                 f"need 0 < gamma < 1; got {self.gamma}")
@@ -119,8 +117,7 @@ class DecayCertificate:
                 f"large-z exponent must exceed 1; got {self.gamma_large}")
 
 
-@dataclass(frozen=True)
-class ImproperResult:
+class ImproperResult(NamedTuple):
     value: Fraction
     small_tail_bound: Fraction
     large_tail_bound: Optional[Fraction]

@@ -13,10 +13,10 @@ normalization is changed silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
+from ._util import Frozen
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
 from .padic import PadicNumber, is_prime
@@ -295,16 +295,14 @@ def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a * (1 / a.coefficient(a.degree))
 
 
-@dataclass(frozen=True)
-class LocalZetaRational:
+class LocalZetaRational(Frozen):
     """Exact rational function in t = p^(-s), gcd-reduced."""
 
-    num: Polynomial
-    den: Polynomial
-    prime: int
-    label: str = ""
+    _fields = ("num", "den", "prime", "label")
 
-    def __post_init__(self):
+    def __init__(self, num: Polynomial, den: Polynomial, prime: int,
+                 label: str = ""):
+        self._set(num, den, prime, label)
         if self.den.is_zero():
             raise InvalidParameterError("zero denominator")
 
@@ -377,8 +375,7 @@ def igusa_Zf(prime: int) -> LocalZetaRational:
     return LocalZetaRational.make(num, den, prime, "Z_f(s-2)")
 
 
-@dataclass(frozen=True)
-class ZetaSpinValue:
+class ZetaSpinValue(NamedTuple):
     value: Fraction
     factors: tuple  # (label, exact value) pairs
     s: Fraction

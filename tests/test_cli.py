@@ -211,6 +211,31 @@ class TestExitCodes:
         assert "parameter error: level 2" in err
         assert "working precision of 30 digits" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("pgamma", "-n", "5", "--preset", "heine"),
+        ("volkenborn", "--moment", "1", "--kernel", "/nonexistent"),
+        ("check", "--module", "deform", "--preset", "heine"),
+        ("zeta", "eval", "--prime", "3", "-s", "2", "--kernel",
+         "/nonexistent"),
+        ("table", "--kind", "volkenborn", "--count", "2", "--preset",
+         "heine"),
+        ("table", "--kind", "zeta", "-p", "1"),
+    ])
+    def test_deform_options_only_where_used(self, capsys, argv):
+        # --preset, --kernel, -p, --xi1 and --xi2 build DeformParams,
+        # which only eval and the Fraction table kinds use
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    def test_q_one_half_is_not_the_twist_default(self, capsys):
+        # q = 1/2 is not 1 mod 5, so it cannot be a p-adic twist
+        code, out, err = run(capsys, "pgamma", "-n", "5", "-q", "1/2")
+        assert code == 2 and out == "" and "parameter" in err
+        code, default, _ = run(capsys, "pgamma", "-n", "5")
+        assert code == 0
+        assert run(capsys, "pgamma", "-n", "5", "-q", "11")[1] == default
+
     def test_deepest_resolved_level(self, capsys):
         code, out, _ = run(capsys, "volkenborn", "--moment", "2",
                            "--levels", "27", "--prime", "5")
@@ -377,3 +402,86 @@ def test_zeta_table_matches_table_kind_zeta(capsys, fmt):
     code_t, out_t, _ = run(capsys, "table", "--kind", "zeta", *grid)
     assert code_t == 0
     assert out == out_t and out != ""
+
+
+IMPORT_SURFACE = r"""
+import contextlib, io, json, sys
+
+LIBRARY = {"rpqcalc." + m for m in (
+    "_kernel", "deform", "gammabeta", "padic", "padicfun", "poly",
+    "quadrature", "series", "spinzeta")}
+out = {}
+loaded = lambda: sorted(LIBRARY & set(sys.modules))
+
+import rpqcalc
+out["bare"] = loaded()
+from rpqcalc import cli
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        out.setdefault("codes", {})[" ".join(argv)] = cli.main(list(argv))
+    return text.getvalue()
+
+
+run("pgamma", "-n", "5")
+out["pgamma"] = loaded()
+for argv in json.loads(sys.argv[1]):
+    run(*argv)
+g = run("spin", "exp")
+run("spin", "level", "--matrix-json", g)
+run("spin", "log", "--matrix-json", g)
+out["dataclasses"] = "dataclasses" in sys.modules
+names = {}
+exec("from rpqcalc import *", names)
+out["star"] = sorted(
+    name for name in rpqcalc.__all__ if name != "KERNEL_BACKEND"
+    and names[name] is not getattr(sys.modules[names[name].__module__],
+                                   name))
+out["star_missing"] = sorted(set(rpqcalc.__all__) - set(names))
+out["dir"] = sorted(set(rpqcalc.__all__) - set(dir(rpqcalc)))
+try:
+    rpqcalc.nope
+    out["nope"] = "no error"
+except AttributeError as exc:
+    out["nope"] = str(exc)
+print(json.dumps(out))
+"""
+
+SURFACE_COMMANDS = [
+    *(["eval", op] for op in ("number", "factorial", "binomial", "gamma",
+                              "beta")),
+    ["eval", "integral", "--coeffs", "1,2"],
+    ["eval", "derivative", "--coeffs", "1,2"],
+    ["check", "--module", "all", "--classical-limit"],
+    *(["table", "--kind", kind, "--count", "3"]
+      for kind in ("numbers", "factorials", "bernoulli", "zigzag",
+                   "volkenborn")),
+    ["table", "--kind", "zeta", "--format", "csv"],
+    ["zeta", "eval"],
+    ["zeta", "table"],
+    ["volkenborn", "--levels", "3"],
+    ["pbeta", "-x", "2", "-y", "3"],
+    ["carlitz", "--levels", "3"],
+    ["carlitz", "--levels", "3", "--method", "moments"],
+]
+
+
+def test_import_surface():
+    """The package and the CLI load submodules only on use, and never
+    ``dataclasses``; one fresh process runs every subcommand."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SURFACE, json.dumps(SURFACE_COMMANDS)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["bare"] == []
+    assert not {"rpqcalc.gammabeta", "rpqcalc.quadrature", "rpqcalc.series",
+                "rpqcalc.spinzeta"} & set(out["pgamma"])
+    assert set(out["codes"].values()) == {0}, out["codes"]
+    assert len(out["codes"]) == len(SURFACE_COMMANDS) + 4
+    assert out["dataclasses"] is False
+    assert out["star"] == [] and out["star_missing"] == []
+    assert out["dir"] == []
+    assert "has no attribute 'nope'" in out["nope"]
