@@ -26,6 +26,47 @@ def exact_str(x) -> str:
         sys.set_int_max_str_digits(old)
 
 
+def running_product_strs(factors):
+    """Yield ``exact_str`` of the running products 1, f1, f1 f2, ... of
+    exact rational factors, one string per product.
+
+    ``str`` of an int is quadratic in its digits, so each product also
+    keeps a ``decimal.Decimal`` image of its numerator and denominator.
+    A step is ``Fraction`` multiplication, with the same two cross-gcds:
+    one exact division by a gcd and one multiplication by the small
+    reduced factor, both linear in the digits, and ``str`` of a Decimal
+    is linear too.  The context traps ``Inexact`` and every quotient
+    must be an integer, so a wrong step raises instead of printing wrong
+    digits."""
+    import decimal  # factorial tables only
+    from math import gcd
+    ctx = decimal.Context(Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                          traps=[decimal.Inexact, decimal.InvalidOperation,
+                                 decimal.DivisionByZero, decimal.Overflow])
+
+    def step(d, g, m):
+        # d / g is an integer: a fractional or rounded quotient raises
+        return ctx.multiply(ctx.to_integral_exact(ctx.divide(d, g)), m)
+
+    num, den = 1, 1
+    dnum = dden = decimal.Decimal(1)
+    yield "1"
+    for f in factors:
+        a, b = f.numerator, f.denominator
+        g1, g2 = gcd(num, b), gcd(a, den)
+        a, b = a // g2, b // g1
+        old_bits = max(num.bit_length(), den.bit_length())
+        num, den = num // g1 * a, den // g2 * b
+        if num == 0:
+            yield "0"  # a Decimal zero may carry a sign; Fraction's has none
+            continue
+        # room for every digit of the old and new values (log10 2 < 1/3),
+        # so only an inexact step can round
+        ctx.prec = max(old_bits, num.bit_length(), den.bit_length()) // 3 + 2
+        dnum, dden = step(dnum, g1, a), step(dden, g2, b)
+        yield str(dnum) if den == 1 else f"{dnum}/{dden}"
+
+
 class Frozen:
     """Base of the validated parameter classes: ``==`` and ``hash`` over
     the fields named in ``_fields``, a ``Name(field=value, ...)`` repr,

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ._util import exact_str
+from ._util import exact_str, running_product_strs
 from .errors import (ConvergenceDomainError, DecayCertificateError,
                      InvalidParameterError, InvalidRegimeError,
                      NoConvergenceError, PoleAtOriginError, PoleError,
@@ -29,6 +29,8 @@ CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
                  "padicfun", "spinzeta")
 
 MALFORMED = (ValueError, ZeroDivisionError, KeyError, TypeError)
+
+DEFAULT_PRECISION = 16
 
 
 def _fraction(text: str) -> Fraction:
@@ -74,14 +76,28 @@ def _deform_parser() -> argparse.ArgumentParser:
     return d
 
 
+_SCALAR_OPTIONS = {
+    "-q": dict(type=_fraction,
+               help="default 1/2, or 1 + 2 --prime for a p-adic twist"),
+    "--rho": dict(type=_fraction,
+                  help="p-adic twist parameter (rational embedded); "
+                       "default 1 + --prime"),
+    "--precision": dict(type=_positive_int,
+                        help=f"p-adic digits; default {DEFAULT_PRECISION}"),
+}
+
+
+def _add_options(parser, *flags):
+    """Register the named options of _SCALAR_OPTIONS, only on the
+    subcommands that read them.  They default to None, resolved where
+    read, so table can refuse those its kind ignores."""
+    for flag in flags:
+        parser.add_argument(flag, **_SCALAR_OPTIONS[flag])
+
+
 def _common_parser() -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("-q", type=_fraction,
-                   help="default 1/2, or 1 + 2 --prime for a p-adic twist")
-    c.add_argument("--rho", type=_fraction, default=None,
-                   help="p-adic twist parameter (rational embedded)")
     c.add_argument("--prime", type=_prime, default=5)
-    c.add_argument("--precision", type=_positive_int, default=16)
     c.add_argument("--format", choices=("json", "csv", "plain"),
                    default="plain")
     c.add_argument("--out", metavar="PATH")
@@ -114,7 +130,8 @@ def _twist(args):
     from .padicfun import TwistParams  # the p-adic commands only
     rho = args.rho if args.rho is not None else 1 + args.prime
     q = args.q if args.q is not None else Fraction(1 + 2 * args.prime)
-    return TwistParams.make(args.prime, rho, q, precision=args.precision)
+    return TwistParams.make(args.prime, rho, q,
+                            precision=args.precision or DEFAULT_PRECISION)
 
 
 class _IOFail(Exception):
@@ -436,18 +453,25 @@ def _cmd_check(args) -> int:
 
 # -- table ------------------------------------------------------------------
 
+# the options of table that only some kinds read (dest -> flag); every
+# kind refuses the others rather than ignore them
+_TABLE_OPTIONS = {"preset": "--preset", "kernel": "--kernel", "p": "-p",
+                  "xi1": "--xi1", "xi2": "--xi2", "q": "-q", "rho": "--rho",
+                  "precision": "--precision"}
+_FRACTION_OPTIONS = ("preset", "kernel", "p", "xi1", "xi2", "q")
+_KIND_OPTIONS = {"volkenborn": ("q", "rho", "precision"), "zeta": ()}
+
+
 def _cmd_table(args) -> int:
     if args.kind != "zeta" and args.count < 0:
         raise InvalidParameterError(f"need --count >= 0; got {args.count}")
-    params = None
-    if args.kind in ("numbers", "factorials", "bernoulli", "euler",
-                     "genocchi", "zigzag"):
-        params = _params(args)
-    elif any(getattr(args, name, None) is not None
-             for name in ("preset", "kernel", "p", "xi1", "xi2")):
+    reads = _KIND_OPTIONS.get(args.kind, _FRACTION_OPTIONS)
+    refused = [flag for dest, flag in _TABLE_OPTIONS.items()
+               if dest not in reads and getattr(args, dest, None) is not None]
+    if refused:
         raise InvalidParameterError(
-            f"table --kind {args.kind} takes no --preset, --kernel, -p, "
-            f"--xi1 or --xi2")
+            f"table --kind {args.kind} takes no {', '.join(refused)}")
+    params = None if args.kind in _KIND_OPTIONS else _params(args)
     # each kind loads only the module it tabulates
     if args.kind == "numbers":
         from . import deform
@@ -456,8 +480,10 @@ def _cmd_table(args) -> int:
         header = ["n", "value"]
     elif args.kind == "factorials":
         from . import deform
-        rows = [[str(n), _rat_str(deform.rpq_factorial(params, n))]
-                for n in range(args.count)]
+        # [n]! = [n-1]! [n], printed in time linear in its digits
+        strs = running_product_strs(deform.rpq_number(params, k)
+                                    for k in range(1, args.count))
+        rows = [[str(n), s] for n, s in zip(range(args.count), strs)]
         header = ["n", "value"]
     elif args.kind in ("bernoulli", "euler", "genocchi"):
         from . import series
@@ -521,8 +547,9 @@ def _cmd_spin(args) -> int:
     if args.operation == "exp":
         gens = dict(zip(
             ("minus", "z", "plus"),
-            spinzeta.spin_generators(args.scale, args.prime,
-                                     args.precision)))
+            spinzeta.spin_generators(
+                args.scale, args.prime,
+                args.precision or DEFAULT_PRECISION)))
         S = gens[args.generator]
         g = spinzeta.mat_exp(S, args.t)
         _emit(args, g.to_json(), json.dumps(g.to_json()))
@@ -594,6 +621,9 @@ def _cmd_carlitz(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
     deform_opts = _deform_parser()
+    # the twist options, copied into each subcommand that reads them
+    twist = argparse.ArgumentParser(add_help=False)
+    _add_options(twist, "-q", "--rho", "--precision")
     top = argparse.ArgumentParser(
         prog="rpqcalc",
         description="Exact deformed quantum calculus and p-adic "
@@ -602,6 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", parents=[common, deform_opts],
                         help="evaluate a single quantity")
+    _add_options(ev, "-q")
     ev.add_argument("operation",
                     choices=("number", "factorial", "binomial", "gamma",
                              "beta", "integral", "derivative"))
@@ -623,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--classical-limit", action="store_true")
     ck.set_defaults(func=_cmd_check)
 
-    tb = sub.add_parser("table", parents=[common, deform_opts],
+    tb = sub.add_parser("table", parents=[common, deform_opts, twist],
                         help="emit value tables over parameter grids")
     tb.add_argument("--kind", required=True,
                     choices=("numbers", "factorials", "bernoulli",
@@ -643,6 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spin", parents=[common],
                         help="spin generator exponential/logarithm/level")
+    _add_options(sp, "--precision")
     sp.add_argument("operation", choices=("exp", "log", "level"))
     sp.add_argument("--generator", choices=("minus", "z", "plus"),
                     default="z")
@@ -664,25 +696,25 @@ def build_parser() -> argparse.ArgumentParser:
                     default=[2, 3, 4])
     zt.set_defaults(func=_cmd_zeta)
 
-    vk = sub.add_parser("volkenborn", parents=[common],
+    vk = sub.add_parser("volkenborn", parents=[common, twist],
                         help="twisted Volkenborn moments with "
                              "convergence certificates")
     vk.add_argument("--moment", type=int, default=1)
     vk.add_argument("--levels", type=int, default=6)
     vk.set_defaults(func=_cmd_volkenborn)
 
-    pg = sub.add_parser("pgamma", parents=[common],
+    pg = sub.add_parser("pgamma", parents=[common, twist],
                         help="p-adic deformed gamma at an integer")
     pg.add_argument("-n", type=int, required=True)
     pg.set_defaults(func=_cmd_pgamma)
 
-    pb = sub.add_parser("pbeta", parents=[common],
+    pb = sub.add_parser("pbeta", parents=[common, twist],
                         help="p-adic deformed beta at integers")
     pb.add_argument("-x", type=int, required=True)
     pb.add_argument("-y", type=int, required=True)
     pb.set_defaults(func=_cmd_pbeta)
 
-    cz = sub.add_parser("carlitz", parents=[common],
+    cz = sub.add_parser("carlitz", parents=[common, twist],
                         help="Carlitz-type Bernoulli values")
     cz.add_argument("-n", type=int, default=1)
     cz.add_argument("--a-param", type=_fraction, default=Fraction(0))

@@ -464,6 +464,8 @@ class PadicNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PadicNumber":
+        if not isinstance(obj, dict):
+            raise TypeError(f"p-adic JSON must be an object; got {obj!r}")
         if obj.get("valuation") is None:
             return cls.zero(obj["prime"], obj.get("zero_mod",
                                                   DEFAULT_PRECISION))

@@ -20,6 +20,29 @@ from .errors import (InvalidParameterError, PoleAtOriginError,
 from .poly import Polynomial, rpq_derivative_poly
 
 
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _dot(xs, ys):
+    """sum(x * y) over paired exact coefficients.
+
+    Rational terms go over one common denominator and are reduced once,
+    instead of one gcd-reduced ``Fraction`` addition per term.  Other
+    scalars (p-adic numbers) are summed term by term."""
+    if not (_RATIONAL.issuperset(map(type, xs))
+            and _RATIONAL.issuperset(map(type, ys))):
+        acc = Fraction(0)
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
+    nums, dens = [], []
+    for x, y in zip(xs, ys):
+        nums.append(x.numerator * y.numerator)
+        dens.append(x.denominator * y.denominator)
+    L = math.lcm(*dens)
+    return Fraction(sum(n * (L // d) for n, d in zip(nums, dens)), L)
+
+
 class FormalSeries:
     """Truncated power series sum(c_n z^n, n = 0..order)."""
 
@@ -98,12 +121,8 @@ class FormalSeries:
                                 self.normalization, self.pole_order)
         self._check_compat(other)
         n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc = Fraction(0)
-            for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
+        a, b = self.coeffs, other.coeffs
+        out = [_dot(a[:k + 1], b[k::-1]) for k in range(n + 1)]
         return FormalSeries(out, self.normalization,
                             self.pole_order + other.pole_order)
 
@@ -116,12 +135,10 @@ class FormalSeries:
         if b0 == 0:
             raise PoleAtOriginError(
                 "series has zero constant term; use Laurent mode")
+        b = self.coeffs
         out = [1 / b0]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(n):
-                acc = acc + out[k] * self.coeffs[n - k]
-            out.append(-acc / b0)
+            out.append(-_dot(out, b[n:0:-1]) / b0)
         return FormalSeries(out, self.normalization, -self.pole_order)
 
     def __truediv__(self, other):

@@ -139,6 +139,12 @@ class TestExitCodes:
         ("spin", "level", "--matrix-json", "[1, 2]"),
         ("eval", "number", "--kernel", "KERNEL"),
         ("table", "--kind", "numbers", "--count", "-3"),
+        ("spin", "level", "--matrix-json",
+         '{"prime": 5, "entries": [[1, 0], [0, 1]]}'),
+        ("spin", "log", "--matrix-json",
+         '{"prime": 5, "entries": [[1, 0], [0, 1]]}'),
+        ("spin", "log", "--matrix-json", '{"prime": 5, "entries": [1, 0, 0, 1]}'),
+        ("spin", "level", "--matrix-json", '{"prime": 5, "entries": "abcd"}'),
     ])
     def test_malformed_input_is_two(self, capsys, tmp_path, argv):
         kernel = tmp_path / "no_denominator.json"
@@ -227,6 +233,48 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "eval", "--prime", "3", "-s", "2", "-q", "7"),
+        ("zeta", "eval", "--prime", "3", "-s", "2", "--rho", "4"),
+        ("zeta", "eval", "--prime", "3", "-s", "2", "--precision", "8"),
+        ("zeta", "table", "-q", "7"),
+        ("zeta", "table", "--precision", "8"),
+        ("table", "--kind", "zeta", "-q", "7"),
+        ("table", "--kind", "zeta", "--rho", "4"),
+        ("table", "--kind", "zeta", "--precision", "8"),
+        ("check", "--module", "deform", "-q", "7"),
+        ("check", "--module", "deform", "--rho", "4"),
+        ("check", "--module", "deform", "--precision", "8"),
+        ("eval", "number", "-n", "3", "--rho", "4"),
+        ("eval", "number", "-n", "3", "--precision", "8"),
+        ("spin", "exp", "-q", "7"),
+        ("spin", "exp", "--rho", "4"),
+        ("table", "--kind", "bernoulli", "--rho", "4"),
+        ("table", "--kind", "factorials", "--precision", "8"),
+    ])
+    def test_twist_options_only_where_used(self, capsys, argv):
+        # -q, --rho and --precision exist only where something reads them
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--kind", "volkenborn", "--count", "2", "-q", "11",
+         "--rho", "6", "--precision", "8"),
+        ("spin", "exp", "--precision", "8"),
+        ("pgamma", "-n", "5", "--rho", "6", "--precision", "8"),
+    ])
+    def test_twist_options_still_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out != "" and err == ""
+
+    @pytest.mark.parametrize("argv", [("pgamma", "-n", "5"), ("spin", "exp"),
+                                      ("table", "--kind", "volkenborn")])
+    def test_default_precision_is_sixteen(self, capsys, argv):
+        default = run(capsys, *argv)[1]
+        assert run(capsys, *argv, "--precision", "16")[1] == default
+        assert run(capsys, *argv, "--precision", "8")[1] != default
 
     def test_q_one_half_is_not_the_twist_default(self, capsys):
         # q = 1/2 is not 1 mod 5, so it cannot be a p-adic twist

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.errors import InvalidParameterError, PoleAtOriginError
+from rpqcalc.padic import PadicNumber
 from rpqcalc.poly import Polynomial
-from rpqcalc.series import (FormalSeries, exp_lower, exp_upper,
+from rpqcalc.series import (FormalSeries, _dot, exp_lower, exp_upper,
                             euler_star_numbers, generating_polynomials,
                             operator_algebra_check, rpq_antiderivative,
                             rpq_derivative, trig_series, zigzag_numbers)
@@ -285,3 +288,67 @@ class TestSeriesProtocol:
         s = exp_lower(JS, 6)
         with pytest.raises(InvalidParameterError):
             _ = s + s.to_factorial(JS)
+
+
+def term_sum(xs, ys):
+    """The term-by-term sum the convolutions used to take."""
+    acc = F(0)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def reference_mul(a, b):
+    n = min(a.order, b.order)
+    return [term_sum(a.coeffs[:k + 1], b.coeffs[k::-1]) for k in range(n + 1)]
+
+
+def reference_inverse(s):
+    b0 = s.coeffs[0]
+    out = [1 / b0]
+    for n in range(1, s.order + 1):
+        out.append(-term_sum(out, s.coeffs[n:0:-1]) / b0)
+    return out
+
+
+scalars = st.one_of(st.integers(-10**6, 10**6),
+                    st.builds(F, st.integers(-10**6, 10**6),
+                              st.integers(1, 10**4)))
+
+
+class TestDot:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(scalars, scalars), max_size=12))
+    def test_matches_term_sum(self, pairs):
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        got = _dot(xs, ys)
+        assert got == term_sum(xs, ys)
+        assert type(got) is F
+
+    def test_empty_and_int(self):
+        assert _dot([], []) == 0 and type(_dot([], [])) is F
+        got = _dot([2, -3], [5, 7])
+        assert got == -11 and type(got) is F
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(scalars, min_size=1, max_size=10),
+           st.lists(scalars, min_size=1, max_size=10))
+    def test_mul_and_inverse(self, a, b):
+        sa, sb = FormalSeries(a), FormalSeries(b)
+        assert (sa * sb).coeffs == reference_mul(sa, sb)
+        if a[0] != 0:
+            assert sa.inverse().coeffs == reference_inverse(sa)
+
+    def test_padic_series(self):
+        # p-adic coefficients keep the term-by-term sum: same digits and
+        # the same precision as before
+        p, q = (PadicNumber.from_rational(v, 5, 12) for v in (6, 11))
+        params = DeformParams(p, q)
+        e, E = exp_lower(params, 7), exp_upper(params, 7)
+        as_json = lambda cs: [c.to_json() for c in cs]
+        for a, b in ((e, E), (E.scale_arg(F(-1)), e), (e, e)):
+            assert as_json((a * b).coeffs) == as_json(reference_mul(a, b))
+        assert as_json(e.inverse().coeffs) == as_json(reference_inverse(e))
+        unit = (E.scale_arg(F(-1)) * e).coeffs
+        assert unit[0] == 1 and all(c.is_zero() for c in unit[1:])
