@@ -4,13 +4,18 @@ All scalars cross this boundary as exact rational strings ("7/4"), so
 results are bit-reproducible.  stdout carries data only; diagnostics go
 to stderr.  Exit codes: 0 success, 1 check-suite failure, 2 parse or
 parameter error, 3 domain error (message names the violated bound),
-4 I/O failure.
+4 I/O failure (a failed final flush of stdout or stderr included),
+5 internal error.
+
+``run`` is the process entry point: it ends the process with
+``os._exit`` once both streams are flushed, so no atexit handler runs.
+Callers inside a process use ``main``, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from fractions import Fraction
 
@@ -110,6 +115,7 @@ def _params(args):
         raise InvalidParameterError(
             "--preset and --kernel are mutually exclusive")
     if args.kernel:
+        import json  # --kernel only
         try:
             with open(args.kernel) as fh:
                 structure = StructureFunction.from_json(json.load(fh))
@@ -140,13 +146,13 @@ class _IOFail(Exception):
 
 def _emit(args, payload, plain_line: str | None = None):
     """Write data per --format to --out or stdout."""
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
+    if args.format == "csv":
         text = _to_csv(payload)
+    elif args.format == "plain" and plain_line is not None:
+        text = plain_line
     else:
-        text = plain_line if plain_line is not None \
-            else json.dumps(payload, indent=2)
+        import json  # --format json, or a payload with no plain line
+        text = json.dumps(payload, indent=2)
     try:
         if args.out:
             with open(args.out, "w") as fh:
@@ -403,6 +409,9 @@ def _spin_suite():
 
 
 def _cmd_check(args) -> int:
+    if args.format == "csv":
+        raise InvalidParameterError(
+            "check writes a JSON report; --format csv is not supported")
     modules = args.module or []
     if "all" in modules:
         modules = list(CHECK_MODULES)
@@ -436,15 +445,7 @@ def _cmd_check(args) -> int:
                                                  truncation=96),
             ]
         report["modules"].append(entry)
-    out = json.dumps(report, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out + "\n")
-        except OSError as exc:
-            raise _IOFail(str(exc))
-    else:
-        print(out)
+    _emit(args, report)
     if not report["passed"]:
         print(f"first failing identity: {first_failure}", file=sys.stderr)
         return 1
@@ -531,6 +532,7 @@ def _load_matrix(args):
     from .spinzeta import Mat2Padic  # spin log and level only
     if not (args.matrix_file or args.matrix_json):
         raise InvalidParameterError("provide --matrix-file or --matrix-json")
+    import json  # the matrix arrives as JSON
     try:
         if args.matrix_file:
             with open(args.matrix_file) as fh:
@@ -543,6 +545,7 @@ def _load_matrix(args):
 
 
 def _cmd_spin(args) -> int:
+    import json  # spin exp and log print their matrix as JSON
     from . import spinzeta  # spin loads no deformed calculus
     if args.operation == "exp":
         gens = dict(zip(
@@ -748,5 +751,40 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """Run ``main`` on ``sys.argv`` as the whole process, then end it.
+
+    Flushes stdout and stderr and calls ``os._exit``, skipping module
+    teardown and the final garbage collections of a normal exit.  An
+    ``OSError`` out of ``main`` or out of a flush exits 4, any other
+    ``Exception`` 5, each with one line on stderr; ``KeyboardInterrupt``
+    and ``SystemExit`` propagate.
+    """
+    try:
+        code = main()
+    except OSError as exc:
+        code = _report(f"i/o error: {exc}", 4)
+    except Exception as exc:
+        code = _report(f"internal error: {type(exc).__name__}: {exc}", 5)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            if code != 4:  # an i/o error already reported keeps its line
+                code = _report(f"i/o error: {exc}", 4)
+    os._exit(code)
+
+
+def _report(line: str, code: int) -> int:
+    """Write ``line`` to stderr, if stderr still takes it; return code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:  # stderr is closed too
+            pass
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

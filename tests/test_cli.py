@@ -1,8 +1,11 @@
 """Command-line interface: dispatch, formats, exit codes, round trips."""
 
 import csv
+import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -327,6 +330,20 @@ class TestCheck:
         assert "measured_only" in entry
         assert any(not m["asserted"] for m in entry["measured_only"])
 
+    def test_format_json_is_the_plain_report(self, capsys):
+        _, plain, _ = run(capsys, "check", "--module", "deform")
+        code, as_json, _ = run(capsys, "check", "--module", "deform",
+                               "--format", "json")
+        assert code == 0
+        assert as_json == plain == json.dumps(json.loads(plain),
+                                              indent=2) + "\n"
+
+    def test_format_csv_is_refused(self, capsys):
+        code, out, err = run(capsys, "check", "--module", "deform",
+                             "--format", "csv")
+        assert code == 2 and out == ""
+        assert "--format csv" in err
+
 
 class TestTables:
     def test_zeta_csv_schema(self, capsys, tmp_path):
@@ -453,7 +470,7 @@ def test_zeta_table_matches_table_kind_zeta(capsys, fmt):
 
 
 IMPORT_SURFACE = r"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 
 LIBRARY = {"rpqcalc." + m for m in (
     "_kernel", "deform", "gammabeta", "padic", "padicfun", "poly",
@@ -474,11 +491,14 @@ def run(*argv):
 
 run("pgamma", "-n", "5")
 out["pgamma"] = loaded()
-for argv in json.loads(sys.argv[1]):
-    run(*argv)
+for argv in sys.argv[1:]:
+    run(*argv.split(" "))
+out["json"] = "json" in sys.modules  # every command so far prints text
 g = run("spin", "exp")
 run("spin", "level", "--matrix-json", g)
 run("spin", "log", "--matrix-json", g)
+run("check", "--module", "all", "--classical-limit")
+import json
 out["dataclasses"] = "dataclasses" in sys.modules
 names = {}
 exec("from rpqcalc import *", names)
@@ -501,7 +521,6 @@ SURFACE_COMMANDS = [
                               "beta")),
     ["eval", "integral", "--coeffs", "1,2"],
     ["eval", "derivative", "--coeffs", "1,2"],
-    ["check", "--module", "all", "--classical-limit"],
     *(["table", "--kind", kind, "--count", "3"]
       for kind in ("numbers", "factorials", "bernoulli", "zigzag",
                    "volkenborn")),
@@ -516,10 +535,12 @@ SURFACE_COMMANDS = [
 
 
 def test_import_surface():
-    """The package and the CLI load submodules only on use, and never
-    ``dataclasses``; one fresh process runs every subcommand."""
+    """The package and the CLI load submodules only on use, never
+    ``dataclasses``, and ``json`` only for JSON in or out; one fresh
+    process runs every subcommand."""
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_SURFACE, json.dumps(SURFACE_COMMANDS)],
+        [sys.executable, "-c", IMPORT_SURFACE,
+         *(" ".join(argv) for argv in SURFACE_COMMANDS)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
@@ -528,8 +549,174 @@ def test_import_surface():
     assert not {"rpqcalc.gammabeta", "rpqcalc.quadrature", "rpqcalc.series",
                 "rpqcalc.spinzeta"} & set(out["pgamma"])
     assert set(out["codes"].values()) == {0}, out["codes"]
-    assert len(out["codes"]) == len(SURFACE_COMMANDS) + 4
+    assert len(out["codes"]) == len(SURFACE_COMMANDS) + 5
+    assert out["json"] is False
     assert out["dataclasses"] is False
     assert out["star"] == [] and out["star_missing"] == []
     assert out["dir"] == []
     assert "has no attribute 'nope'" in out["nope"]
+
+
+# -- the process entry point ----------------------------------------------
+
+def run_process(*argv, buffered=True, **kwargs):
+    """``python -m rpqcalc.cli argv``.  stdout is block-buffered, or
+    unbuffered with ``buffered=False``: a failed write then shows in
+    ``main`` itself rather than in the final flush."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "rpqcalc.cli", *argv],
+                          timeout=120, env=env, **kwargs)
+
+
+def test_large_table_survives_the_exit(capsys, tmp_path):
+    argv = ("table", "--kind", "factorials", "--count", "250")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and len(out) > 1_500_000
+    proc = run_process(*argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == out.encode()
+    path = tmp_path / "factorials.csv"
+    proc = run_process(*argv, "--out", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ("eval", "number", "-n", "4"),
+    ("check", "--module", "deform"),
+    ("table", "--kind", "factorials", "--count", "300"),
+])
+def test_closed_stdout_is_four(argv, buffered):
+    read, write = os.pipe()
+    os.close(read)  # every write to stdout fails with EPIPE
+    try:
+        proc = run_process(*argv, buffered=buffered, stdout=write)
+    finally:
+        os.close(write)
+    err = proc.stderr.decode()
+    assert proc.returncode == 4, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+
+
+def test_closed_stderr_is_four():
+    read, write = os.pipe()
+    os.close(read)  # the domain error's message cannot be written
+    try:
+        proc = run_process("eval", "gamma", "-z", "0", stderr=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (4, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("eval", "number", "-n", "x"), 2),
+    (("check",), 2),
+    (("eval", "gamma", "-z", "0"), 3),
+])
+def test_error_codes_through_the_process(argv, code):
+    proc = run_process(*argv)
+    assert proc.returncode == code
+    assert proc.stdout == b"" and proc.stderr != b""
+    assert b"Traceback" not in proc.stderr
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.fixture
+def exits(monkeypatch):
+    """The codes ``cli.run`` passes to ``os._exit``, which here raises
+    ``_Exited`` instead of ending the test process."""
+    codes = []
+
+    def fake_exit(code):
+        codes.append(code)
+        raise _Exited
+
+    monkeypatch.setattr(cli.os, "_exit", fake_exit)
+    return codes
+
+
+class _FailingFlush(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestRun:
+    @pytest.mark.parametrize("argv, code, out", [
+        (("eval", "number", "-n", "3"), 0, "7/4\n"),
+        (("eval", "gamma", "-z", "0"), 3, ""),
+    ])
+    def test_code_passes_through(self, capsys, monkeypatch, exits, argv,
+                                 code, out):
+        monkeypatch.setattr(sys, "argv", ["rpqcalc", *argv])
+        with pytest.raises(_Exited):
+            cli.run()
+        assert exits == [code]
+        assert capsys.readouterr().out == out
+
+    def test_failed_flush_is_four(self, capsys, monkeypatch, exits):
+        monkeypatch.setattr(sys, "argv", ["rpqcalc", "eval", "number"])
+        monkeypatch.setattr(sys, "stdout", _FailingFlush())
+        with pytest.raises(_Exited):
+            cli.run()
+        assert exits == [4]
+        assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+
+    def test_failed_stderr_flush_is_four(self, monkeypatch, exits):
+        monkeypatch.setattr(sys, "argv", ["rpqcalc", "eval", "number"])
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", _FailingFlush())
+        with pytest.raises(_Exited):
+            cli.run()
+        assert exits == [4]
+
+    def test_missing_streams_are_skipped(self, monkeypatch, exits):
+        monkeypatch.setattr(sys, "argv", ["rpqcalc", "eval", "number"])
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(_Exited):
+            cli.run()
+        assert exits == [0]
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (RuntimeError("boom"), 5, "internal error: RuntimeError: boom"),
+        (BrokenPipeError(32, "Broken pipe"), 4,
+         "i/o error: [Errno 32] Broken pipe"),
+    ])
+    def test_exception_out_of_main(self, capsys, monkeypatch, exits, exc,
+                                   code, line):
+        def raising():
+            raise exc
+
+        monkeypatch.setattr(cli, "main", raising)
+        with pytest.raises(_Exited):
+            cli.run()
+        assert exits == [code]
+        assert capsys.readouterr() == ("", line + "\n")
+
+    def test_interrupt_propagates(self, monkeypatch, exits):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "main", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run()
+        assert exits == []
+
+
+def test_script_target_is_run():
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    target = re.search(r'^\[project\.scripts\]\nrpqcalc = "([\w.]+):(\w+)"$',
+                       pyproject.read_text(), re.M)
+    assert target is not None
+    module, name = target.groups()
+    assert getattr(importlib.import_module(module), name) is cli.run
