@@ -21,14 +21,13 @@ from fractions import Fraction
 
 from ._util import exact_str, running_product_strs
 from .errors import (ConvergenceDomainError, DecayCertificateError,
-                     InvalidParameterError, InvalidRegimeError,
-                     NoConvergenceError, PoleAtOriginError, PoleError,
-                     RpqError, SingularDeformationError, SingularityError)
+                     InvalidParameterError, NoConvergenceError,
+                     PoleAtOriginError, PoleError, RpqError,
+                     SingularDeformationError, SingularityError)
 
-DOMAIN_ERRORS = (ConvergenceDomainError, InvalidRegimeError, PoleError,
-                 PoleAtOriginError, SingularDeformationError,
-                 SingularityError, DecayCertificateError,
-                 NoConvergenceError)
+DOMAIN_ERRORS = (ConvergenceDomainError, PoleError, PoleAtOriginError,
+                 SingularDeformationError, SingularityError,
+                 DecayCertificateError, NoConvergenceError)
 
 CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
                  "padicfun", "spinzeta")

@@ -29,10 +29,6 @@ class PoleAtOriginError(RpqError):
     """Series division by a series with zero constant term."""
 
 
-class InvalidRegimeError(RpqError):
-    """Quadrature node ratio does not satisfy the selected regime."""
-
-
 class DecayCertificateError(RpqError):
     """Improper integral called without a valid decay certificate."""
 

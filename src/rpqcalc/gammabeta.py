@@ -93,45 +93,41 @@ def rpq_number_at(params: DeformParams, z: Fraction) -> Fraction:
 def power_basis(x, y, n: int, mode: str, params: DeformParams):
     """(x (-) y)^n = prod_{i=0}^{n-1} (x xi1^i -+ y xi2^i); the plus
     mode flips the sign.  Negative n takes the reciprocal product over
-    the indices -|n|..-1."""
+    the indices -|n|..-1.  A slot may hold a ``Polynomial``, which
+    expands the product in that variable."""
     if mode not in ("minus", "plus"):
         raise InvalidParameterError("mode must be 'minus' or 'plus'")
     sign = -1 if mode == "minus" else 1
     x1, x2 = params.xi1, params.xi2
-    if n >= 0:
-        acc = Fraction(1)
-        for i in range(n):
-            acc = acc * (x * x1 ** i + sign * y * x2 ** i)
-        return acc
     acc = Fraction(1)
-    for i in range(-n):
-        factor = x * x1 ** (i + n) + sign * y * x2 ** (i + n)
-        if factor == 0:
+    for i in range(min(n, 0), max(n, 0)):
+        factor = x * x1 ** i + sign * y * x2 ** i
+        if n < 0 and factor == 0:
             raise ZeroDivisionError(
-                f"zero factor at index {i + n} in reciprocal power basis")
+                f"zero factor at index {i} in reciprocal power basis")
         acc = acc * factor
-    return 1 / acc
+    return acc if n >= 0 else 1 / acc
+
+
+def _expanded(x, y, n: int, mode: str, params: DeformParams) -> Polynomial:
+    """``power_basis`` with a ``Polynomial`` slot, as a polynomial."""
+    if n < 0:
+        raise InvalidParameterError(
+            f"a polynomial power basis needs n >= 0; got {n}")
+    return Polynomial.constant(Fraction(1)) * power_basis(
+        x, y, n, mode, params)
 
 
 def power_basis_poly(a, n: int, mode: str,
                      params: DeformParams) -> Polynomial:
     """The same product expanded as a polynomial in the first slot."""
-    sign = -1 if mode == "minus" else 1
-    x1, x2 = params.xi1, params.xi2
-    acc = Polynomial.constant(Fraction(1))
-    for i in range(n):
-        acc = acc * Polynomial({1: x1 ** i, 0: sign * a * x2 ** i})
-    return acc
+    return _expanded(Polynomial.monomial(1), a, n, mode, params)
 
 
 def power_basis_poly_reversed(a, n: int,
                               params: DeformParams) -> Polynomial:
     """(a (-) x)^n = prod (a xi1^i - x xi2^i), expanded in x."""
-    x1, x2 = params.xi1, params.xi2
-    acc = Polynomial.constant(Fraction(1))
-    for i in range(n):
-        acc = acc * Polynomial({0: a * x1 ** i, 1: -(x2 ** i)})
-    return acc
+    return _expanded(a, Polynomial.monomial(1), n, "minus", params)
 
 
 class InfiniteProduct(NamedTuple):
@@ -148,13 +144,11 @@ def power_basis_infinite(x, y, mode: str, params: DeformParams,
     """prod_{i=0}^{M-1} (x xi1^i -+ y xi2^i) with the geometric ratio of
     the first omitted correction as the tail certificate.  Converges
     (to a nonzero limit) when xi1 = 1 and |y xi2^i| -> 0."""
-    sign = -1 if mode == "minus" else 1
-    x1, x2 = params.xi1, params.xi2
-    acc = Fraction(1)
-    for i in range(truncation):
-        acc = acc * (x * x1 ** i + sign * y * x2 ** i)
-    ratio = abs(Fraction(y) * Fraction(x2) ** truncation)
-    return InfiniteProduct(acc, truncation, ratio)
+    if truncation < 0:
+        raise InvalidParameterError("truncation must be >= 0")
+    ratio = abs(Fraction(y) * Fraction(params.xi2) ** truncation)
+    return InfiniteProduct(power_basis(x, y, truncation, mode, params),
+                           truncation, ratio)
 
 
 # -- gamma ----------------------------------------------------------------

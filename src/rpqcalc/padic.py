@@ -26,7 +26,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (valid far beyond any prime used here)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n == small:
             return True
         if n % small == 0:
@@ -192,12 +192,6 @@ class PadicNumber:
         if self._val < 0:
             raise PrecisionError("negative valuation: not a p-adic integer")
         return self.unit * self.prime ** self._val % self.prime ** k
-
-    def to_rational_approx(self) -> Fraction:
-        """The exact rational the stored digits denote."""
-        if self.unit == 0:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.prime) ** self._val
 
     def with_precision(self, prec: int) -> "PadicNumber":
         """Truncate to at most ``prec`` significant digits."""

@@ -41,12 +41,11 @@ DEFAULT_PRECISION = 16
 class TwistParams(Frozen):
     """p-adic deformation parameters.
 
-    ``|rho - 1|_p < 1`` and ``|q - 1|_p < 1`` are required throughout;
-    the Volkenborn operations need the stronger exp/log-domain bounds
-    ``v(rho - 1) >= 1`` and ``v(q - 1) >= 1`` (automatic for odd p once
-    the weak bound holds).  The kernel is the two-base one, or [j] = j
-    when ``classical``.  Unhashable, as ``DeformParams`` over p-adic
-    values is (see there).
+    The prime is odd, and ``|rho - 1|_p < 1`` and ``|q - 1|_p < 1`` are
+    required, so v(rho - 1), v(q - 1) >= 1 > 1/(p - 1): every accepted
+    twist lies in the exp/log domain the Volkenborn operations need.
+    The kernel is the two-base one, or [j] = j when ``classical``.
+    Unhashable, as ``DeformParams`` over p-adic values is (see there).
     """
 
     _fields = ("prime", "rho", "q", "precision", "classical")
@@ -96,14 +95,6 @@ class TwistParams(Frozen):
     def powered(self, k: int) -> "TwistParams":
         return TwistParams(self.prime, self.rho ** k, self.q ** k,
                            self.precision, self.classical)
-
-    def require_volkenborn(self):
-        for name, v in (("rho", self.rho), ("q", self.q)):
-            d = v - 1
-            if not d.is_zero() and Fraction(d.valuation) <= \
-                    Fraction(1, self.prime - 1):
-                raise ConvergenceDomainError(
-                    f"Volkenborn twist needs |{name}-1|_p < p^(-1/(p-1))")
 
     @property
     def work_precision(self) -> int:
@@ -263,7 +254,6 @@ def volkenborn_measure(a: int, level: int, tw: TwistParams) -> PadicNumber:
     if level < 0 or not 0 <= a < p ** level:
         raise InvalidParameterError(
             f"need 0 <= a < p^{level}; got a = {a}")
-    tw.require_volkenborn()
     m = p ** level
     w = tw.q / tw.rho
     return tw.rho ** m * w ** a / number_at(tw, m)
@@ -402,7 +392,6 @@ def volkenborn_integral(f: Callable, tw: TwistParams,
     by strictly increasing valuations of successive differences and is
     reported, never assumed.
     """
-    tw.require_volkenborn()
     return _converge(_level_sums(f, max_level, tw), max_level, tw.shown)
 
 
@@ -467,7 +456,6 @@ def volkenborn_moment(r: int, tw: TwistParams,
     """int [t]^r dmu(t), each level in closed form (the hot path)."""
     if r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
-    tw.require_volkenborn()
     if tw.classical:
         return volkenborn_integral(lambda t: Fraction(t) ** r, tw,
                                    max_level)
@@ -486,7 +474,6 @@ def volkenborn_shift_check(f: Polynomial, tw: TwistParams,
     sign differs from some printed statements; it is fixed here by the
     total-mass case f = 1 (I(1) = rho at every level).
     """
-    tw.require_volkenborn()
     if tw.classical:
         raise InvalidParameterError(
             "shift identity needs a genuine twist (rho != 1)")
@@ -546,7 +533,6 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
         raise InvalidParameterError("need n >= 0")
     if method not in ("direct", "moments"):
         raise InvalidParameterError("method must be direct or moments")
-    tw.require_volkenborn()
     a = Fraction(a)
     if tw.classical:
         if isinstance(x, PadicNumber):

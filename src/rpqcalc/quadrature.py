@@ -1,10 +1,12 @@
 """Jackson-type definite and improper integrals.
 
-The geometric node sum is exposed for the two-base (p, q) family,
-where the telescoping prefactor is exactly 1 and the sum provably
-inverts the derivative on monomials.  For every other kernel, definite
-integration of polynomials goes through the exact spectral
-antiderivative.
+The geometric node sum is exposed for the two-base (p, q) family with
+rational 0 < q < p <= 1, where the telescoping prefactor is exactly 1
+and the sum provably inverts the derivative on monomials.  Its nodes
+q^j/p^(j+1) shrink geometrically (ratio q/p < 1) as j grows and grow
+without bound as j falls, for every integer j.  For every other
+kernel, definite integration of polynomials goes through the exact
+spectral antiderivative.
 """
 
 from __future__ import annotations
@@ -14,29 +16,19 @@ from typing import Callable, NamedTuple, Optional
 
 from ._util import Frozen
 from .deform import DeformParams, IdentityResult, SuiteReport
-from .errors import (DecayCertificateError, InvalidParameterError,
-                     InvalidRegimeError)
+from .errors import DecayCertificateError, InvalidParameterError
 from .poly import (Polynomial, rpq_antiderivative_poly,
                    rpq_derivative_poly)
 
-REGIMES = ("q_over_p", "p_over_q")
-
 
 class QuadratureSpec(Frozen):
-    """Node-sum configuration.
+    """Node-sum configuration: nodes q^j/p^(j+1), strictly decreasing
+    in j, over rational p and q of the two-base family."""
 
-    ``q_over_p`` uses nodes q^r a / p^(r+1) (requires |q/p| < 1);
-    ``p_over_q`` mirrors the roles.  Nodes are strictly decreasing in
-    magnitude within the selected regime.
-    """
+    _fields = ("params", "terms")
 
-    _fields = ("params", "terms", "regime")
-
-    def __init__(self, params: DeformParams, terms: int = 200,
-                 regime: str = "q_over_p"):
-        self._set(params, terms, regime)
-        if self.regime not in REGIMES:
-            raise InvalidParameterError(f"unknown regime {self.regime!r}")
+    def __init__(self, params: DeformParams, terms: int = 200):
+        self._set(params, terms)
         if self.terms < 1:
             raise InvalidParameterError("terms must be >= 1")
         if self.params.structure.kind != "jagannathan_srinivasa":
@@ -45,20 +37,17 @@ class QuadratureSpec(Frozen):
                 "(p, q) family only; use the exact antiderivative "
                 "for other kernels")
         p, q = self.params.p, self.params.q
-        ratio = abs(q / p) if self.regime == "q_over_p" else abs(p / q)
-        if ratio >= 1:
-            raise InvalidRegimeError(
-                f"regime {self.regime} needs ratio < 1; got {ratio}")
+        if not (isinstance(p, Fraction) and isinstance(q, Fraction)):
+            raise InvalidParameterError(
+                f"node-sum quadrature needs rational p and q "
+                f"(0 < q < p <= 1); got p = {p}, q = {q}")
 
-    def node(self, r: int, a=Fraction(1)) -> Fraction:
+    def node(self, j: int) -> Fraction:
         p, q = self.params.p, self.params.q
-        if self.regime == "q_over_p":
-            return q ** r / p ** (r + 1) * a
-        return p ** r / q ** (r + 1) * a
+        return q ** j / p ** (j + 1)
 
     def prefactor(self) -> Fraction:
-        p, q = self.params.p, self.params.q
-        return (p - q) if self.regime == "q_over_p" else (q - p)
+        return self.params.p - self.params.q
 
 
 def definite_integral_poly(f: Polynomial, a, b,
@@ -89,7 +78,7 @@ def jackson_sum(f, a, spec: QuadratureSpec,
     a = Fraction(a)
     total = Fraction(0)
     for r in range(terms + 1):  # ascending r: deterministic order
-        w = spec.node(r, Fraction(1))
+        w = spec.node(r)
         total += w * f(w * a)
     return spec.prefactor() * a * total
 
@@ -139,7 +128,7 @@ def improper_integral(f: Callable, spec: QuadratureSpec,
     terms = spec.terms
     total = Fraction(0)
     for j in range(-terms, terms + 1):  # ascending: deterministic
-        z = spec.node(j) if j >= 0 else _neg_node(spec, j)
+        z = spec.node(j)
         val = f(z)
         # certificate check |f(z)| <= bound * z^(-gamma), done through
         # the equivalent integer-power comparison to stay rational
@@ -148,7 +137,7 @@ def improper_integral(f: Callable, spec: QuadratureSpec,
                 f"certificate violated at node {z}: |f| = {abs(val)}")
         total += z * val
     value = spec.prefactor() * total
-    ratio = abs(q / p) if spec.regime == "q_over_p" else abs(p / q)
+    ratio = q / p
     # small-node tail: |z_j f(z_j)| <= bound z_j^(1-gamma), geometric in j
     z_edge = spec.node(terms + 1)
     small = abs(spec.prefactor()) * cert.bound * _rational_pow_bound(
@@ -156,18 +145,11 @@ def improper_integral(f: Callable, spec: QuadratureSpec,
             ratio, 1 - cert.gamma))
     large = None
     if cert.gamma_large is not None:
-        z_big = _neg_node(spec, -(terms + 1))
+        z_big = spec.node(-(terms + 1))
         large = abs(spec.prefactor()) * cert.bound_large \
             * _rational_pow_bound(1 / z_big, cert.gamma_large - 1) \
             / (1 - _rational_pow_bound(ratio, cert.gamma_large - 1))
     return ImproperResult(value, small, large, 2 * terms + 1)
-
-
-def _neg_node(spec: QuadratureSpec, j: int) -> Fraction:
-    p, q = spec.params.p, spec.params.q
-    if spec.regime == "q_over_p":
-        return Fraction(p) ** (-j - 1) / Fraction(q) ** (-j)
-    return Fraction(q) ** (-j - 1) / Fraction(p) ** (-j)
 
 
 def _decay_ok(val, z: Fraction, gamma: Fraction, bound: Fraction) -> bool:

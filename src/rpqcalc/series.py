@@ -1,11 +1,10 @@
 """Truncated formal power series and the deformed special series.
 
-Series keep exact scalar coefficients c_0..c_M (``plain`` storage);
-the ``factorial`` storage mode, where slot n holds c_n [n]!, is used
-for interchange and for extracting the polynomial families.  Arithmetic
-is defined between plain-mode series and truncates to the smaller
-order.  A ``pole_order`` of 1 marks the Laurent results 1/z * (series)
-produced by csc and coth.
+Series keep exact scalar coefficients c_0..c_M.  Arithmetic
+truncates to the smaller order.  A ``pole_order`` of 1 marks the
+Laurent results 1/z * (series) produced by csc and coth.  The
+polynomial families and the zigzag numbers are read off in factorial
+normalisation, c_n [n]!.
 """
 
 from __future__ import annotations
@@ -46,11 +45,10 @@ def _dot(xs, ys):
 class FormalSeries:
     """Truncated power series sum(c_n z^n, n = 0..order)."""
 
-    __slots__ = ("coeffs", "normalization", "pole_order")
+    __slots__ = ("coeffs", "pole_order")
 
-    def __init__(self, coeffs, normalization="plain", pole_order=0):
+    def __init__(self, coeffs, pole_order=0):
         object.__setattr__(self, "coeffs", list(coeffs))
-        object.__setattr__(self, "normalization", normalization)
         object.__setattr__(self, "pole_order", pole_order)
         if not self.coeffs:
             raise InvalidParameterError("series needs at least one slot")
@@ -68,13 +66,9 @@ class FormalSeries:
     def truncate(self, order: int) -> "FormalSeries":
         if order >= self.order:
             return self
-        return FormalSeries(self.coeffs[:order + 1], self.normalization,
-                            self.pole_order)
+        return FormalSeries(self.coeffs[:order + 1], self.pole_order)
 
     def _check_compat(self, other: "FormalSeries"):
-        if self.normalization != other.normalization:
-            raise InvalidParameterError(
-                "mixed series normalizations; convert first")
         if self.pole_order != other.pole_order:
             raise InvalidParameterError(
                 "mixed Laurent pole orders; align first")
@@ -83,8 +77,7 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return (self.normalization == other.normalization
-                and self.pole_order == other.pole_order
+        return (self.pole_order == other.pole_order
                 and all(self.coeffs[k] == other.coeffs[k]
                         for k in range(n + 1)))
 
@@ -94,22 +87,18 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             out = list(self.coeffs)
             out[0] = out[0] + other
-            return FormalSeries(out, self.normalization, self.pole_order)
+            return FormalSeries(out, self.pole_order)
         self._check_compat(other)
         n = min(self.order, other.order)
         return FormalSeries([self.coeffs[k] + other.coeffs[k]
-                             for k in range(n + 1)],
-                            self.normalization, self.pole_order)
+                             for k in range(n + 1)], self.pole_order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalSeries([-c for c in self.coeffs],
-                            self.normalization, self.pole_order)
+        return FormalSeries([-c for c in self.coeffs], self.pole_order)
 
     def __sub__(self, other):
-        if not isinstance(other, FormalSeries):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -118,13 +107,12 @@ class FormalSeries:
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
             return FormalSeries([c * other for c in self.coeffs],
-                                self.normalization, self.pole_order)
+                                self.pole_order)
         self._check_compat(other)
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = [_dot(a[:k + 1], b[k::-1]) for k in range(n + 1)]
-        return FormalSeries(out, self.normalization,
-                            self.pole_order + other.pole_order)
+        return FormalSeries(out, self.pole_order + other.pole_order)
 
     def __rmul__(self, other):
         return self * other
@@ -139,19 +127,19 @@ class FormalSeries:
         out = [1 / b0]
         for n in range(1, self.order + 1):
             out.append(-_dot(out, b[n:0:-1]) / b0)
-        return FormalSeries(out, self.normalization, -self.pole_order)
+        return FormalSeries(out, -self.pole_order)
 
     def __truediv__(self, other):
         if not isinstance(other, FormalSeries):
             return FormalSeries([c / other for c in self.coeffs],
-                                self.normalization, self.pole_order)
+                                self.pole_order)
         return self * other.inverse()
 
     def scale_arg(self, c) -> "FormalSeries":
         """f(c z)."""
         return FormalSeries([self.coeffs[n] * c ** n
                              for n in range(self.order + 1)],
-                            self.normalization, self.pole_order)
+                            self.pole_order)
 
     def shift_down(self) -> "FormalSeries":
         """f(z)/z for a series with zero constant term (order drops)."""
@@ -160,8 +148,7 @@ class FormalSeries:
                                     "power series")
         if self.order == 0:
             raise InvalidParameterError("series too short to shift")
-        return FormalSeries(self.coeffs[1:], self.normalization,
-                            self.pole_order)
+        return FormalSeries(self.coeffs[1:], self.pole_order)
 
     def even_part(self, signed=False) -> "FormalSeries":
         """Coefficients at even degrees as a series in z (degree 2k term
@@ -170,60 +157,30 @@ class FormalSeries:
         for k in range(0, self.order + 1, 2):
             s = (-1) ** (k // 2) if signed else 1
             out[k] = s * self.coeffs[k]
-        return FormalSeries(out, self.normalization, self.pole_order)
+        return FormalSeries(out, self.pole_order)
 
     def odd_part(self, signed=False) -> "FormalSeries":
         out = [Fraction(0)] * (self.order + 1)
         for k in range(1, self.order + 1, 2):
             s = (-1) ** ((k - 1) // 2) if signed else 1
             out[k] = s * self.coeffs[k]
-        return FormalSeries(out, self.normalization, self.pole_order)
+        return FormalSeries(out, self.pole_order)
 
     def to_polynomial(self) -> Polynomial:
         if self.pole_order:
             raise InvalidParameterError("Laurent series is not polynomial")
         return Polynomial({n: c for n, c in enumerate(self.coeffs)})
 
-    def to_factorial(self, params: DeformParams) -> "FormalSeries":
-        if self.normalization == "factorial":
-            return self
-        return FormalSeries(
-            [self.coeffs[n] * rpq_factorial(params, n)
-             for n in range(self.order + 1)], "factorial", self.pole_order)
-
-    def to_plain(self, params: DeformParams) -> "FormalSeries":
-        if self.normalization == "plain":
-            return self
-        out = []
-        for n in range(self.order + 1):
-            f = rpq_factorial(params, n)
-            if f == 0:
-                raise SingularDeformationError(f"[{n}]! = 0")
-            out.append(self.coeffs[n] / f)
-        return FormalSeries(out, "plain", self.pole_order)
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "normalization": self.normalization,
-            "pole_order": self.pole_order,
-            "coefficients": [
-                {"num": Fraction(c).numerator, "den": Fraction(c).denominator}
-                for c in self.coeffs
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FormalSeries":
-        coeffs = [Fraction(t["num"], t["den"]) for t in obj["coefficients"]]
-        return cls(coeffs, obj.get("normalization", "plain"),
-                   obj.get("pole_order", 0))
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         pole = f", pole={self.pole_order}" if self.pole_order else ""
-        return f"FormalSeries([{head}{tail}], {self.normalization}{pole})"
+        return f"FormalSeries([{head}{tail}]{pole})"
+
+
+def _factorial_coeffs(f: FormalSeries, params: DeformParams) -> list:
+    """The coefficients c_n [n]! of f in factorial normalisation."""
+    return [c * rpq_factorial(params, n) for n, c in enumerate(f.coeffs)]
 
 
 # -- derivative / antiderivative ---------------------------------------
@@ -232,8 +189,6 @@ def rpq_derivative(f, params: DeformParams):
     """Spectral derivative z^n -> [n] z^(n-1) on polynomials or series."""
     if isinstance(f, Polynomial):
         return rpq_derivative_poly(f, params)
-    if f.normalization != "plain":
-        raise InvalidParameterError("derivative acts on plain series")
     if f.order == 0:
         return FormalSeries([Fraction(0)])
     out = [f.coeffs[n + 1] * rpq_number(params, n + 1)
@@ -246,8 +201,6 @@ def rpq_antiderivative(f, params: DeformParams):
     if isinstance(f, Polynomial):
         from .poly import rpq_antiderivative_poly
         return rpq_antiderivative_poly(f, params)
-    if f.normalization != "plain":
-        raise InvalidParameterError("antiderivative acts on plain series")
     out = [Fraction(0)]
     for n in range(f.order + 1):
         d = rpq_number(params, n + 1)
@@ -327,10 +280,10 @@ def trig_series(params: DeformParams, which: str, order: int,
         g = den.shift_down()
         inv = g.inverse()
         if num_name is None:  # csc = (1/z) (1/g)
-            return FormalSeries(inv.coeffs, inv.normalization, 1)
+            return FormalSeries(inv.coeffs, pole_order=1)
         num = trig_series(params, num_name, order)
         quot = num * inv
-        return FormalSeries(quot.coeffs, quot.normalization, 1)
+        return FormalSeries(quot.coeffs, pole_order=1)
     den = trig_series(params, den_name, order)
     if num_name is None:
         return den.inverse()
@@ -348,7 +301,7 @@ def zigzag_numbers(params: DeformParams, count: int) -> list:
         raise InvalidParameterError("count must be >= 1")
     order = count - 1
     f = trig_series(params, "sec", order) + trig_series(params, "tan", order)
-    return f.to_factorial(params).coeffs[:count]
+    return _factorial_coeffs(f, params)[:count]
 
 
 # -- Bernoulli / Euler / Genocchi families --------------------------------
@@ -374,21 +327,21 @@ def generating_polynomials(params: DeformParams, family: str, x,
     e = make(params, order + 1)
     exz = e.scale_arg(x)
     if family == "bernoulli":
-        em1 = e - FormalSeries([Fraction(1)] + [Fraction(0)] * (order + 1))
+        em1 = e - 1
         if em1.coeffs[1] == 0:
             raise SingularDeformationError(
                 "e(z) - 1 has zero linear term: [1] = 0")
         kernel = em1.shift_down().inverse()          # z/(e(z)-1)
     else:
         two = rpq_number(params, 2)
-        ep1 = e + FormalSeries([Fraction(1)] + [Fraction(0)] * (order + 1))
+        ep1 = e + 1
         kernel = ep1.inverse() * two                 # [2]/(e(z)+1)
     series = (kernel * exz).truncate(order)
     if family == "genocchi":
         # numerator carries a factor z: G_0 = 0, G_(n+1) from slot n
         shifted = [Fraction(0)] + series.coeffs[:order]
         series = FormalSeries(shifted)
-    return series.to_factorial(params).coeffs
+    return _factorial_coeffs(series, params)
 
 
 def euler_star_numbers(params: DeformParams, order: int,
@@ -399,7 +352,7 @@ def euler_star_numbers(params: DeformParams, order: int,
     em = e.scale_arg(Fraction(-1))
     two = rpq_number(params, 2)
     series = (e + em).inverse() * two
-    return series.to_factorial(params).coeffs
+    return _factorial_coeffs(series, params)
 
 
 # -- quantum-algebra realization check ------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
@@ -13,6 +15,7 @@ from rpqcalc.gammabeta import (beta_rpq, gamma_rpq,
                                power_basis_derivative_suite,
                                power_basis_identity_suite,
                                power_basis_infinite, power_basis_poly,
+                               power_basis_poly_reversed,
                                beta_reflection_report, rational_pow_exact,
                                rpq_number_at, taylor_expand,
                                taylor_reconstruct)
@@ -30,6 +33,46 @@ PRESETS = [
     DeformParams.preset("hounkonnou_ngompe", p=F(9, 10), q=F(1, 2)),
     DeformParams.preset("chakrabarty_jagannathan", p=F(9, 10), q=F(1, 2)),
 ]
+
+
+# Reference loops: the power products as each form computed its own,
+# before they were all expressed through ``power_basis``.
+
+def ref_power_basis(x, y, n, mode, params):
+    sign = -1 if mode == "minus" else 1
+    x1, x2 = params.xi1, params.xi2
+    if n >= 0:
+        acc = F(1)
+        for i in range(n):
+            acc = acc * (x * x1 ** i + sign * y * x2 ** i)
+        return acc
+    acc = F(1)
+    for i in range(-n):
+        factor = x * x1 ** (i + n) + sign * y * x2 ** (i + n)
+        if factor == 0:
+            raise ZeroDivisionError
+        acc = acc * factor
+    return 1 / acc
+
+
+def ref_power_basis_poly(a, n, mode, params):
+    sign = -1 if mode == "minus" else 1
+    x1, x2 = params.xi1, params.xi2
+    acc = Polynomial.constant(F(1))
+    for i in range(n):
+        acc = acc * Polynomial({1: x1 ** i, 0: sign * a * x2 ** i})
+    return acc
+
+
+def ref_power_basis_poly_reversed(a, n, params):
+    x1, x2 = params.xi1, params.xi2
+    acc = Polynomial.constant(F(1))
+    for i in range(n):
+        acc = acc * Polynomial({0: a * x1 ** i, 1: -(x2 ** i)})
+    return acc
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=20)
 
 
 class TestRationalPow:
@@ -86,6 +129,51 @@ class TestPowerBasis:
         prod = power_basis_infinite(F(1), F(1, 2), "minus", JS, 64)
         assert prod.truncation == 64
         assert prod.tail_ratio == F(1, 2) * F(1, 2) ** 64
+        assert prod.partial == ref_power_basis(F(1), F(1, 2), 64, "minus",
+                                               JS)
+        with pytest.raises(InvalidParameterError):
+            power_basis_infinite(F(1), F(1, 2), "minus", JS, -1)
+
+
+class TestMergedPowerBasis:
+    """Every power-product form against its reference loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(PRESETS), st.sampled_from(["minus", "plus"]),
+           st.integers(min_value=0, max_value=6), small)
+    def test_polynomial_slots(self, params, mode, n, a):
+        z = Polynomial.monomial(1)
+        first = power_basis_poly(a, n, mode, params)
+        assert first.coeffs == ref_power_basis_poly(a, n, mode, params).coeffs
+        # (a (+) x)^n is (a (-) x)^n at -x
+        want = ref_power_basis_poly_reversed(a, n, params)
+        if mode == "plus":
+            want = want.scale_arg(-1)
+        else:
+            assert power_basis_poly_reversed(a, n, params).coeffs \
+                == want.coeffs
+        second = Polynomial.constant(F(1)) * power_basis(a, z, n, mode,
+                                                          params)
+        assert second.coeffs == want.coeffs
+
+    def test_polynomial_forms_refuse_negative_n(self):
+        # no polynomial is the reciprocal product
+        with pytest.raises(InvalidParameterError):
+            power_basis_poly(F(1, 3), -1, "minus", JS)
+        with pytest.raises(InvalidParameterError):
+            power_basis_poly_reversed(F(1, 3), -2, JS)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(PRESETS), st.sampled_from(["minus", "plus"]),
+           st.integers(min_value=-6, max_value=6), small, small)
+    def test_scalar_slots(self, params, mode, n, x, y):
+        try:
+            want = ref_power_basis(x, y, n, mode, params)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                power_basis(x, y, n, mode, params)
+            return
+        assert power_basis(x, y, n, mode, params) == want
 
 
 class TestIdentitySuites:

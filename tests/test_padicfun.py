@@ -130,12 +130,24 @@ class TestMeasure:
         with pytest.raises(InvalidParameterError):
             volkenborn_measure(25, 2, TW5)
 
-    def test_strong_bound_required(self):
-        weak_q = PadicNumber.from_rational(11, 5, 20)
-        tw = TwistParams(5, PadicNumber.from_rational(6, 5, 20), weak_q, 12)
-        # bounds hold here; a genuinely weak twist needs p = 2 which is
-        # rejected earlier, so check the guard directly
-        tw.require_volkenborn()
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([3, 5, 7]),
+           st.lists(st.tuples(st.integers(min_value=-1, max_value=3),
+                              st.fractions(max_denominator=50)),
+                    min_size=2, max_size=2),
+           st.booleans())
+    def test_strong_bound_required(self, p, offsets, classical):
+        # the exp/log domain v(x - 1) > 1/(p - 1) of the Volkenborn
+        # operations holds for every twist the constructor accepts
+        rho, q = (PadicNumber.from_rational(1 + F(p) ** k * u, p, 12)
+                  for k, u in offsets)
+        try:
+            tw = TwistParams(p, rho, q, 8, classical)
+        except InvalidParameterError:
+            return
+        for x in (tw.rho, tw.q):
+            d = x - 1
+            assert d.is_zero() or F(d.valuation) > F(1, p - 1)
 
 
 class TestVolkenbornIntegral:
@@ -541,6 +553,8 @@ class TestTwistValidation:
     def test_weak_twist_rejected(self):
         with pytest.raises(InvalidParameterError):
             TwistParams.make(5, 2, 11)  # |2 - 1| = 1, not < 1
+        with pytest.raises(InvalidParameterError):
+            TwistParams.make(5, 6, 2)
 
     def test_equal_twists_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpqcalc.deform import DeformParams, rpq_number
-from rpqcalc.errors import (DecayCertificateError, InvalidParameterError,
-                            InvalidRegimeError)
+from rpqcalc.errors import DecayCertificateError, InvalidParameterError
+from rpqcalc.padic import PadicNumber
 from rpqcalc.poly import Polynomial
 from rpqcalc.quadrature import (DecayCertificate, QuadratureSpec,
                                 definite_integral_poly,
@@ -17,6 +19,23 @@ from rpqcalc.quadrature import (DecayCertificate, QuadratureSpec,
 
 JS = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
 SPEC = QuadratureSpec(JS, terms=200)
+
+
+def old_neg_node(spec, j):
+    """The negative-index node as it was computed apart from ``node``
+    (its q/p branch, the only one the parameter range admits)."""
+    p, q = spec.params.p, spec.params.q
+    return F(p) ** (-j - 1) / F(q) ** (-j)
+
+
+@st.composite
+def two_base_params(draw):
+    """Rational 0 < q < p <= 1 of the two-base family."""
+    p = draw(st.fractions(min_value=F(1, 50), max_value=1,
+                          max_denominator=60))
+    q = p * draw(st.fractions(min_value=F(1, 60), max_value=F(59, 60),
+                              max_denominator=60))
+    return DeformParams.preset("jagannathan_srinivasa", p=p, q=q)
 
 
 class TestDefinite:
@@ -65,9 +84,17 @@ class TestJacksonSum:
         nodes = [SPEC.node(r) for r in range(10)]
         assert all(b < a for a, b in zip(nodes, nodes[1:]))
 
-    def test_regime_mismatch(self):
-        with pytest.raises(InvalidRegimeError):
-            QuadratureSpec(JS, regime="p_over_q")
+    @settings(max_examples=60, deadline=None)
+    @given(two_base_params(), st.integers(min_value=-30, max_value=-1))
+    def test_negative_nodes_match_old_formula(self, params, j):
+        spec = QuadratureSpec(params, terms=5)
+        assert spec.node(j) == old_neg_node(spec, j)
+        assert spec.node(j) > spec.node(j + 1) > 0
+
+    def test_padic_params_rejected(self):
+        p, q = (PadicNumber.from_rational(v, 5, 12) for v in (6, 11))
+        with pytest.raises(InvalidParameterError, match="rational p and q"):
+            QuadratureSpec(DeformParams(p, q))
 
     def test_general_kernels_rejected(self):
         bm = DeformParams.preset("biedenharn_macfarlane", q=F(1, 2))

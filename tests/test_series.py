@@ -1,6 +1,7 @@
 """Formal series: derivatives, exponentials, trig, special families."""
 
 import math
+import operator
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -12,7 +13,8 @@ from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.errors import InvalidParameterError, PoleAtOriginError
 from rpqcalc.padic import PadicNumber
 from rpqcalc.poly import Polynomial
-from rpqcalc.series import (FormalSeries, _dot, exp_lower, exp_upper,
+from rpqcalc.series import (FormalSeries, _dot, _factorial_coeffs,
+                            exp_lower, exp_upper,
                             euler_star_numbers, generating_polynomials,
                             operator_algebra_check, rpq_antiderivative,
                             rpq_derivative, trig_series, zigzag_numbers)
@@ -272,22 +274,23 @@ class TestOperatorAlgebra:
 
 
 class TestSeriesProtocol:
-    def test_json_roundtrip(self):
-        s = exp_lower(JS, 6)
-        again = FormalSeries.from_json(s.to_json())
-        assert again == s
-        assert s.to_json()["normalization"] == "plain"
-
     def test_normalization_conversion(self):
-        s = exp_lower(JS, 6)
-        f = s.to_factorial(JS)
-        assert f.normalization == "factorial"
-        assert f.to_plain(JS) == s
+        # slot n of e(z) in factorial normalisation is xi1^C(n,2)
+        for params in PRESETS:
+            got = _factorial_coeffs(exp_lower(params, 6), params)
+            assert got == [params.xi1 ** math.comb(n, 2) for n in range(7)]
 
-    def test_mixed_normalization_rejected(self):
-        s = exp_lower(JS, 6)
-        with pytest.raises(InvalidParameterError):
-            _ = s + s.to_factorial(JS)
+    def test_mixed_pole_orders_rejected(self):
+        csc = trig_series(JS, "csc", 6, laurent=True)
+        for op in (operator.add, operator.sub):
+            with pytest.raises(InvalidParameterError):
+                op(csc, exp_lower(JS, 6))
+
+    def test_scalar_shift(self):
+        e = exp_lower(JS, 6)
+        assert (e - 1).coeffs == [F(0)] + e.coeffs[1:]
+        assert (e + 1).coeffs == [F(2)] + e.coeffs[1:]
+        assert (1 - e).coeffs == [-c for c in (e - 1).coeffs]
 
 
 def term_sum(xs, ys):

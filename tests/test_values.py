@@ -65,7 +65,7 @@ CASES = {
                     ("prime", "rho", "q", "precision", "classical"), False),
     "QuadratureSpec": (QuadratureSpec,
                        lambda: QuadratureSpec(_js(), terms=10),
-                       ("params", "terms", "regime"), True),
+                       ("params", "terms"), True),
     "DecayCertificate": (DecayCertificate,
                          lambda: DecayCertificate(F(1, 2), F(3)),
                          ("gamma", "bound", "gamma_large", "bound_large"),
