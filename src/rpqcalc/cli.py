@@ -488,12 +488,13 @@ def _cmd_table(args) -> int:
     elif args.kind in ("bernoulli", "euler", "genocchi"):
         from . import series
         vals = series.generating_polynomials(
-            params, args.kind, args.x, args.count - 1)
+            params, args.kind, args.x, args.count - 1) if args.count else []
         rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
         header = ["n", "value"]
     elif args.kind == "zigzag":
         from . import series
-        vals = series.zigzag_numbers(params, args.count)
+        vals = series.zigzag_numbers(params, args.count) \
+            if args.count else []
         rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
         header = ["n", "value"]
     elif args.kind == "volkenborn":
@@ -646,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("-a", type=_fraction, default=Fraction(0))
     ev.add_argument("-b", type=_fraction, default=Fraction(1))
     ev.add_argument("--coeffs", default="")
-    ev.add_argument("--truncation", type=int, default=256)
+    ev.add_argument("--truncation", type=_positive_int, default=256)
     ev.set_defaults(func=_cmd_eval)
 
     ck = sub.add_parser("check", parents=[common],

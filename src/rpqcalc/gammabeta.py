@@ -180,6 +180,9 @@ def gamma_rpq(z, params: DeformParams,
     """Deformed gamma.  Positive integers take the exact factorial
     path Gamma(n+1) = [n]!; rational arguments use the truncated
     normalized product with a reported geometric tail bound."""
+    if truncation < 1:
+        raise InvalidParameterError(
+            f"truncation must be >= 1; got {truncation}")
     z = Fraction(z)
     if z.denominator == 1:
         n = z.numerator - 1
@@ -417,7 +420,7 @@ def beta_reflection_report(params: DeformParams, x,
     b = beta_rpq(x, 1 - x, params, truncation)
     gg = gamma_rpq(x, params, truncation).value \
         * gamma_rpq(1 - x, params, truncation).value
-    sin_ref = Fraction(math.sin(math.pi * float(x))).limit_denominator(
+    sin_ref = Fraction(math.sin(math.pi * x)).limit_denominator(
         10 ** 18)
     classical_rhs = PI_64 / sin_ref if sin_ref != 0 else None
     return {"identity": "beta reflection", "asserted": False,

@@ -84,9 +84,38 @@ def padic_norm(x) -> Fraction:
     raise InvalidParameterError("padic_norm expects a PadicNumber")
 
 
-def _exp_domain_bound(p: int) -> Fraction:
-    # convergence of exp needs v(x) > 1/(p-1)
-    return Fraction(1, p - 1)
+def _exp_terms(v, p: int, target: int, arg: str = "x") -> int:
+    """The first N with N (v - 1/(p-1)) >= target.  When v(x) >= v,
+    every term x^n/n! with n >= N has valuation above
+    n v - n/(p-1) >= target (v(n!) < n/(p-1)), so the terms n < N give
+    exp(x) mod p^target.  The series converges exactly when
+    v > 1/(p-1) (Robert, GTM 198, ch. 5); outside that domain the
+    ``ConvergenceDomainError`` names ``arg``."""
+    if v == math.inf:
+        return 1
+    if v * (p - 1) <= 1:
+        raise ConvergenceDomainError(
+            f"exp requires |{arg}|_p < p^(-1/(p-1)), i.e. v({arg}) > "
+            f"{Fraction(1, p - 1)}; got v({arg}) = {v}")
+    return max(1, -(-target * (p - 1) // (v * (p - 1) - 1)))
+
+
+def _log_terms(w: int, p: int, target: int, arg: str = "u - 1") -> int:
+    """The first N with N w - floor(log_p N) >= target.  When
+    v(x) >= w, every term x^n/n of log(1 + x) with n >= N has valuation
+    at least n w - floor(log_p n) >= target: the gap is nondecreasing in
+    n (each step adds w >= 1, the log term grows by at most 1).  The
+    series converges exactly when v(x) > 0 (Robert, GTM 198, ch. 5);
+    outside that domain the ``ConvergenceDomainError`` names ``arg``."""
+    if w < 1:
+        raise ConvergenceDomainError(
+            f"log requires |{arg}|_p < 1; got v({arg}) = {w}")
+    n, k, pk = 1, 0, p  # k = floor(log_p n), pk = p^(k+1)
+    while n * w - k < target:
+        n += 1
+        if n == pk:
+            k, pk = k + 1, pk * p
+    return n
 
 
 class PadicNumber:
@@ -339,23 +368,15 @@ class PadicNumber:
         p = self.prime
         if self.unit == 0:
             return PadicNumber.one(p, self._val)
-        bound = _exp_domain_bound(p)
-        if Fraction(self._val) <= bound:
-            raise ConvergenceDomainError(
-                f"exp requires |x|_p < p^(-1/(p-1)), i.e. v(x) > {bound}; "
-                f"got v(x) = {self._val}")
         A = self.absolute_precision
+        terms = _exp_terms(self._val, p, A)
         m = p ** A
         u, v = self.unit % m, self._val
         acc = 1 % m
         upow = 1
         fact_unit = 1      # n! = p^fact_val * fact_unit
         fact_val = 0
-        n = 0
-        while True:
-            n += 1
-            if n * (v * (p - 1) - 1) >= A * (p - 1):
-                break
+        for n in range(1, terms):
             upow = upow * u % m
             k = n
             while k % p == 0:
@@ -374,20 +395,13 @@ class PadicNumber:
         x = self - 1
         if x.is_zero():
             return PadicNumber.zero(p, x._val)
-        if x._val < 1:
-            raise ConvergenceDomainError(
-                f"log requires |u - 1|_p < 1; got v(u-1) = {x._val}")
         A = min(self.absolute_precision, x.absolute_precision)
+        terms = _log_terms(x._val, p, A)
         m = p ** A
         a, w = x.unit % m, x._val
         acc = 0
         apow = 1
-        # first n with n*w - floor(log_p n) >= A; the gap is nondecreasing
-        # in n (each step adds w >= 1 and the log term grows by at most 1)
-        n_max = 2
-        while n_max * w - (len(_base_digits(n_max, p)) - 1) < A:
-            n_max += 1
-        for n in range(1, n_max + 1):
+        for n in range(1, terms):
             apow = apow * a % m
             f = 0
             k = n
@@ -470,14 +484,6 @@ class PadicNumber:
         return cls(p, obj["valuation"], unit, obj["precision"])
 
 
-def _base_digits(n: int, p: int) -> list[int]:
-    out = []
-    while n:
-        out.append(n % p)
-        n //= p
-    return out or [0]
-
-
 def _sqrt_mod_p(a: int, p: int):
     """Tonelli-Shanks; None when a is a non-residue."""
     a %= p
@@ -521,13 +527,9 @@ def padic_log(u: PadicNumber) -> PadicNumber:
 
 def padic_power(q: PadicNumber, x) -> PadicNumber:
     """q^x = exp(x log q); requires |q - 1|_p < p^(-1/(p-1))."""
-    p = q.prime
     d = q - 1
-    bound = _exp_domain_bound(p)
-    if not d.is_zero() and Fraction(d._val) <= bound:
-        raise ConvergenceDomainError(
-            f"q^x requires |q-1|_p < p^(-1/(p-1)), i.e. v(q-1) > {bound}; "
-            f"got v(q-1) = {d._val}")
+    if not d.is_zero():  # v(log q) = v(q - 1) must lie in the exp domain
+        _exp_terms(d._val, q.prime, 0, "q - 1")
     if not isinstance(x, PadicNumber):
-        x = PadicNumber.from_rational(x, p, max(q.prec, 1))
+        x = PadicNumber.from_rational(x, q.prime, max(q.prec, 1))
     return (x * q.log()).exp()

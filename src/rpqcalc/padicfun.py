@@ -29,9 +29,9 @@ from . import _kernel
 from ._util import Frozen
 from .deform import (DeformParams, IdentityResult, SuiteReport,
                      rpq_factorial, rpq_number)
-from .errors import (ConvergenceDomainError, InvalidParameterError,
-                     NoConvergenceError)
-from .padic import PadicNumber, int_valuation, is_prime
+from .errors import InvalidParameterError, NoConvergenceError
+from .padic import (PadicNumber, int_valuation, is_prime, padic_power,
+                    padic_valuation)
 from .poly import Polynomial
 
 DEFAULT_LEVELS = 6
@@ -503,20 +503,12 @@ def volkenborn_shift_check(f: Polynomial, tw: TwistParams,
 
 # -- Carlitz-type Bernoulli polynomials ------------------------------------
 
-def _twist_power(base: PadicNumber, a: Fraction,
-                 tw: TwistParams) -> PadicNumber:
-    """base^a for rational a via exp(a log base)."""
+def _twist_power(base: PadicNumber, a: Fraction) -> PadicNumber:
+    """base^a for rational a: exact for integers, else exp(a log base)."""
     a = Fraction(a)
     if a.denominator == 1:
         return base ** a.numerator
-    lg = base.log()
-    x = PadicNumber.from_rational(a, tw.prime, tw.work_precision)
-    arg = x * lg
-    if Fraction(arg.valuation) <= Fraction(1, tw.prime - 1):
-        raise ConvergenceDomainError(
-            f"rho^a leaves the exp domain: v(a log rho) = "
-            f"{arg.valuation}")
-    return arg.exp()
+    return padic_power(base, a)
 
 
 def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
@@ -540,10 +532,10 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
                 "classical path expects integer x")
         f = lambda t: Fraction(x + t) ** n
         return volkenborn_integral(f, tw, max_level)
-    rho_a = _twist_power(tw.rho, a, tw)
+    rho_a = _twist_power(tw.rho, a)
     if isinstance(x, PadicNumber):
-        rho_x = (x * tw.rho.log()).exp()
-        q_x = (x * tw.q.log()).exp()
+        rho_x = padic_power(tw.rho, x)
+        q_x = padic_power(tw.q, x)
     else:
         rho_x, q_x = tw.rho ** int(x), tw.q ** int(x)
     if method == "direct":
@@ -560,7 +552,7 @@ def _carlitz_moments(n, a, rho_x, q_x, tw, max_level):
     coeffs = [math.comb(n, r) * bracket_x ** (n - r) * q_x ** r
               for r in range(n + 1)]
     streams = [_moment_sums(
-        r, tw.q / tw.rho * _twist_power(tw.rho, a + n - r, tw), tw)
+        r, tw.q / tw.rho * _twist_power(tw.rho, a + n - r), tw)
         for r in range(n + 1)]
     zero = PadicNumber.zero(tw.prime, tw.work_precision)
     return _converge((_resolved(sum(map(mul, coeffs, moments), zero), N, tw)
@@ -585,13 +577,7 @@ def fermionic_integral(f: Callable, prime: int,
         _at_levels(accumulate(terms, initial=Fraction(0)), prime),
         max_level,
         lambda t: PadicNumber.from_rational(t, prime, precision),
-        lambda d: _rat_valuation(d, prime))
-
-
-def _rat_valuation(x: Fraction, p: int):
-    if x == 0:
-        return float("inf")
-    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
+        lambda d: padic_valuation(d, prime))
 
 
 def fermionic_shift_check(f: Polynomial, prime: int,

@@ -2,9 +2,9 @@
 
 Series keep exact scalar coefficients c_0..c_M.  Arithmetic
 truncates to the smaller order.  A ``pole_order`` of 1 marks the
-Laurent results 1/z * (series) produced by csc and coth.  The
-polynomial families and the zigzag numbers are read off in factorial
-normalisation, c_n [n]!.
+Laurent results 1/z * (series) produced by csc and coth; products add
+pole orders, sums need equal ones.  The polynomial families and the
+zigzag numbers are read off in factorial normalisation, c_n [n]!.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return FormalSeries([c * other for c in self.coeffs],
                                 self.pole_order)
-        self._check_compat(other)
+        # z^(-a) f * z^(-b) g = z^(-a-b) fg: pole orders add
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = [_dot(a[:k + 1], b[k::-1]) for k in range(n + 1)]

@@ -19,7 +19,7 @@ from typing import NamedTuple, Union
 from ._util import Frozen
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from .padic import PadicNumber, is_prime
+from .padic import PadicNumber, _exp_terms, _log_terms, is_prime
 from .poly import Polynomial
 
 Scalar = Union[int, Fraction, PadicNumber]
@@ -149,72 +149,25 @@ def commutator(A: Mat2Padic, B: Mat2Padic) -> Mat2Padic:
     return A @ B - B @ A
 
 
-def _exp_domain(p: int) -> Fraction:
-    return Fraction(1, p - 1)
-
-
-def _eigen_certificate(S: Mat2Padic, t: PadicNumber):
-    """Verify the convergence condition for exp(tS) from the
-    characteristic polynomial: eigenvalues must lie in Q_p (no
-    quadratic extension) and satisfy v(t lambda) > 1/(p-1)."""
-    p = S.prime
-    tr, det = S.trace(), S.det()
-    disc = tr * tr - 4 * det
-    if disc.is_zero():
-        # double eigenvalue tr/2; no constraint when it vanishes
-        lam_vals = [] if tr.is_zero() else [(tr / 2).valuation]
-    else:
-        if disc.valuation % 2:
-            raise ConvergenceDomainError(
-                "eigenvalues need a ramified quadratic extension; "
-                "rejected")
-        try:
-            root = disc.sqrt()
-        except ConvergenceDomainError:
-            raise ConvergenceDomainError(
-                "eigenvalues need an unramified quadratic extension; "
-                "rejected")
-        lam1 = (tr + root) / 2
-        lam2 = (tr - root) / 2
-        lam_vals = [v.valuation for v in (lam1, lam2) if not v.is_zero()]
-    bound = _exp_domain(p)
-    tv = t.valuation if not t.is_zero() else None
-    for lv in lam_vals:
-        if tv is None:
-            continue
-        if Fraction(tv + lv) <= bound:
-            raise ConvergenceDomainError(
-                f"need v(t*eigenvalue) > 1/(p-1) = {bound}; got "
-                f"{tv + lv}")
-
-
 def mat_exp(S: Mat2Padic, t) -> Mat2Padic:
     """exp(tS) = sum (tS)^n / n!, truncated by valuation growth.
 
-    Nilpotent S (S^2 = 0 to precision) returns exactly I + tS; the
-    general case requires the eigenvalue certificate."""
+    Nilpotent S (S^2 = 0 to precision) returns exactly I + tS.
+    Otherwise every entry of tS needs v > 1/(p-1); the eigenvalues of
+    tS then lie in the domain too, in Q_p or a quadratic extension."""
     p = S.prime
     if not isinstance(t, PadicNumber):
         t = PadicNumber.from_rational(Fraction(t), p, S.precision + 2)
     tS = S.scaled(t)
     if (S @ S).is_zero():
         return Mat2Padic.identity(p, S.precision + 2) + tS
-    _eigen_certificate(S, t)
     target = min(e.absolute_precision for e in tS.entries())
-    acc = Mat2Padic.identity(p, target)
-    term = Mat2Padic.identity(p, target)
-    n = 0
-    v_ts = tS.min_valuation()
-    while True:
-        n += 1
-        if n * (v_ts * (p - 1) - 1) >= target * (p - 1):
-            break
-        term = term @ tS
-        term = term.scaled(
+    terms = _exp_terms(tS.min_valuation(), p, target, "tS")
+    acc = term = Mat2Padic.identity(p, target)
+    for n in range(1, terms):
+        term = (term @ tS).scaled(
             PadicNumber.from_rational(Fraction(1, n), p, target + n))
         acc = acc + term
-        if n > 8 * target + 16:
-            raise ConvergenceDomainError("exp series did not terminate")
     return acc
 
 
@@ -227,34 +180,24 @@ def mat_log(g: Mat2Padic) -> Mat2Padic:
     if not (g.det() - 1).is_zero():
         raise InvalidParameterError("need det g = 1 to precision")
     tr2 = g.trace() - 2
-    if not tr2.is_zero() and Fraction(tr2.valuation) <= \
-            2 * _exp_domain(p):
+    if not tr2.is_zero() and Fraction(tr2.valuation) <= Fraction(2, p - 1):
         raise ConvergenceDomainError(
             f"need |tr g - 2|_p < p^(-2/(p-1)); got valuation "
             f"{tr2.valuation}")
     X = g - ident
-    vx = X.min_valuation()
     if X.is_zero():
         return Mat2Padic.zero(p, prec)
-    if vx < 1:
-        raise ConvergenceDomainError(
-            "need g = I mod p for the logarithm series")
+    target = min(e.absolute_precision for e in X.entries())
+    terms = _log_terms(X.min_valuation(), p, target, "g - I")
     if (X @ X).is_zero():
         return X
-    target = min(e.absolute_precision for e in X.entries())
     acc = Mat2Padic.zero(p, target)
     power = Mat2Padic.identity(p, target)
-    n = 0
-    while True:
-        n += 1
-        if n * vx - (n.bit_length() * 2) >= target and n > 4:
-            break
+    for n in range(1, terms):
         power = power @ X
         coeff = Fraction(1, n) if n % 2 else Fraction(-1, n)
         acc = acc + power.scaled(
             PadicNumber.from_rational(coeff, p, target + n))
-        if n > 8 * target + 16:
-            break
     return acc
 
 

@@ -170,6 +170,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "--precision" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "gamma", "-z", "1/2", "-q", "9/25", "--truncation", "0"),
+        ("eval", "gamma", "-z", "1/2", "-q", "9/25", "--truncation", "-5"),
+        ("eval", "beta", "-x", "1/2", "-y", "1/3", "--truncation", "0"),
+    ])
+    def test_truncation_below_one_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--truncation" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("prime", ["0", "1"])
     @pytest.mark.parametrize("argv", [
         ("pgamma", "-n", "5"),
@@ -345,6 +355,10 @@ class TestCheck:
         assert "--format csv" in err
 
 
+TABLE_KINDS = ("numbers", "factorials", "bernoulli", "euler", "genocchi",
+               "zigzag", "volkenborn")
+
+
 class TestTables:
     def test_zeta_csv_schema(self, capsys, tmp_path):
         out_path = tmp_path / "zeta.csv"
@@ -395,6 +409,20 @@ class TestTables:
         with out_path.open() as fh:
             rows = list(csv.reader(fh))
         assert rows == [["n", "value"]]
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_count_zero_header_only(self, capsys, kind):
+        code, out, err = run(capsys, "table", "--kind", kind,
+                             "--count", "0")
+        header = "r,moment,converged" if kind == "volkenborn" else "n,value"
+        assert (code, out, err) == (0, header + "\n", "")
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_negative_count_is_two(self, capsys, kind):
+        code, out, err = run(capsys, "table", "--kind", kind,
+                             "--count", "-1")
+        assert code == 2 and out == ""
+        assert "--count" in err and "Traceback" not in err
 
 
 class TestPadicCommands:

@@ -243,6 +243,18 @@ class TestGamma:
             gamma_rpq(F(1, 2), flipped)
 
 
+    @pytest.mark.parametrize("truncation", [0, -5])
+    @pytest.mark.parametrize("z", [F(1, 2), F(3)])
+    def test_truncation_below_one_refused(self, truncation, z):
+        with pytest.raises(InvalidParameterError, match="truncation"):
+            gamma_rpq(z, JS9, truncation)
+        with pytest.raises(InvalidParameterError, match="truncation"):
+            beta_rpq(z, F(1, 3), JS9, truncation)
+
+    def test_truncation_one_is_a_product_of_one_term(self):
+        assert gamma_rpq(F(1, 2), JS9, 1).terms == 1
+
+
 class TestBeta:
     def test_unit_values(self):
         b = beta_rpq(1, 1, JS)

@@ -1,0 +1,66 @@
+"""The README promises no floating point in the library.  Every float
+in ``src/rpqcalc`` is the sentinel ``float("inf")`` (or ``math.inf``),
+there are no float literals, and float-valued ``math`` names appear
+only in ``gammabeta.beta_reflection_report``, which reports a measured
+comparison against the classical pi/sin(pi x) and asserts nothing."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rpqcalc"
+# math names whose values are exact integers, or the infinity sentinel
+EXACT_MATH = frozenset(("comb", "factorial", "gcd", "inf", "isqrt", "lcm",
+                        "perm", "prod"))
+FLOAT_MATH_SITES = {("gammabeta.py", "beta_reflection_report"):
+                    frozenset(("sin", "pi"))}
+
+
+def _is_inf_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float" and not node.keywords
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "inf")
+
+
+def _violations(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for stmt in tree.body:
+        site = (path.name, getattr(stmt, "name", None))
+        allowed_math = EXACT_MATH | FLOAT_MATH_SITES.get(site, frozenset())
+        inf_calls = {id(n.func) for n in ast.walk(stmt) if _is_inf_call(n)}
+        for node in ast.walk(stmt):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Name) and node.id == "float" \
+                    and id(node) not in inf_calls:
+                yield f"{where}: float other than float(\"inf\")"
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, float):
+                yield f"{where}: float literal {node.value!r}"
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "math" \
+                    and node.attr not in allowed_math:
+                yield f"{where}: math.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                yield from (f"{where}: from math import {a.name}"
+                            for a in node.names if a.name not in EXACT_MATH)
+
+
+def test_no_floating_point_outside_the_known_site():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, "no modules found: wrong package path?"
+    found = [v for path in paths for v in _violations(path)]
+    assert not found, f"floating point in src/rpqcalc: {found}"
+
+
+def test_the_known_site_is_still_seen():
+    """The check reads the one float-valued site it allows, so a rename
+    of that function is not silently exempted."""
+    path = PACKAGE / "gammabeta.py"
+    tree = ast.parse(path.read_text())
+    fn = next(s for s in tree.body
+              if getattr(s, "name", None) == "beta_reflection_report")
+    used = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "math"}
+    assert used == {"sin", "pi"}

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError)
@@ -170,6 +170,58 @@ class TestExpLog:
         q = PadicNumber.from_rational(2, 5, 8)
         with pytest.raises(ConvergenceDomainError):
             padic_power(q, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 4),
+       num=st.integers(-50, 50).filter(bool), den=st.integers(1, 50),
+       prec=st.integers(1, 10))
+def test_exp_log_match_rational_series(p, k, num, den, prec):
+    """exp and log against their rational partial sums, taken far past
+    the term counts the library certifies."""
+    assume(num % p and den % p)
+    x = F(num, den) * p ** k
+    px = PadicNumber.from_rational(x, p, prec)
+    if k * (p - 1) <= 1:  # p = 2, v(x) = 1: outside the exp domain
+        with pytest.raises(ConvergenceDomainError):
+            px.exp()
+    else:
+        oracle = sum(x ** n / math.factorial(n) for n in range(4 * (k + prec)))
+        assert px.exp() == PadicNumber.from_rational(oracle, p, k + prec)
+    oracle = sum((-1) ** (n - 1) * x ** n / n
+                 for n in range(1, 4 * (k + prec)))
+    assert (1 + px).log() == PadicNumber.from_rational(oracle, p, k + prec)
+
+
+class TestSqrt:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([3, 7, 11, 13, 17, 41]),
+           r=st.integers(1, 10 ** 6), k=st.integers(-2, 2),
+           prec=st.integers(1, 12))
+    def test_root_squares_back(self, p, r, k, prec):
+        """p = 3, 7, 11 take the (p+1)/4 power, p = 13, 17, 41 the
+        Tonelli-Shanks loop."""
+        assume(r % p)
+        x = PadicNumber.from_rational(F(r * r) * F(p) ** (2 * k), p, prec)
+        root = x.sqrt()
+        assert root.valuation == k and root.precision == prec
+        assert root * root == x
+
+    def test_zero(self):
+        root = PadicNumber.zero(5, 10).sqrt()
+        assert root.is_zero() and root.absolute_precision == 5
+
+    def test_non_residue_refused(self):
+        with pytest.raises(ConvergenceDomainError, match="residue"):
+            PadicNumber.from_rational(2, 5, 8).sqrt()
+
+    def test_odd_valuation_refused(self):
+        with pytest.raises(ConvergenceDomainError, match="odd valuation"):
+            PadicNumber.from_rational(F(4, 5), 5, 8).sqrt()
+
+    def test_prime_two_refused(self):
+        with pytest.raises(InvalidParameterError):
+            PadicNumber.from_rational(9, 2, 8).sqrt()
 
 
 class TestExternalForms:

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import _kernel, padicfun
 from rpqcalc.deform import DeformParams
-from rpqcalc.errors import InvalidParameterError, NoConvergenceError
+from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
+                            NoConvergenceError)
 from rpqcalc.padic import PadicNumber
 from rpqcalc.padicfun import (ConvergenceReport, TwistParams,
                               carlitz_bernoulli, delta_factor,
@@ -353,6 +354,66 @@ class TestCarlitz:
     def test_rejects_bad_method(self):
         with pytest.raises(InvalidParameterError):
             carlitz_bernoulli(1, F(0), 0, TW5, 3, method="fast")
+
+    def test_trivial_rho_with_rational_a(self):
+        """rho = 1 makes rho^(at) = 1, so a drops out (the old twist
+        power died taking the valuation of log 1 = 0)."""
+        tw = TwistParams.make(5, 1, 6, precision=12)
+        base = carlitz_bernoulli(2, F(0), 0, tw, 3)
+        for a in (F(1, 2), F(1, 5)):
+            rep = carlitz_bernoulli(2, a, 0, tw, 3)
+            assert [str(v) for v in rep.values] == \
+                [str(v) for v in base.values]
+
+
+def _old_twist_power(base, a, tw):
+    """base^a as the Carlitz values computed it before it went through
+    ``padic.padic_power``: exp(a log base) with its own domain check."""
+    a = F(a)
+    if a.denominator == 1:
+        return base ** a.numerator
+    lg = base.log()
+    x = PadicNumber.from_rational(a, tw.prime, tw.work_precision)
+    arg = x * lg
+    if F(arg.valuation) <= F(1, tw.prime - 1):
+        raise ConvergenceDomainError(
+            f"rho^a leaves the exp domain: v(a log rho) = {arg.valuation}")
+    return arg.exp()
+
+
+def _power_outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except ConvergenceDomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]),
+       offsets=st.lists(st.tuples(st.integers(0, 3),
+                                  st.fractions(max_denominator=50)),
+                        min_size=2, max_size=2),
+       precision=st.integers(2, 12),
+       a=st.fractions(max_denominator=60), a_shift=st.integers(-2, 1))
+@example(p=5, offsets=[(0, F(0)), (1, F(1))], precision=4, a=F(1, 2),
+         a_shift=1)
+def test_twist_power_matches_old_loop(p, offsets, precision, a, a_shift):
+    """The Carlitz twist power through ``padic_power``: identical repr
+    and identical refusals on every twist ``TwistParams.make`` accepts,
+    except where log base = 0 (base = 1), which the old loop could not
+    take the valuation of and which now gives 1."""
+    try:
+        tw = TwistParams.make(p, *(1 + F(p) ** k * u for k, u in offsets),
+                              precision)
+    except InvalidParameterError:
+        return
+    a = a * F(p) ** a_shift
+    for base in (tw.rho, tw.q):
+        new = _power_outcome(padicfun._twist_power, base, a)
+        if (base - 1).is_zero() and a.denominator != 1:
+            assert (padicfun._twist_power(base, a) - 1).is_zero()
+            continue
+        assert new == _power_outcome(_old_twist_power, base, a, tw)
 
 
 class TestFermionic:

@@ -286,6 +286,19 @@ class TestSeriesProtocol:
             with pytest.raises(InvalidParameterError):
                 op(csc, exp_lower(JS, 6))
 
+    def test_laurent_products_add_pole_orders(self):
+        csc = trig_series(JS, "csc", 6, laurent=True)
+        e = exp_lower(JS, 6)
+        prod = csc * e
+        assert prod.pole_order == 1
+        assert prod.coeffs == [
+            sum(csc.coeffs[j] * e.coeffs[k - j] for j in range(k + 1))
+            for k in range(7)]
+        assert (e * csc).coeffs == prod.coeffs
+        one = csc.inverse() * csc
+        assert one.pole_order == 0
+        assert one.coeffs == [1] + [0] * 6
+
     def test_scalar_shift(self):
         e = exp_lower(JS, 6)
         assert (e - 1).coeffs == [F(0)] + e.coeffs[1:]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             PoleError)
@@ -114,6 +116,145 @@ class TestExpLog:
         g = Mat2Padic.from_rational([[1, 0], [0, 6]], 5, 10)
         with pytest.raises(InvalidParameterError):
             mat_log(g)
+
+
+# Reference loops: matrix exp and log as they were before the series
+# domains and term counts moved into ``padic``.  The old exp also
+# demanded eigenvalues in Q_p, certified through the characteristic
+# polynomial.
+
+def _old_eigen_certificate(S, t):
+    p = S.prime
+    tr, det = S.trace(), S.det()
+    disc = tr * tr - 4 * det
+    if disc.is_zero():
+        lam_vals = [] if tr.is_zero() else [(tr / 2).valuation]
+    else:
+        if disc.valuation % 2:
+            raise ConvergenceDomainError(
+                "eigenvalues need a ramified quadratic extension; rejected")
+        try:
+            root = disc.sqrt()
+        except ConvergenceDomainError:
+            raise ConvergenceDomainError(
+                "eigenvalues need an unramified quadratic extension; "
+                "rejected")
+        lam1 = (tr + root) / 2
+        lam2 = (tr - root) / 2
+        lam_vals = [v.valuation for v in (lam1, lam2) if not v.is_zero()]
+    bound = F(1, p - 1)
+    tv = t.valuation if not t.is_zero() else None
+    for lv in lam_vals:
+        if tv is None:
+            continue
+        if F(tv + lv) <= bound:
+            raise ConvergenceDomainError("need v(t*eigenvalue) > 1/(p-1)")
+
+
+def _old_mat_exp(S, t):
+    p = S.prime
+    if not isinstance(t, PadicNumber):
+        t = PadicNumber.from_rational(F(t), p, S.precision + 2)
+    tS = S.scaled(t)
+    if (S @ S).is_zero():
+        return Mat2Padic.identity(p, S.precision + 2) + tS
+    _old_eigen_certificate(S, t)
+    target = min(e.absolute_precision for e in tS.entries())
+    acc = Mat2Padic.identity(p, target)
+    term = Mat2Padic.identity(p, target)
+    n = 0
+    v_ts = tS.min_valuation()
+    while True:
+        n += 1
+        if n * (v_ts * (p - 1) - 1) >= target * (p - 1):
+            break
+        term = term @ tS
+        term = term.scaled(
+            PadicNumber.from_rational(F(1, n), p, target + n))
+        acc = acc + term
+        if n > 8 * target + 16:
+            raise ConvergenceDomainError("exp series did not terminate")
+    return acc
+
+
+def _old_mat_log(g):
+    p = g.prime
+    prec = g.precision
+    ident = Mat2Padic.identity(p, prec + 2)
+    if not (g.det() - 1).is_zero():
+        raise InvalidParameterError("need det g = 1 to precision")
+    tr2 = g.trace() - 2
+    if not tr2.is_zero() and F(tr2.valuation) <= F(2, p - 1):
+        raise ConvergenceDomainError("trace")
+    X = g - ident
+    vx = X.min_valuation()
+    if X.is_zero():
+        return Mat2Padic.zero(p, prec)
+    if vx < 1:
+        raise ConvergenceDomainError("need g = I mod p")
+    if (X @ X).is_zero():
+        return X
+    target = min(e.absolute_precision for e in X.entries())
+    acc = Mat2Padic.zero(p, target)
+    power = Mat2Padic.identity(p, target)
+    n = 0
+    while True:
+        n += 1
+        if n * vx - (n.bit_length() * 2) >= target and n > 4:
+            break
+        power = power @ X
+        coeff = F(1, n) if n % 2 else F(-1, n)
+        acc = acc + power.scaled(
+            PadicNumber.from_rational(coeff, p, target + n))
+        if n > 8 * target + 16:
+            break
+    return acc
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ConvergenceDomainError, InvalidParameterError) as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11]), prec=st.integers(3, 9),
+       shift=st.integers(-1, 1),
+       abc=st.tuples(*[st.integers(-30, 30)] * 3),
+       d=st.one_of(st.none(), st.integers(-30, 30)),
+       t_unit=st.sampled_from([1, 2, 3, -1, -2, 4]),
+       t_val=st.integers(0, 2))
+# eigenvalues +-sqrt(2) (unramified) and +-sqrt(5) (ramified) at p = 5
+@example(p=5, prec=8, shift=0, abc=(0, 1, 2), d=None, t_unit=1, t_val=1)
+@example(p=5, prec=8, shift=0, abc=(0, 1, 5), d=None, t_unit=1, t_val=1)
+def test_exp_log_match_old_loops(p, prec, shift, abc, d, t_unit, t_val):
+    """Wherever the old loops return, the new give the identical repr.
+    Where the old exp refused only for eigenvalues in a quadratic
+    extension, small entries now suffice: exp(tS) exp(-tS) = I, and a
+    trace-zero tS comes back through the logarithm.  Everything else
+    both refuse."""
+    a, b, c = abc
+    rows = [[a, b], [c, -a if d is None else d]]
+    S = Mat2Padic.from_rational(
+        [[F(x) * F(p) ** shift for x in row] for row in rows], p, prec)
+    t = F(t_unit) * F(p) ** t_val
+    tS = S.scaled(PadicNumber.from_rational(t, p, prec + 2))
+    old, new = _outcome(_old_mat_exp, S, t), _outcome(mat_exp, S, t)
+    if isinstance(old, Mat2Padic):
+        assert repr(new) == repr(old)
+        old_log, new_log = _outcome(_old_mat_log, old), _outcome(mat_log, new)
+        if isinstance(old_log, Mat2Padic):
+            assert repr(new_log) == repr(old_log)
+        else:
+            assert type(new_log) is type(old_log)
+    elif "quadratic extension" in str(old) \
+            and tS.min_valuation() * (p - 1) > 1:
+        assert new @ mat_exp(S, -t) == Mat2Padic.identity(p, prec)
+        if S.trace().is_zero():
+            assert mat_log(new) == tS
+    else:
+        assert isinstance(new, ConvergenceDomainError)
 
 
 class TestCongruenceLevel:
