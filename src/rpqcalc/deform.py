@@ -6,8 +6,9 @@ deformed number of n is R(p^n, q^n).  Six named presets are provided
 ``classical`` (the p = q -> 1 limit, [n] = n) and ``custom`` rational
 kernels N(u, v)/D(u, v) given by Laurent-polynomial coefficient lists.
 
-Everything is generic over the scalar domain: parameters may be exact
-rationals or truncated p-adic numbers.
+Every parameter and value is an exact rational (``Fraction``).  The
+p-adic deformed numbers over twists rho, q = 1 (mod p) live in
+``padicfun`` (``TwistParams`` and ``number_at``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import NamedTuple, Optional
 
 from ._util import Frozen
 from .errors import InvalidParameterError, SingularityError
-from .padic import PadicNumber
 
 PRESET_KINDS = (
     "heine",
@@ -146,16 +146,21 @@ def _default_twists(kind: str, p, q):
     return p, q  # jagannathan_srinivasa and custom kernels
 
 
+def _rational(name: str, x) -> Fraction:
+    try:
+        return Fraction(x)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{name} must be rational; got {type(x).__name__} (p-adic "
+            "twists go through padicfun.TwistParams)") from None
+
+
 class DeformParams(Frozen):
     """Bound deformation parameters: scalars p, q, twist bases, kernel.
 
-    For rational parameters the standing assumption 0 < q < p <= 1 is
-    enforced (p != q always); R(p^n, q^n) is sanity-checked positive on
-    a finite window at binding time.
-
-    Unhashable over p-adic values: ``PadicNumber``'s precision-aware
-    ``==`` is not transitive (1 + O(5) equals 1 + O(5^2) and 6 + O(5^2),
-    which differ), so no hash is consistent with it.
+    All four scalars are rational; the standing assumption
+    0 < q < p <= 1 is enforced (p != q always); R(p^n, q^n) is
+    sanity-checked positive on a finite window at binding time.
     """
 
     _fields = ("p", "q", "structure", "xi1", "xi2")
@@ -165,39 +170,27 @@ class DeformParams(Frozen):
         if structure is None:
             structure = StructureFunction.preset("jagannathan_srinivasa")
         kind = structure.kind
-        rational = not (isinstance(p, PadicNumber)
-                        or isinstance(q, PadicNumber))
-        if rational:
-            p, q = Fraction(p), Fraction(q)
-        if kind != "classical":
-            if rational:
-                if not (0 < q and q < p <= 1):
-                    raise InvalidParameterError(
-                        f"need 0 < q < p <= 1; got p = {p}, q = {q}")
-            elif (p - q) == 0:
-                raise InvalidParameterError("need p != q")
+        p, q = _rational("p", p), _rational("q", q)
+        if kind != "classical" and not (0 < q and q < p <= 1):
+            raise InvalidParameterError(
+                f"need 0 < q < p <= 1; got p = {p}, q = {q}")
         if xi1 is None:
             x1, x2 = _default_twists(kind, p, q)
             xi1, xi2 = x1, x2 if xi2 is None else xi2
         elif xi2 is None:
             raise InvalidParameterError("set both twist bases or neither")
-        if rational:
-            xi1, xi2 = Fraction(xi1), Fraction(xi2)
-        self._set(p, q, structure, xi1, xi2)
-        self._bind_check(rational)
+        self._set(p, q, structure, _rational("xi1", xi1),
+                  _rational("xi2", xi2))
+        self._bind_check()
 
-    def _bind_check(self, rational: bool, window: int = POSITIVITY_WINDOW):
+    def _bind_check(self, window: int = POSITIVITY_WINDOW):
         if self.structure.kind != "custom":
             return  # preset positivity holds on the assumed range
         for n in range(1, window + 1):
             val = rpq_number(self, n)
-            if rational:
-                if val <= 0:
-                    raise InvalidParameterError(
-                        f"custom kernel gives R(p^{n}, q^{n}) = {val} <= 0")
-            elif isinstance(val, PadicNumber) and val.is_zero():
+            if val <= 0:
                 raise InvalidParameterError(
-                    f"custom kernel gives R(p^{n}, q^{n}) = 0")
+                    f"custom kernel gives R(p^{n}, q^{n}) = {val} <= 0")
 
     @classmethod
     def preset(cls, kind: str, p=1, q=Fraction(1, 2), xi1=None, xi2=None):
@@ -205,7 +198,7 @@ class DeformParams(Frozen):
 
     @cached_property
     def _factorials(self) -> list:
-        return [_one_like(self)]
+        return [Fraction(1)]
 
     def powered(self, k: int) -> "DeformParams":
         """Parameters for R(p^k, q^k): p, q and both twists k-th powered."""
@@ -225,38 +218,21 @@ class DeformParams(Frozen):
         c = self.twist_scale()
         x1, x2 = self.xi1, self.xi2
         d = x1 - x2
-        if _scalar_is_zero(d):
+        if d == 0:
             return False
         return all(rpq_number(self, n) == c * (x1 ** n - x2 ** n) / d
                    for n in range(1, window + 1))
 
 
-def _scalar_is_zero(x) -> bool:
-    if isinstance(x, PadicNumber):
-        return x.is_zero()
-    return x == 0
-
-
 def rpq_number(params: DeformParams, n: int):
-    """[n] = R(p^n, q^n).  Exact in the parameters' scalar domain."""
+    """[n] = R(p^n, q^n), an exact rational."""
     if n < 0:
         raise InvalidParameterError(f"deformed number needs n >= 0; got {n}")
-    kind = params.structure.kind
-    if kind == "classical":
-        if isinstance(params.p, PadicNumber):
-            return PadicNumber.from_rational(n, params.p.prime,
-                                             params.p.precision)
+    if params.structure.kind == "classical":
         return Fraction(n)
     if n == 0:
-        return _zero_like(params)
+        return Fraction(0)
     return params.structure.value(params.p ** n, params.q ** n, params)
-
-
-def _zero_like(params: DeformParams):
-    if isinstance(params.p, PadicNumber):
-        return PadicNumber.zero(params.p.prime,
-                                params.p.absolute_precision)
-    return Fraction(0)
 
 
 def rpq_factorial(params: DeformParams, n: int):
@@ -268,12 +244,6 @@ def rpq_factorial(params: DeformParams, n: int):
         # a slot write, not append: a racing thread rewrites the same value
         facts[k:k + 1] = [facts[k - 1] * rpq_number(params, k)]
     return facts[n]
-
-
-def _one_like(params: DeformParams):
-    if isinstance(params.p, PadicNumber):
-        return PadicNumber.one(params.p.prime, params.p.precision)
-    return Fraction(1)
 
 
 def rpq_binomial(params: DeformParams, m: int, n: int):

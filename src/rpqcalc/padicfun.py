@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, count, islice, repeat, takewhile
 from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import _kernel
 from ._util import Frozen
-from .deform import (DeformParams, IdentityResult, SuiteReport,
-                     rpq_factorial, rpq_number)
+from .deform import IdentityResult, SuiteReport
 from .errors import InvalidParameterError, NoConvergenceError
 from .padic import (PadicNumber, int_valuation, is_prime, padic_power,
                     padic_valuation)
@@ -45,7 +43,9 @@ class TwistParams(Frozen):
     required, so v(rho - 1), v(q - 1) >= 1 > 1/(p - 1): every accepted
     twist lies in the exp/log domain the Volkenborn operations need.
     The kernel is the two-base one, or [j] = j when ``classical``.
-    Unhashable, as ``DeformParams`` over p-adic values is (see there).
+    Unhashable: ``PadicNumber``'s precision-aware ``==`` is not
+    transitive (1 + O(5) equals 1 + O(5^2) and 6 + O(5^2), which
+    differ), so no hash is consistent with it.
     """
 
     _fields = ("prime", "rho", "q", "precision", "classical")
@@ -86,12 +86,6 @@ class TwistParams(Frozen):
         one = PadicNumber.one(prime, work)
         return cls(prime, one, one, precision, classical=True)
 
-    @cached_property
-    def deform_params(self) -> DeformParams:
-        """The matching preset: the check suites' reference."""
-        kind = "classical" if self.classical else "jagannathan_srinivasa"
-        return DeformParams.preset(kind, self.rho, self.q)
-
     def powered(self, k: int) -> "TwistParams":
         return TwistParams(self.prime, self.rho ** k, self.q ** k,
                            self.precision, self.classical)
@@ -111,6 +105,13 @@ def number_at(tw: TwistParams, z: int) -> PadicNumber:
     if tw.classical:
         return PadicNumber.from_rational(z, tw.prime, tw.work_precision)
     return (tw.rho ** z - tw.q ** z) / (tw.rho - tw.q)
+
+
+def _factorials(tw: TwistParams, n: int) -> list:
+    """[0]!, [1]!, ..., [n]!: running products of ``number_at``."""
+    return list(accumulate((number_at(tw, k) for k in range(1, n + 1)), mul,
+                           initial=PadicNumber.one(tw.prime,
+                                                   tw.work_precision)))
 
 
 def _bracket_product(m: int, sign: int, tw: TwistParams) -> PadicNumber:
@@ -190,15 +191,14 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     p = tw.prime
-    dp = tw.deform_params
     twp = tw.powered(p)
     results = []
     m = n // p
-    fact_n = rpq_factorial(dp, n)
-    bracket_p = rpq_number(dp, p)
-    fact_m_powered = rpq_factorial(twp.deform_params, m)
+    facts, facts_powered = _factorials(tw, n), _factorials(twp, n)
+    fact_n = facts[n]
+    bracket_p = number_at(tw, p)
     lhs = padic_gamma_rpq(n + 1, tw)
-    rhs = fact_n / (bracket_p ** m * fact_m_powered)
+    rhs = fact_n / (bracket_p ** m * facts_powered[m])
     if (n + 1) % 2:
         rhs = -rhs
     results.append(IdentityResult(
@@ -216,9 +216,7 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
     if not tw.classical:
         rho, q = tw.rho, tw.q
         for j, mj in enumerate(levels):
-            lhs_r = rpq_factorial(dp, mj) / (
-                bracket_p ** mj
-                * rpq_factorial(twp.deform_params, mj))
+            lhs_r = facts[mj] / (bracket_p ** mj * facts_powered[mj])
             rhs_r = PadicNumber.one(p, tw.work_precision)
             for k in range(1, mj + 1):
                 rhs_r = rhs_r * (rho ** k - q ** k) / (
@@ -237,7 +235,7 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
         twj = tw.powered(p ** j)
         prod = prod * padic_gamma_rpq(nj + 1, twj)
         nj1 = nj // p
-        prod = prod * rpq_number(twj.deform_params, p) ** nj1
+        prod = prod * number_at(twj, p) ** nj1
         sign += nj + 1
     if sign % 2:
         prod = -prod

@@ -1,4 +1,4 @@
-"""Exact univariate polynomials over any exact scalar domain.
+"""Exact univariate polynomials with rational coefficients.
 
 Sparse coefficient map keyed by degree; zero coefficients are never
 stored.  Used as the exact carrier for derivative/integral rules and
@@ -22,7 +22,7 @@ class Polynomial:
         if coeffs:
             for n, c in (coeffs.items() if isinstance(coeffs, dict)
                          else enumerate(coeffs)):
-                if not _is_zero(c):
+                if c != 0:
                     clean[int(n)] = c
         object.__setattr__(self, "coeffs", clean)
 
@@ -52,7 +52,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(_eq(self.coefficient(k), other.coefficient(k))
+        return all(self.coefficient(k) == other.coefficient(k)
                    for k in keys)
 
     __hash__ = None
@@ -109,7 +109,7 @@ class Polynomial:
     def __call__(self, x):
         """Horner evaluation at a scalar."""
         if not self.coeffs:
-            return Fraction(0) if not hasattr(x, "prime") else x * 0
+            return Fraction(0)
         acc = None
         for n in sorted(self.coeffs, reverse=True):
             c = self.coeffs[n]
@@ -131,19 +131,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def _is_zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
-
-
-def _eq(a, b) -> bool:
-    if hasattr(a, "is_zero") or hasattr(b, "is_zero"):
-        d = a - b
-        return d.is_zero() if hasattr(d, "is_zero") else d == 0
-    return a == b
-
-
 def rpq_derivative_poly(f: Polynomial, params) -> Polynomial:
     """Spectral derivative: z^n -> [n] z^(n-1)."""
     from .deform import rpq_number
@@ -157,7 +144,7 @@ def rpq_antiderivative_poly(f: Polynomial, params) -> Polynomial:
     out = {}
     for n, c in f.coeffs.items():
         d = rpq_number(params, n + 1)
-        if _is_zero(d):
+        if d == 0:
             raise SingularDeformationError(
                 f"[{n + 1}] = 0: antiderivative undefined at degree {n}")
         out[n + 1] = c / d

@@ -36,11 +36,6 @@ class QuadratureSpec(Frozen):
                 "node-sum quadrature is defined for the two-base "
                 "(p, q) family only; use the exact antiderivative "
                 "for other kernels")
-        p, q = self.params.p, self.params.q
-        if not (isinstance(p, Fraction) and isinstance(q, Fraction)):
-            raise InvalidParameterError(
-                f"node-sum quadrature needs rational p and q "
-                f"(0 < q < p <= 1); got p = {p}, q = {q}")
 
     def node(self, j: int) -> Fraction:
         p, q = self.params.p, self.params.q

@@ -1,10 +1,11 @@
 """Truncated formal power series and the deformed special series.
 
-Series keep exact scalar coefficients c_0..c_M.  Arithmetic
-truncates to the smaller order.  A ``pole_order`` of 1 marks the
-Laurent results 1/z * (series) produced by csc and coth; products add
-pole orders, sums need equal ones.  The polynomial families and the
-zigzag numbers are read off in factorial normalisation, c_n [n]!.
+Series keep exact rational coefficients c_0..c_M (``int`` or
+``Fraction``).  Arithmetic truncates to the smaller order.  A
+``pole_order`` of 1 marks the Laurent results 1/z * (series) produced
+by csc and coth; products add pole orders, sums need equal ones.  The
+polynomial families and the zigzag numbers are read off in factorial
+normalisation, c_n [n]!.
 """
 
 from __future__ import annotations
@@ -19,21 +20,11 @@ from .errors import (InvalidParameterError, PoleAtOriginError,
 from .poly import Polynomial, rpq_derivative_poly
 
 
-_RATIONAL = frozenset((int, Fraction))
-
-
 def _dot(xs, ys):
-    """sum(x * y) over paired exact coefficients.
+    """sum(x * y) over paired rational coefficients.
 
-    Rational terms go over one common denominator and are reduced once,
-    instead of one gcd-reduced ``Fraction`` addition per term.  Other
-    scalars (p-adic numbers) are summed term by term."""
-    if not (_RATIONAL.issuperset(map(type, xs))
-            and _RATIONAL.issuperset(map(type, ys))):
-        acc = Fraction(0)
-        for x, y in zip(xs, ys):
-            acc = acc + x * y
-        return acc
+    The terms go over one common denominator and are reduced once,
+    instead of one gcd-reduced ``Fraction`` addition per term."""
     nums, dens = [], []
     for x, y in zip(xs, ys):
         nums.append(x.numerator * y.numerator)
@@ -124,14 +115,14 @@ class FormalSeries:
             raise PoleAtOriginError(
                 "series has zero constant term; use Laurent mode")
         b = self.coeffs
-        out = [1 / b0]
+        out = [Fraction(1) / b0]
         for n in range(1, self.order + 1):
             out.append(-_dot(out, b[n:0:-1]) / b0)
         return FormalSeries(out, -self.pole_order)
 
     def __truediv__(self, other):
         if not isinstance(other, FormalSeries):
-            return FormalSeries([c / other for c in self.coeffs],
+            return FormalSeries([Fraction(c) / other for c in self.coeffs],
                                 self.pole_order)
         return self * other.inverse()
 

@@ -517,9 +517,13 @@ def run(*argv):
     return text.getvalue()
 
 
-run("pgamma", "-n", "5")
-out["pgamma"] = loaded()
-for argv in sys.argv[1:]:
+# the commands before "--" run first; out["lead"] is what they loaded
+args = sys.argv[1:]
+cut = args.index("--")
+for argv in args[:cut]:
+    run(*argv.split(" "))
+out["lead"] = loaded()
+for argv in args[cut + 1:]:
     run(*argv.split(" "))
 out["json"] = "json" in sys.modules  # every command so far prints text
 g = run("spin", "exp")
@@ -544,14 +548,19 @@ except AttributeError as exc:
 print(json.dumps(out))
 """
 
-SURFACE_COMMANDS = [
+# commands served by the Fraction layers alone
+FRACTION_COMMANDS = [
     *(["eval", op] for op in ("number", "factorial", "binomial", "gamma",
                               "beta")),
     ["eval", "integral", "--coeffs", "1,2"],
     ["eval", "derivative", "--coeffs", "1,2"],
     *(["table", "--kind", kind, "--count", "3"]
-      for kind in ("numbers", "factorials", "bernoulli", "zigzag",
-                   "volkenborn")),
+      for kind in ("numbers", "factorials", "bernoulli", "zigzag")),
+]
+
+SURFACE_COMMANDS = [
+    *FRACTION_COMMANDS,
+    ["table", "--kind", "volkenborn", "--count", "3"],
     ["table", "--kind", "zeta", "--format", "csv"],
     ["zeta", "eval"],
     ["zeta", "table"],
@@ -562,20 +571,30 @@ SURFACE_COMMANDS = [
 ]
 
 
-def test_import_surface():
-    """The package and the CLI load submodules only on use, never
-    ``dataclasses``, and ``json`` only for JSON in or out; one fresh
-    process runs every subcommand."""
+def _import_surface(lead, rest):
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SURFACE,
-         *(" ".join(argv) for argv in SURFACE_COMMANDS)],
+         *(" ".join(argv) for argv in lead), "--",
+         *(" ".join(argv) for argv in rest)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["bare"] == []
+    return json.loads(proc.stdout)
+
+
+def test_import_surface():
+    """The package and the CLI load submodules only on use, never
+    ``dataclasses``, and ``json`` only for JSON in or out; one fresh
+    process runs every subcommand.  Run first in a fresh process, the
+    Fraction-layer commands load neither ``padic`` nor ``padicfun``,
+    and ``pgamma`` loads none of the Fraction-only modules."""
+    pgamma = [["pgamma", "-n", "5"]]
     assert not {"rpqcalc.gammabeta", "rpqcalc.quadrature", "rpqcalc.series",
-                "rpqcalc.spinzeta"} & set(out["pgamma"])
+                "rpqcalc.spinzeta"} & set(_import_surface(pgamma, [])["lead"])
+    out = _import_surface(FRACTION_COMMANDS,
+                          SURFACE_COMMANDS[len(FRACTION_COMMANDS):] + pgamma)
+    assert out["bare"] == []
+    assert not {"rpqcalc.padic", "rpqcalc.padicfun"} & set(out["lead"])
     assert set(out["codes"].values()) == {0}, out["codes"]
     assert len(out["codes"]) == len(SURFACE_COMMANDS) + 5
     assert out["json"] is False

@@ -1,8 +1,7 @@
 """The README promises no floating point in the library.  Every float
 in ``src/rpqcalc`` is the sentinel ``float("inf")`` (or ``math.inf``),
-there are no float literals, and float-valued ``math`` names appear
-only in ``gammabeta.beta_reflection_report``, which reports a measured
-comparison against the classical pi/sin(pi x) and asserts nothing."""
+there are no float literals, and no float-valued ``math`` name appears
+anywhere."""
 
 import ast
 from pathlib import Path
@@ -11,8 +10,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rpqcalc"
 # math names whose values are exact integers, or the infinity sentinel
 EXACT_MATH = frozenset(("comb", "factorial", "gcd", "inf", "isqrt", "lcm",
                         "perm", "prod"))
-FLOAT_MATH_SITES = {("gammabeta.py", "beta_reflection_report"):
-                    frozenset(("sin", "pi"))}
 
 
 def _is_inf_call(node):
@@ -26,8 +23,6 @@ def _is_inf_call(node):
 def _violations(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for stmt in tree.body:
-        site = (path.name, getattr(stmt, "name", None))
-        allowed_math = EXACT_MATH | FLOAT_MATH_SITES.get(site, frozenset())
         inf_calls = {id(n.func) for n in ast.walk(stmt) if _is_inf_call(n)}
         for node in ast.walk(stmt):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
@@ -40,7 +35,7 @@ def _violations(path):
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.value, ast.Name) \
                     and node.value.id == "math" \
-                    and node.attr not in allowed_math:
+                    and node.attr not in EXACT_MATH:
                 yield f"{where}: math.{node.attr}"
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 yield from (f"{where}: from math import {a.name}"
@@ -53,14 +48,3 @@ def test_no_floating_point_outside_the_known_site():
     found = [v for path in paths for v in _violations(path)]
     assert not found, f"floating point in src/rpqcalc: {found}"
 
-
-def test_the_known_site_is_still_seen():
-    """The check reads the one float-valued site it allows, so a rename
-    of that function is not silently exempted."""
-    path = PACKAGE / "gammabeta.py"
-    tree = ast.parse(path.read_text())
-    fn = next(s for s in tree.body
-              if getattr(s, "name", None) == "beta_reflection_report")
-    used = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
-            and isinstance(n.value, ast.Name) and n.value.id == "math"}
-    assert used == {"sin", "pi"}

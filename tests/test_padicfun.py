@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import _kernel, padicfun
-from rpqcalc.deform import DeformParams
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             NoConvergenceError)
 from rpqcalc.padic import PadicNumber
@@ -95,6 +94,16 @@ class TestDecomposition:
             rep = factorial_decomposition_check(n, tw)
             assert rep.passed, [r.name for r in rep.results
                                 if not r.passed]
+
+    def test_factorials_embed_the_rational_product(self):
+        # [n]! as the running product of number_at equals the embedding
+        # of the exact product of (6^k - 11^k)/(6 - 11)
+        want = F(1)
+        for n, got in enumerate(padicfun._factorials(TW5, 12)):
+            if n:
+                want *= F(6 ** n - 11 ** n, 6 - 11)
+            emb = PadicNumber.from_rational(want, 5, TW5.work_precision)
+            assert got == emb and got.precision >= TW5.precision, n
 
     def test_small_n_degenerates(self):
         # n < p: the quotient part is empty and the check reduces to
@@ -526,11 +535,6 @@ class TestRestrictedFactorialMemo:
             assert got == want and str(got) == str(want), (x, y)
         assert filled == make() and repr(filled) == repr(make())
 
-    def test_deform_params_built_once(self):
-        tw = TwistParams.make(5, 6, 11, precision=12)
-        assert tw.deform_params is tw.deform_params
-        assert tw.deform_params == DeformParams(tw.rho, tw.q)
-
 
 class TestGammaLimit:
     def test_digit_truncation_convergence(self):
@@ -627,7 +631,7 @@ class TestTwistValidation:
         a, b, c = (PadicNumber(5, 0, 1, 1), PadicNumber(5, 0, 1, 2),
                    PadicNumber(5, 0, 6, 2))
         assert a == b and a == c and b != c
-        for obj in (a, TW5, CL5, TW5.deform_params):
+        for obj in (a, TW5, CL5):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(obj)
 

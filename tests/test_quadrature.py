@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rpqcalc.deform import DeformParams, rpq_number
 from rpqcalc.errors import DecayCertificateError, InvalidParameterError
-from rpqcalc.padic import PadicNumber
 from rpqcalc.poly import Polynomial
 from rpqcalc.quadrature import (DecayCertificate, QuadratureSpec,
                                 definite_integral_poly,
@@ -90,11 +89,6 @@ class TestJacksonSum:
         spec = QuadratureSpec(params, terms=5)
         assert spec.node(j) == old_neg_node(spec, j)
         assert spec.node(j) > spec.node(j + 1) > 0
-
-    def test_padic_params_rejected(self):
-        p, q = (PadicNumber.from_rational(v, 5, 12) for v in (6, 11))
-        with pytest.raises(InvalidParameterError, match="rational p and q"):
-            QuadratureSpec(DeformParams(p, q))
 
     def test_general_kernels_rejected(self):
         bm = DeformParams.preset("biedenharn_macfarlane", q=F(1, 2))

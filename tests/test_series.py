@@ -6,12 +6,11 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.errors import InvalidParameterError, PoleAtOriginError
-from rpqcalc.padic import PadicNumber
 from rpqcalc.poly import Polynomial
 from rpqcalc.series import (FormalSeries, _dot, _factorial_coeffs,
                             exp_lower, exp_upper,
@@ -321,7 +320,7 @@ def reference_mul(a, b):
 
 def reference_inverse(s):
     b0 = s.coeffs[0]
-    out = [1 / b0]
+    out = [F(1) / b0]
     for n in range(1, s.order + 1):
         out.append(-term_sum(out, s.coeffs[n:0:-1]) / b0)
     return out
@@ -350,21 +349,16 @@ class TestDot:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(scalars, min_size=1, max_size=10),
            st.lists(scalars, min_size=1, max_size=10))
+    @example([1, 3, 2], [1, 2])
+    @example([2, 1], [3, 2])
     def test_mul_and_inverse(self, a, b):
+        # integer coefficients divide exactly, never into floats
+        exact = lambda s: all(type(c) in (int, F) for c in s.coeffs)
         sa, sb = FormalSeries(a), FormalSeries(b)
         assert (sa * sb).coeffs == reference_mul(sa, sb)
+        assert exact(sa * sb)
         if a[0] != 0:
-            assert sa.inverse().coeffs == reference_inverse(sa)
-
-    def test_padic_series(self):
-        # p-adic coefficients keep the term-by-term sum: same digits and
-        # the same precision as before
-        p, q = (PadicNumber.from_rational(v, 5, 12) for v in (6, 11))
-        params = DeformParams(p, q)
-        e, E = exp_lower(params, 7), exp_upper(params, 7)
-        as_json = lambda cs: [c.to_json() for c in cs]
-        for a, b in ((e, E), (E.scale_arg(F(-1)), e), (e, e)):
-            assert as_json((a * b).coeffs) == as_json(reference_mul(a, b))
-        assert as_json(e.inverse().coeffs) == as_json(reference_inverse(e))
-        unit = (E.scale_arg(F(-1)) * e).coeffs
-        assert unit[0] == 1 and all(c.is_zero() for c in unit[1:])
+            inv = sa.inverse()
+            assert inv.coeffs == reference_inverse(sa) and exact(inv)
+            for quot, divisor in ((sb / sa, sa), (sb / a[0], a[0])):
+                assert exact(quot) and quot * divisor == sb

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rpqcalc.deform import (DeformParams, IdentityResult, StructureFunction,
                             SuiteReport, rpq_factorial)
 from rpqcalc.gammabeta import BetaValue, GammaValue, InfiniteProduct
-from rpqcalc.padic import PadicNumber
 from rpqcalc.padicfun import ConvergenceReport, TwistParams, volkenborn_moment
 from rpqcalc.quadrature import (DecayCertificate, ImproperResult,
                                 QuadratureSpec)
@@ -21,10 +20,6 @@ from rpqcalc.spinzeta import (LocalZetaRational, ZetaSpinValue, zeta_p_factor,
 
 def _js():
     return DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
-
-
-def _padic(v):
-    return PadicNumber.from_rational(v, 5, 12)
 
 
 # name -> (class, factory of fresh equal instances, fields, hashable)
@@ -58,9 +53,6 @@ CASES = {
                           ("kind", "numerator", "denominator"), True),
     "DeformParams": (DeformParams, _js,
                      ("p", "q", "structure", "xi1", "xi2"), True),
-    "DeformParams[padic]": (DeformParams,
-                            lambda: DeformParams(_padic(6), _padic(11)),
-                            ("p", "q", "structure", "xi1", "xi2"), False),
     "TwistParams": (TwistParams, lambda: TwistParams.make(5, 6, 11),
                     ("prime", "rho", "q", "precision", "classical"), False),
     "QuadratureSpec": (QuadratureSpec,
@@ -150,8 +142,3 @@ def test_memos_stay_out_of_eq_hash_and_repr():
     fresh = _js()
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh)
-    tw = TwistParams.make(5, 6, 11)
-    rpq_factorial(tw.deform_params, 4)
-    assert "deform_params" in vars(tw)
-    assert tw == TwistParams.make(5, 6, 11)
-    assert repr(tw) == repr(TwistParams.make(5, 6, 11))
