@@ -65,55 +65,82 @@ def _prime(text: str) -> int:
     return p
 
 
-def _deform_parser() -> argparse.ArgumentParser:
-    """The options of _params, registered only where it runs."""
-    d = argparse.ArgumentParser(add_help=False)
-    d.add_argument("--preset",
-                   help="structure-function preset name "
-                        "(default jagannathan_srinivasa)")
-    d.add_argument("--kernel", metavar="PATH",
-                   help="JSON file with a custom kernel "
-                        "{numerator:[[s,t,coeff]...], denominator:[...]}")
-    d.add_argument("-p", type=_fraction, help="default 1")
-    d.add_argument("--xi1", type=_fraction)
-    d.add_argument("--xi2", type=_fraction)
-    return d
+_OUTPUT = dict(format="plain", out=None)
+# preset None is DeformParams' default kernel, jagannathan_srinivasa
+_DEFORM = dict(_OUTPUT, preset=None, kernel=None, p=Fraction(1),
+               q=Fraction(1, 2), xi1=None, xi2=None)
+_PRIME = dict(_OUTPUT, prime=5)
+# rho and q None are 1 + p and 1 + 2p, which follow --prime
+_TWIST = dict(_PRIME, q=None, rho=None, precision=DEFAULT_PRECISION)
+_GRID = dict(_OUTPUT, primes=(2, 3), s_values=(2, 3, 4))
+_MATRIX = dict(_OUTPUT, matrix_file=None, matrix_json=None)
 
-
-_SCALAR_OPTIONS = {
-    "-q": dict(type=_fraction,
-               help="default 1/2, or 1 + 2 --prime for a p-adic twist"),
-    "--rho": dict(type=_fraction,
-                  help="p-adic twist parameter (rational embedded); "
-                       "default 1 + --prime"),
-    "--precision": dict(type=_positive_int,
-                        help=f"p-adic digits; default {DEFAULT_PRECISION}"),
+# Each subcommand, with its operation or --kind, and the options it
+# reads (by dest) with their defaults.  main refuses any other option
+# given; a default of None for -n, -x or -y of pgamma and pbeta is never
+# used, as argparse requires those options.
+SCOPE = {
+    "eval number": dict(_DEFORM, n=0),
+    "eval factorial": dict(_DEFORM, n=0),
+    "eval binomial": dict(_DEFORM, m=0, n=0),
+    "eval gamma": dict(_DEFORM, z=Fraction(1), truncation=256),
+    "eval beta": dict(_DEFORM, x=Fraction(1), y=Fraction(1),
+                      truncation=256),
+    "eval integral": dict(_DEFORM, coeffs="", a=Fraction(0),
+                          b=Fraction(1)),
+    "eval derivative": dict(_DEFORM, coeffs=""),
+    "check": dict(_OUTPUT, module=(), classical_limit=False),
+    "table --kind numbers": dict(_DEFORM, count=11),
+    "table --kind factorials": dict(_DEFORM, count=11),
+    "table --kind bernoulli": dict(_DEFORM, count=11, x=Fraction(0)),
+    "table --kind euler": dict(_DEFORM, count=11, x=Fraction(0)),
+    "table --kind genocchi": dict(_DEFORM, count=11, x=Fraction(0)),
+    "table --kind zigzag": dict(_DEFORM, count=11),
+    "table --kind volkenborn": dict(_TWIST, count=11, levels=6),
+    "table --kind zeta": _GRID,
+    "spin exp": dict(_PRIME, precision=DEFAULT_PRECISION, generator="z",
+                     scale=Fraction(1), t=Fraction(5)),
+    "spin log": _MATRIX,
+    "spin level": _MATRIX,
+    "zeta eval": dict(_PRIME, s=3),
+    "zeta table": _GRID,
+    "volkenborn": dict(_TWIST, moment=1, levels=6),
+    "pgamma": dict(_TWIST, n=None),
+    "pbeta": dict(_TWIST, x=None, y=None),
+    "carlitz": dict(_TWIST, n=1, a_param=Fraction(0), x_int=0, levels=6,
+                    method="direct"),
 }
 
 
-def _add_options(parser, *flags):
-    """Register the named options of _SCALAR_OPTIONS, only on the
-    subcommands that read them.  They default to None, resolved where
-    read, so table can refuse those its kind ignores."""
-    for flag in flags:
-        parser.add_argument(flag, **_SCALAR_OPTIONS[flag])
-
-
-def _common_parser() -> argparse.ArgumentParser:
-    c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("--prime", type=_prime, default=5)
-    c.add_argument("--format", choices=("json", "csv", "plain"),
-                   default="plain")
-    c.add_argument("--out", metavar="PATH")
-    return c
+def _scope(args):
+    """Refuse every option given that the operation of ``args`` does not
+    read, then fill in the defaults of those it does (argparse stores
+    only the options given)."""
+    key = args.command
+    if "kind" in args:
+        key += f" --kind {args.kind}"
+    elif "operation" in args:
+        key += f" {args.operation}"
+    reads = SCOPE[key]
+    unread = [("-" if len(dest) == 1 else "--") + dest.replace("_", "-")
+              for dest in vars(args) if dest not in reads
+              and dest not in ("command", "func", "operation", "kind")]
+    if unread:
+        raise InvalidParameterError(f"{key} takes no {', '.join(unread)}")
+    for dest, default in reads.items():
+        if dest not in args:
+            setattr(args, dest, default)
 
 
 def _params(args):
     from .deform import DeformParams, StructureFunction  # eval and table
-    if args.kernel and args.preset is not None:
+    if args.kernel is None:
+        structure = (None if args.preset is None
+                     else StructureFunction.preset(args.preset))
+    elif args.preset is not None:
         raise InvalidParameterError(
             "--preset and --kernel are mutually exclusive")
-    if args.kernel:
+    else:
         import json  # --kernel only
         try:
             with open(args.kernel) as fh:
@@ -122,21 +149,14 @@ def _params(args):
             raise _IOFail(str(exc))
         except MALFORMED as exc:
             raise InvalidParameterError(f"malformed --kernel file: {exc!r}")
-    else:
-        structure = StructureFunction.preset(
-            args.preset if args.preset is not None
-            else "jagannathan_srinivasa")
-    p = args.p if args.p is not None else Fraction(1)
-    q = args.q if args.q is not None else Fraction(1, 2)
-    return DeformParams(p, q, structure, args.xi1, args.xi2)
+    return DeformParams(args.p, args.q, structure, args.xi1, args.xi2)
 
 
 def _twist(args):
     from .padicfun import TwistParams  # the p-adic commands only
-    rho = args.rho if args.rho is not None else 1 + args.prime
-    q = args.q if args.q is not None else Fraction(1 + 2 * args.prime)
-    return TwistParams.make(args.prime, rho, q,
-                            precision=args.precision or DEFAULT_PRECISION)
+    rho = 1 + args.prime if args.rho is None else args.rho
+    q = 1 + 2 * args.prime if args.q is None else args.q
+    return TwistParams.make(args.prime, rho, q, precision=args.precision)
 
 
 class _IOFail(Exception):
@@ -222,7 +242,7 @@ def _cmd_eval(args) -> int:
         _emit(args, {"op": "integral", "a": _rat_str(args.a),
                      "b": _rat_str(args.b), "value": _rat_str(val)},
               _rat_str(val))
-    elif op == "derivative":
+    else:  # derivative; main has refused any operation not in SCOPE
         from . import series  # derivative only
         f = _poly_from_coeffs(args.coeffs)
         d = series.rpq_derivative(f, params)
@@ -230,8 +250,6 @@ def _cmd_eval(args) -> int:
                   for k in range(max(d.degree, 0) + 1)]
         _emit(args, {"op": "derivative", "coefficients": coeffs},
               ",".join(coeffs))
-    else:
-        raise InvalidParameterError(f"unknown eval operation {op!r}")
     return 0
 
 
@@ -247,7 +265,7 @@ def _poly_from_coeffs(text: str):
 
 # -- check ------------------------------------------------------------------
 
-def _suites_for(module: str, args):
+def _suites_for(module: str):
     # each branch loads only the module it checks (and what that imports)
     from .deform import DeformParams
     q = Fraction(1, 2)
@@ -411,7 +429,7 @@ def _cmd_check(args) -> int:
     if args.format == "csv":
         raise InvalidParameterError(
             "check writes a JSON report; --format csv is not supported")
-    modules = args.module or []
+    modules = args.module
     if "all" in modules:
         modules = list(CHECK_MODULES)
     if not modules:
@@ -421,7 +439,7 @@ def _cmd_check(args) -> int:
     first_failure = None
     for module in modules:
         suites = []
-        for suite in _suites_for(module, args):
+        for suite in _suites_for(module):
             sj = suite.to_json()
             suites.append(sj)
             if not suite.passed and first_failure is None:
@@ -453,25 +471,10 @@ def _cmd_check(args) -> int:
 
 # -- table ------------------------------------------------------------------
 
-# the options of table that only some kinds read (dest -> flag); every
-# kind refuses the others rather than ignore them
-_TABLE_OPTIONS = {"preset": "--preset", "kernel": "--kernel", "p": "-p",
-                  "xi1": "--xi1", "xi2": "--xi2", "q": "-q", "rho": "--rho",
-                  "precision": "--precision"}
-_FRACTION_OPTIONS = ("preset", "kernel", "p", "xi1", "xi2", "q")
-_KIND_OPTIONS = {"volkenborn": ("q", "rho", "precision"), "zeta": ()}
-
-
 def _cmd_table(args) -> int:
     if args.kind != "zeta" and args.count < 0:
         raise InvalidParameterError(f"need --count >= 0; got {args.count}")
-    reads = _KIND_OPTIONS.get(args.kind, _FRACTION_OPTIONS)
-    refused = [flag for dest, flag in _TABLE_OPTIONS.items()
-               if dest not in reads and getattr(args, dest, None) is not None]
-    if refused:
-        raise InvalidParameterError(
-            f"table --kind {args.kind} takes no {', '.join(refused)}")
-    params = None if args.kind in _KIND_OPTIONS else _params(args)
+    params = None if args.kind in ("volkenborn", "zeta") else _params(args)
     # each kind loads only the module it tabulates
     if args.kind == "numbers":
         from . import deform
@@ -506,7 +509,7 @@ def _cmd_table(args) -> int:
             rows.append([str(r), str(rep.best_value),
                          str(rep.converged)])
         header = ["r", "moment", "converged"]
-    elif args.kind == "zeta":
+    else:  # zeta
         from . import spinzeta
         rows = []
         for p in args.primes:
@@ -515,8 +518,6 @@ def _cmd_table(args) -> int:
                 rows.append([str(p), str(s), str(v.numerator),
                              str(v.denominator)])
         header = ["p", "s", "value-num", "value-den"]
-    else:
-        raise InvalidParameterError(f"unknown table kind {args.kind!r}")
     payload = {"kind": args.kind, "header": header, "rows": rows}
     if args.format == "plain":
         lines = [",".join(header)] + [",".join(r) for r in rows]
@@ -550,9 +551,8 @@ def _cmd_spin(args) -> int:
     if args.operation == "exp":
         gens = dict(zip(
             ("minus", "z", "plus"),
-            spinzeta.spin_generators(
-                args.scale, args.prime,
-                args.precision or DEFAULT_PRECISION)))
+            spinzeta.spin_generators(args.scale, args.prime,
+                                     args.precision)))
         S = gens[args.generator]
         g = spinzeta.mat_exp(S, args.t)
         _emit(args, g.to_json(), json.dumps(g.to_json()))
@@ -573,7 +573,7 @@ def _cmd_zeta(args) -> int:
         z = spinzeta.zeta_spin_half(args.prime, args.s)
         _emit(args, z.to_json(),
               f"{z.value.numerator}/{z.value.denominator}")
-    else:  # table
+    else:  # table: the rows of table --kind zeta
         args.kind = "zeta"
         return _cmd_table(args)
     return 0
@@ -621,111 +621,129 @@ def _cmd_carlitz(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+def _int_list(text: str) -> list:
+    return [int(t) for t in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
-    deform_opts = _deform_parser()
-    # the twist options, copied into each subcommand that reads them
-    twist = argparse.ArgumentParser(add_help=False)
-    _add_options(twist, "-q", "--rho", "--precision")
+    # Every option is read by an operation of each subcommand that has
+    # it, and an option of several subcommands (-h included) lives on
+    # one parent parser.  Defaults come from SCOPE, so the namespace
+    # holds only the options given.
+    def parser(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents,
+                                       argument_default=argparse.SUPPRESS)
+
+    common = parser()
+    common.add_argument("-h", "--help", action="help",
+                        help="show this help message and exit")
+    common.add_argument("--format", choices=("json", "csv", "plain"))
+    common.add_argument("--out", metavar="PATH")
+    prime = parser()
+    prime.add_argument("--prime", type=_prime)
+    precision = parser()
+    precision.add_argument("--precision", type=_positive_int,
+                           help=f"p-adic digits; default {DEFAULT_PRECISION}")
+    q = parser()
+    q.add_argument("-q", type=_fraction,
+                   help="default 1/2, or 1 + 2 --prime for a p-adic twist")
+    twist = parser(prime, q, precision)
+    twist.add_argument("--rho", type=_fraction,
+                       help="p-adic twist parameter (rational embedded); "
+                            "default 1 + --prime")
+    deform = parser()
+    deform.add_argument("--preset",
+                        help="structure-function preset name "
+                             "(default jagannathan_srinivasa)")
+    deform.add_argument("--kernel", metavar="PATH",
+                        help="JSON file with a custom kernel "
+                             "{numerator:[[s,t,coeff]...], denominator:[...]}")
+    deform.add_argument("-p", type=_fraction, help="default 1")
+    deform.add_argument("--xi1", type=_fraction)
+    deform.add_argument("--xi2", type=_fraction)
+    levels = parser()
+    levels.add_argument("--levels", type=int)
+    grid = parser()
+    grid.add_argument("--primes", type=_int_list)
+    grid.add_argument("--s-values", type=_int_list)
+
     top = argparse.ArgumentParser(
         prog="rpqcalc",
         description="Exact deformed quantum calculus and p-adic "
                     "special functions")
     sub = top.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("eval", parents=[common, deform_opts],
-                        help="evaluate a single quantity")
-    _add_options(ev, "-q")
+    def command(name, func, parents, summary):
+        cmd = sub.add_parser(name, parents=[common, *parents], help=summary,
+                             add_help=False,
+                             argument_default=argparse.SUPPRESS)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    ev = command("eval", _cmd_eval, [deform, q],
+                 "evaluate a single quantity")
     ev.add_argument("operation",
                     choices=("number", "factorial", "binomial", "gamma",
                              "beta", "integral", "derivative"))
-    ev.add_argument("-n", type=int, default=0)
-    ev.add_argument("-m", type=int, default=0)
-    ev.add_argument("-z", type=_fraction, default=Fraction(1))
-    ev.add_argument("-x", type=_fraction, default=Fraction(1))
-    ev.add_argument("-y", type=_fraction, default=Fraction(1))
-    ev.add_argument("-a", type=_fraction, default=Fraction(0))
-    ev.add_argument("-b", type=_fraction, default=Fraction(1))
-    ev.add_argument("--coeffs", default="")
-    ev.add_argument("--truncation", type=_positive_int, default=256)
-    ev.set_defaults(func=_cmd_eval)
+    ev.add_argument("-n", type=int)
+    ev.add_argument("-m", type=int)
+    ev.add_argument("-z", type=_fraction)
+    ev.add_argument("-x", type=_fraction)
+    ev.add_argument("-y", type=_fraction)
+    ev.add_argument("-a", type=_fraction)
+    ev.add_argument("-b", type=_fraction)
+    ev.add_argument("--coeffs")
+    ev.add_argument("--truncation", type=_positive_int)
 
-    ck = sub.add_parser("check", parents=[common],
-                        help="run module identity/property suites")
+    ck = command("check", _cmd_check, [],
+                 "run module identity/property suites")
     ck.add_argument("--module", action="append",
                     choices=CHECK_MODULES + ("all",))
     ck.add_argument("--classical-limit", action="store_true")
-    ck.set_defaults(func=_cmd_check)
 
-    tb = sub.add_parser("table", parents=[common, deform_opts, twist],
-                        help="emit value tables over parameter grids")
+    tb = command("table", _cmd_table, [deform, twist, levels, grid],
+                 "emit value tables over parameter grids")
     tb.add_argument("--kind", required=True,
                     choices=("numbers", "factorials", "bernoulli",
                              "euler", "genocchi", "zigzag",
                              "volkenborn", "zeta"))
-    tb.add_argument("--count", type=int, default=11)
-    tb.add_argument("-x", type=_fraction, default=Fraction(0),
+    tb.add_argument("--count", type=int)
+    tb.add_argument("-x", type=_fraction,
                     help="argument of the polynomial families")
-    tb.add_argument("--levels", type=int, default=6)
-    tb.add_argument("--primes", type=lambda s: [int(t) for t in
-                                                s.split(",")],
-                    default=[2, 3])
-    tb.add_argument("--s-values", type=lambda s: [int(t) for t in
-                                                  s.split(",")],
-                    default=[2, 3, 4])
-    tb.set_defaults(func=_cmd_table)
 
-    sp = sub.add_parser("spin", parents=[common],
-                        help="spin generator exponential/logarithm/level")
-    _add_options(sp, "--precision")
+    sp = command("spin", _cmd_spin, [prime, precision],
+                 "spin generator exponential/logarithm/level")
     sp.add_argument("operation", choices=("exp", "log", "level"))
-    sp.add_argument("--generator", choices=("minus", "z", "plus"),
-                    default="z")
-    sp.add_argument("--scale", type=_fraction, default=Fraction(1))
-    sp.add_argument("-t", type=_fraction, default=Fraction(5))
+    sp.add_argument("--generator", choices=("minus", "z", "plus"))
+    sp.add_argument("--scale", type=_fraction)
+    sp.add_argument("-t", type=_fraction)
     sp.add_argument("--matrix-file")
     sp.add_argument("--matrix-json")
-    sp.set_defaults(func=_cmd_spin)
 
-    zt = sub.add_parser("zeta", parents=[common],
-                        help="spin zeta values (exact rationals)")
+    zt = command("zeta", _cmd_zeta, [prime, grid],
+                 "spin zeta values (exact rationals)")
     zt.add_argument("operation", choices=("eval", "table"))
-    zt.add_argument("-s", type=int, default=3)
-    zt.add_argument("--primes", type=lambda s: [int(t) for t in
-                                                s.split(",")],
-                    default=[2, 3])
-    zt.add_argument("--s-values", type=lambda s: [int(t) for t in
-                                                  s.split(",")],
-                    default=[2, 3, 4])
-    zt.set_defaults(func=_cmd_zeta)
+    zt.add_argument("-s", type=int)
 
-    vk = sub.add_parser("volkenborn", parents=[common, twist],
-                        help="twisted Volkenborn moments with "
-                             "convergence certificates")
-    vk.add_argument("--moment", type=int, default=1)
-    vk.add_argument("--levels", type=int, default=6)
-    vk.set_defaults(func=_cmd_volkenborn)
+    vk = command("volkenborn", _cmd_volkenborn, [twist, levels],
+                 "twisted Volkenborn moments with convergence certificates")
+    vk.add_argument("--moment", type=int)
 
-    pg = sub.add_parser("pgamma", parents=[common, twist],
-                        help="p-adic deformed gamma at an integer")
+    pg = command("pgamma", _cmd_pgamma, [twist],
+                 "p-adic deformed gamma at an integer")
     pg.add_argument("-n", type=int, required=True)
-    pg.set_defaults(func=_cmd_pgamma)
 
-    pb = sub.add_parser("pbeta", parents=[common, twist],
-                        help="p-adic deformed beta at integers")
+    pb = command("pbeta", _cmd_pbeta, [twist],
+                 "p-adic deformed beta at integers")
     pb.add_argument("-x", type=int, required=True)
     pb.add_argument("-y", type=int, required=True)
-    pb.set_defaults(func=_cmd_pbeta)
 
-    cz = sub.add_parser("carlitz", parents=[common, twist],
-                        help="Carlitz-type Bernoulli values")
-    cz.add_argument("-n", type=int, default=1)
-    cz.add_argument("--a-param", type=_fraction, default=Fraction(0))
-    cz.add_argument("--x-int", type=int, default=0)
-    cz.add_argument("--levels", type=int, default=6)
-    cz.add_argument("--method", choices=("direct", "moments"),
-                    default="direct")
-    cz.set_defaults(func=_cmd_carlitz)
+    cz = command("carlitz", _cmd_carlitz, [twist, levels],
+                 "Carlitz-type Bernoulli values")
+    cz.add_argument("-n", type=int)
+    cz.add_argument("--a-param", type=_fraction)
+    cz.add_argument("--x-int", type=int)
+    cz.add_argument("--method", choices=("direct", "moments"))
     return top
 
 
@@ -736,6 +754,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        _scope(args)
         return args.func(args)
     except InvalidParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

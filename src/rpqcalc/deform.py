@@ -147,12 +147,13 @@ def _default_twists(kind: str, p, q):
 
 
 def _rational(name: str, x) -> Fraction:
-    try:
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    except TypeError:
-        raise InvalidParameterError(
-            f"{name} must be rational; got {type(x).__name__} (p-adic "
-            "twists go through padicfun.TwistParams)") from None
+    from .padic import PadicNumber  # only to word the refusal
+    hint = (" (p-adic twists go through padicfun.TwistParams)"
+            if isinstance(x, PadicNumber) else "")
+    raise InvalidParameterError(
+        f"{name} must be an int or Fraction; got {type(x).__name__}{hint}")
 
 
 class DeformParams(Frozen):

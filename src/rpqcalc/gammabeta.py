@@ -175,8 +175,7 @@ class GammaValue(NamedTuple):
 
 
 def gamma_rpq(z, params: DeformParams,
-              truncation: int = DEFAULT_TRUNCATION,
-              rel_tol: Fraction = DEFAULT_REL_TOL) -> GammaValue:
+              truncation: int = DEFAULT_TRUNCATION) -> GammaValue:
     """Deformed gamma.  Positive integers take the exact factorial
     path Gamma(n+1) = [n]!; rational arguments use the truncated
     normalized product with a reported geometric tail bound."""
@@ -208,7 +207,7 @@ def gamma_rpq(z, params: DeformParams,
     terms = min(32, truncation)
     while True:
         bound = 2 * abs(xh) ** terms / (1 - abs(xh)) ** 2
-        if bound <= rel_tol or terms >= truncation:
+        if bound <= DEFAULT_REL_TOL or terms >= truncation:
             break
         terms = min(2 * terms, truncation)
     prod = Fraction(1)

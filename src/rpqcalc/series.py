@@ -43,6 +43,11 @@ class FormalSeries:
         object.__setattr__(self, "pole_order", pole_order)
         if not self.coeffs:
             raise InvalidParameterError("series needs at least one slot")
+        for c in self.coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise InvalidParameterError(
+                    "series coefficients must be int or Fraction; got "
+                    f"{type(c).__name__}")
 
     def __setattr__(self, *_):
         raise AttributeError("FormalSeries is immutable")

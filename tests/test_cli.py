@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes, round trips."""
 
+import argparse
 import csv
 import importlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from rpqcalc import cli
 from rpqcalc.deform import DeformParams, rpq_number
 from rpqcalc.series import generating_polynomials
-from rpqcalc.spinzeta import zeta_spin_half
+from rpqcalc.spinzeta import Mat2Padic, zeta_spin_half
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -205,10 +206,14 @@ class TestExitCodes:
         ("spin", "exp", "--prime", "4"),
     ])
     def test_non_prime_is_two_everywhere(self, capsys, argv):
-        # --prime is checked even where the command does not use it
+        # table checks --prime at parse time even for a kind that does
+        # not read it; check and eval have no --prime
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert "--prime" in err and "not prime" in err
+        if argv[0] in ("check", "eval"):
+            assert f"unrecognized arguments: --prime {argv[-1]}" in err
+        else:
+            assert "--prime" in err and "not prime" in err
 
     def test_prime_two_stays_valid(self, capsys):
         code, out, err = run(capsys, "zeta", "eval", "--prime", "2")
@@ -462,7 +467,7 @@ class TestSpinCommands:
         mat_file = tmp_path / "g.json"
         mat_file.write_text(mat)
         code, out, _ = run(capsys, "spin", "level", "--matrix-file",
-                           str(mat_file), "--prime", "5")
+                           str(mat_file))
         assert code == 0
         assert int(out.strip()) >= 1
 
@@ -474,10 +479,118 @@ class TestSpinCommands:
         mat_file = tmp_path / "g.json"
         mat_file.write_text(out.strip())
         code, out, _ = run(capsys, "spin", "log", "--matrix-file",
-                           str(mat_file), "--prime", "5")
+                           str(mat_file))
         assert code == 0
         obj = json.loads(out)
         assert obj["entries"][1]["valuation"] == 2  # t = 25 upper entry
+
+
+# -- option scope -----------------------------------------------------------
+
+def _subcommands():
+    """name -> subparser, from the parser the CLI builds."""
+    top = cli.build_parser()
+    return next(a for a in top._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SUBCOMMANDS = _subcommands()
+
+
+def _keys(name):
+    """The operations of a subcommand, written as in ``cli.SCOPE``."""
+    for action in SUBCOMMANDS[name]._actions:
+        if action.dest == "operation":
+            return [f"{name} {op}" for op in action.choices]
+        if action.dest == "kind":
+            return [f"{name} --kind {kind}" for kind in action.choices]
+    return [name]
+
+
+KEYS = [key for name in SUBCOMMANDS for key in _keys(name)]
+
+
+def _options(name):
+    """The options of a subcommand, but -h and the --kind selector."""
+    return [a for a in SUBCOMMANDS[name]._actions
+            if a.option_strings and a.dest not in ("help", "kind")]
+
+
+def _required(name):
+    """Values for the options argparse requires (pgamma -n, pbeta -x -y)."""
+    return [tok for a in _options(name) if a.required
+            for tok in (a.option_strings[0], "1")]
+
+
+IDENTITY_5 = json.dumps(
+    Mat2Padic.from_rational([[1, 0], [0, 1]], 5, 3).to_json())
+
+
+class TestOptionScope:
+    @pytest.mark.parametrize("key", KEYS)
+    def test_unread_options_are_refused(self, capsys, key):
+        # every option the subcommand has but the operation does not
+        # read exits 2 before any work, naming the flag
+        name = key.split()[0]
+        reads = cli.SCOPE[key]
+        unread = [a for a in _options(name) if a.dest not in reads]
+        for action in unread:
+            flag = action.option_strings[0]
+            value = [] if action.nargs == 0 else \
+                [action.choices[0] if action.choices else "7"]
+            code, out, err = run(capsys, *key.split(), *_required(name),
+                                 flag, *value)
+            assert (code, out, err) == (
+                2, "", f"parameter error: {key} takes no {flag}\n")
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_scope_matches_the_parser(self, name):
+        # SCOPE has one entry per operation; each reads only options
+        # the subcommand has, and each option is read by some operation
+        keys = _keys(name)
+        assert [k for k in cli.SCOPE if k.split()[0] == name] == keys
+        dests = {a.dest for a in _options(name)}
+        reads = set().union(*(cli.SCOPE[key] for key in keys))
+        assert reads == dests
+
+    def test_zeta_table_is_table_kind_zeta(self):
+        assert cli.SCOPE["zeta table"] is cli.SCOPE["table --kind zeta"]
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_help_renders(self, capsys, name):
+        code, out, err = run(capsys, name, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: rpqcalc {name} [-h]")
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_bad_prime_is_two(self, capsys, key):
+        # parsed (and refused) wherever --prime is registered, so
+        # wherever it is read; elsewhere it is not an option
+        name = key.split()[0]
+        code, out, err = run(capsys, *key.split(), *_required(name),
+                             "--prime", "4")
+        assert code == 2 and out == ""
+        if "prime" in {a.dest for a in _options(name)}:
+            assert "--prime: p = 4 is not prime" in err
+        else:
+            assert "unrecognized arguments: --prime 4" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "number", "-n", "3", "-z", "5", "--truncation", "9"),
+         "eval number takes no -z, --truncation"),
+        (("table", "--kind", "numbers", "--levels", "9", "-x", "3",
+          "--primes", "5", "--prime", "7"),
+         "table --kind numbers takes no --levels, -x, --primes, --prime"),
+        (("table", "--kind", "zeta", "--count", "99", "-x", "4"),
+         "table --kind zeta takes no --count, -x"),
+        (("zeta", "table", "-s", "9", "--prime", "7"),
+         "zeta table takes no -s, --prime"),
+        (("spin", "level", "--matrix-json", IDENTITY_5, "--prime", "7"),
+         "spin level takes no --prime"),
+    ])
+    def test_all_unread_flags_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"parameter error: {message}\n")
 
 
 def test_zeta_eval_plain(capsys):

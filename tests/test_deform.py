@@ -3,6 +3,7 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -73,6 +74,18 @@ class TestNumbers:
         args = {"p": 1, "q": F(1, 2), "xi1": 1, "xi2": F(1, 2),
                 slot: PadicNumber.from_rational(6, 5, 12)}
         with pytest.raises(InvalidParameterError, match="TwistParams"):
+            DeformParams(args["p"], args["q"], None, args["xi1"],
+                         args["xi2"])
+
+    @pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2"],
+                             ids=["float", "Decimal", "str"])
+    @pytest.mark.parametrize("slot", ["p", "q", "xi1", "xi2"])
+    def test_non_rational_parameter_refused(self, slot, value):
+        # only int and Fraction: a float would carry its binary expansion
+        args = {"p": 1, "q": F(1, 2), "xi1": 1, "xi2": F(1, 2), slot: value}
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{slot} must be an int or Fraction; "
+                                 f"got {type(value).__name__}$"):
             DeformParams(args["p"], args["q"], None, args["xi1"],
                          args["xi2"])
 

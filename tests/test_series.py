@@ -2,6 +2,7 @@
 
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -303,6 +304,21 @@ class TestSeriesProtocol:
         assert (e - 1).coeffs == [F(0)] + e.coeffs[1:]
         assert (e + 1).coeffs == [F(2)] + e.coeffs[1:]
         assert (1 - e).coeffs == [-c for c in (e - 1).coeffs]
+
+    @pytest.mark.parametrize("make", [
+        lambda: FormalSeries([0.5]),
+        lambda: FormalSeries([1, Decimal("0.5")]),
+        lambda: FormalSeries([F(1), "1/2"]),
+        lambda: FormalSeries([1]) * 0.5,
+        lambda: FormalSeries([1]) + 0.5,
+        lambda: FormalSeries([1]) / 2.0,
+        lambda: exp_lower(JS, 3).scale_arg(0.5),
+    ])
+    def test_non_rational_coefficients_refused(self, make):
+        with pytest.raises(InvalidParameterError,
+                           match="series coefficients must be int or "
+                                 "Fraction; got "):
+            make()
 
 
 def term_sum(xs, ys):
