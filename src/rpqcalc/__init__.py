@@ -6,11 +6,16 @@ padic       rational helpers and truncated p-adic arithmetic
 deform      structure functions, deformed numbers/factorials/binomials
 poly        exact polynomials and the spectral derivative/antiderivative
 series      formal power series: exponentials, trig, special families
-quadrature  geometric node sums, definite/improper integrals
-gammabeta   power basis, deformed gamma/beta, Taylor expansions
-padicfun    p-adic gamma/beta, Volkenborn measure/integral, Carlitz
+quadrature  geometric node sums, definite integrals
+gammabeta   power basis, deformed gamma/beta
+padicfun    p-adic gamma/beta, Volkenborn measure/integral, Carlitz,
+            fermionic integral
 spinzeta    spin generators over Z_p, matrix exp/log, local zeta values
 cli         command-line front end (``rpqcalc``)
+
+Each module checked by ``rpqcalc check`` (all but ``padic`` and
+``poly``) defines ``check_suites()``, which returns its identity
+reports.
 
 Importing the package loads no submodule: each public name is
 imported from its submodule on first access (PEP 562), so a command
@@ -29,24 +34,20 @@ KERNEL_BACKEND = "python"
 # submodule -> the public names it defines, in the order of __all__
 _EXPORTS = {
     "errors": ("RpqError",),
-    "padic": ("PadicNumber", "padic_valuation", "padic_norm", "padic_exp",
-              "padic_log", "padic_power"),
+    "padic": ("PadicNumber", "padic_valuation", "padic_norm", "padic_power"),
     "deform": ("StructureFunction", "DeformParams", "rpq_number",
                "rpq_factorial", "rpq_binomial", "bm_identity_suite"),
     "poly": ("Polynomial",),
-    "series": ("FormalSeries", "rpq_derivative", "rpq_antiderivative",
-               "exp_lower", "exp_upper", "trig_series", "zigzag_numbers",
-               "generating_polynomials"),
-    "quadrature": ("QuadratureSpec", "definite_integral_poly", "jackson_sum",
-                   "improper_integral"),
-    "gammabeta": ("power_basis", "gamma_rpq", "beta_rpq", "rpq_number_at",
-                  "taylor_expand", "taylor_reconstruct"),
+    "series": ("FormalSeries", "rpq_derivative", "exp_lower", "exp_upper",
+               "trig_series", "zigzag_numbers", "generating_polynomials"),
+    "quadrature": ("QuadratureSpec", "definite_integral_poly", "jackson_sum"),
+    "gammabeta": ("power_basis", "gamma_rpq", "beta_rpq", "rpq_number_at"),
     "padicfun": ("TwistParams", "padic_factorial_rpq", "padic_gamma_rpq",
                  "delta_factor", "volkenborn_measure", "volkenborn_integral",
                  "volkenborn_moment", "carlitz_bernoulli",
                  "fermionic_integral", "padic_beta_rpq"),
     "spinzeta": ("Mat2Padic", "spin_generators", "commutator", "mat_exp",
-                 "mat_log", "congruence_level", "zeta_p_factor", "igusa_Zf",
+                 "mat_log", "congruence_level", "zeta_p_factor",
                  "zeta_spin_half", "ghost_boundary"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()

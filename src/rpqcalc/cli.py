@@ -15,19 +15,19 @@ Callers inside a process use ``main``, which returns the exit code.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from fractions import Fraction
 
 from ._util import exact_str, running_product_strs
-from .errors import (ConvergenceDomainError, DecayCertificateError,
-                     InvalidParameterError, NoConvergenceError,
-                     PoleAtOriginError, PoleError, RpqError,
-                     SingularDeformationError, SingularityError)
+from .errors import (ConvergenceDomainError, InvalidParameterError,
+                     NoConvergenceError, PoleAtOriginError, PoleError,
+                     RpqError, SingularDeformationError, SingularityError)
 
 DOMAIN_ERRORS = (ConvergenceDomainError, PoleError, PoleAtOriginError,
                  SingularDeformationError, SingularityError,
-                 DecayCertificateError, NoConvergenceError)
+                 NoConvergenceError)
 
 CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
                  "padicfun", "spinzeta")
@@ -265,202 +265,30 @@ def _poly_from_coeffs(text: str):
 
 # -- check ------------------------------------------------------------------
 
-def _suites_for(module: str):
-    # each branch loads only the module it checks (and what that imports)
-    from .deform import DeformParams
-    q = Fraction(1, 2)
-    js = DeformParams.preset("jagannathan_srinivasa", p=1, q=q)
-    if module == "deform":
-        from . import deform
-        yield deform.bm_identity_suite(q, 2, 1)
-        yield deform.bm_identity_suite(q, 5, 3)
-        yield _preset_oracle_suite()
-    elif module == "series":
-        from . import series
-        yield series.operator_algebra_check(js, 8)
-        yield _series_suite()
-    elif module == "quadrature":
-        from . import quadrature
-        from .poly import Polynomial
-        f = Polynomial({3: Fraction(2), 1: Fraction(-1), 0: Fraction(5)})
-        g = Polynomial({2: Fraction(1, 2), 1: Fraction(3)})
-        yield quadrature.fundamental_theorem_check(
-            f, Fraction(1, 3), Fraction(7, 8), js)
-        yield quadrature.integration_by_parts_check(
-            f, g, Fraction(0), Fraction(1), js)
-    elif module == "gammabeta":
-        from . import gammabeta
-        yield gammabeta.power_basis_identity_suite(js, 3, 2)
-        yield gammabeta.power_basis_derivative_suite(js, 3, 2)
-        yield _beta_recurrence_suite(js)
-    elif module == "padicfun":
-        from . import padicfun
-        tw = padicfun.TwistParams.make(5, 6, 11, precision=12)
-        yield padicfun.gamma_recurrence_check(tw, 10)
-        yield padicfun.factorial_decomposition_check(7, tw)
-        yield padicfun.padic_beta_suite(tw, [(1, 1), (2, 3)])
-        yield _measure_suite(tw)
-    elif module == "spinzeta":
-        yield _spin_suite()
-    else:
-        raise InvalidParameterError(f"unknown module {module!r}")
-
-
-def _preset_oracle_suite():
-    from .deform import DeformParams, IdentityResult, SuiteReport, rpq_number
-    q = Fraction(1, 2)
-    p = Fraction(9, 10)
-    oracles = {
-        "heine": lambda n: (1 - q ** n) / (1 - q),
-        "quesne": lambda n: (1 - q ** -n) / (q - 1),
-        "biedenharn_macfarlane":
-            lambda n: (q ** n - q ** -n) / (q - q ** -1),
-        "jagannathan_srinivasa": lambda n: (p ** n - q ** n) / (p - q),
-        "chakrabarty_jagannathan":
-            lambda n: (p ** -n - q ** n) / (p ** -1 - q),
-        "hounkonnou_ngompe":
-            lambda n: (p ** n - q ** -n) / (q - p ** -1),
-    }
-    results = []
-    for kind, oracle in oracles.items():
-        pr = DeformParams.preset(kind, p=p, q=q)
-        for n in (0, 1, 5, 13):
-            results.append(IdentityResult(
-                f"{kind}[{n}]", rpq_number(pr, n),
-                oracle(n) if n else Fraction(0)))
-    return SuiteReport("preset_closed_forms", tuple(results))
-
-
-def _series_suite():
-    from . import series
-    from .deform import DeformParams, IdentityResult, SuiteReport, rpq_number
-    js = DeformParams.preset("jagannathan_srinivasa", p=1,
-                             q=Fraction(1, 2))
-    e = series.exp_lower(js, 10)
-    E = series.exp_upper(js, 10)
-    prod = E.scale_arg(Fraction(-1)) * e
-    results = [IdentityResult("E(-z) e(z) = 1 (z^0)",
-                              prod.coefficient(0), Fraction(1))]
-    for n in range(1, 11):
-        results.append(IdentityResult(
-            f"E(-z) e(z) = 1 (z^{n})", prod.coefficient(n), Fraction(0)))
-    G = series.generating_polynomials(js, "genocchi", Fraction(0), 9)
-    Eu = series.generating_polynomials(js, "euler", Fraction(0), 8)
-    for n in range(0, 9):
-        results.append(IdentityResult(
-            f"G_{n + 1} = [{n + 1}] E_{n}", G[n + 1],
-            rpq_number(js, n + 1) * Eu[n]))
-    return SuiteReport("series_identities", tuple(results))
-
-
-def _beta_recurrence_suite(params):
-    from . import gammabeta
-    from .deform import IdentityResult, SuiteReport, rpq_number
-    results = []
-    for (x, y) in ((1, 1), (2, 3), (4, 2)):
-        b = gammabeta.beta_rpq(x, y, params).value
-        nx, ny = rpq_number(params, x), rpq_number(params, y)
-        nxy = rpq_number(params, x + y)
-        results.append(IdentityResult(
-            f"(i) beta({x},{y}+1)",
-            gammabeta.beta_rpq(x, y + 1, params).value, ny / nxy * b))
-        results.append(IdentityResult(
-            f"(ii) beta({x}+1,{y})",
-            gammabeta.beta_rpq(x + 1, y, params).value, nx / nxy * b))
-        results.append(IdentityResult(
-            f"(iii) cross form",
-            gammabeta.beta_rpq(x + 1, y, params).value,
-            nx / ny * gammabeta.beta_rpq(x, y + 1, params).value))
-        results.append(IdentityResult(
-            f"(vi) beta({x}+1,{y}+1) product form",
-            gammabeta.beta_rpq(x + 1, y + 1, params).value,
-            nx * ny / (rpq_number(params, x + y + 1) * nxy) * b))
-    return SuiteReport("beta_recurrences", tuple(results))
-
-
-def _measure_suite(tw):
-    from . import padicfun
-    from .deform import IdentityResult, SuiteReport
-    results = []
-    p = tw.prime
-    for N in (1, 2):
-        for a in (0, 3):
-            lhs = padicfun.volkenborn_measure(a, N, tw)
-            rhs = None
-            for i in range(p):
-                m = padicfun.volkenborn_measure(a + i * p ** N, N + 1, tw)
-                rhs = m if rhs is None else rhs + m
-            results.append(IdentityResult(
-                f"distribution relation (a={a}, N={N})", lhs, rhs))
-    return SuiteReport("volkenborn_measure", tuple(results))
-
-
-def _spin_suite():
-    from . import spinzeta
-    from .deform import IdentityResult, SuiteReport
-    from .padic import PadicNumber
-    from .spinzeta import Mat2Padic
-    Sm, Sz, Sp = spinzeta.spin_generators(1, 5, 12)
-    results = [
-        IdentityResult("[Sz,S+] = h S+",
-                       spinzeta.commutator(Sz, Sp) - Sp,
-                       Mat2Padic.zero(5, 12)),
-        IdentityResult("[Sz,S-] = -h S-",
-                       spinzeta.commutator(Sz, Sm) + Sm,
-                       Mat2Padic.zero(5, 12)),
-        IdentityResult("[S+,S-] = 2h Sz",
-                       spinzeta.commutator(Sp, Sm) - Sz.scaled(
-                           PadicNumber.from_rational(2, 5, 12)),
-                       Mat2Padic.zero(5, 12)),
-    ]
-    zs = spinzeta.zeta_spin_half(2, 3)
-    expected = (Fraction(8, 7) * Fraction(4, 3) * Fraction(32, 31)
-                * Fraction(16, 15) / Fraction(256, 255))
-    results.append(IdentityResult("zeta_spin(2, 3)", zs.value, expected))
-    for group, l, expect in (("GSp", 2, 1), ("GO_odd", 1, 0),
-                             ("GO_even_plus", 2, -1)):
-        results.append(IdentityResult(
-            f"ghost {group} l={l}",
-            spinzeta.ghost_boundary(group, l), Fraction(expect)))
-    return SuiteReport("spin_zeta", tuple(results))
-
-
 def _cmd_check(args) -> int:
     if args.format == "csv":
         raise InvalidParameterError(
             "check writes a JSON report; --format csv is not supported")
-    modules = args.module
-    if "all" in modules:
-        modules = list(CHECK_MODULES)
+    modules = CHECK_MODULES if "all" in args.module else args.module
     if not modules:
         print("no modules selected", file=sys.stderr)
         return 2
+    if args.classical_limit and "gammabeta" not in modules:
+        raise InvalidParameterError(
+            "--classical-limit is read only by --module gammabeta")
     report = {"modules": [], "passed": True}
     first_failure = None
     for module in modules:
-        suites = []
-        for suite in _suites_for(module):
-            sj = suite.to_json()
-            suites.append(sj)
+        mod = importlib.import_module(f".{module}", __package__)
+        suites = mod.check_suites()
+        for suite in suites:
             if not suite.passed and first_failure is None:
-                first_failure = (module,
-                                 suite.first_failure().name
-                                 if suite.first_failure() else suite.name)
+                first_failure = (module, suite.first_failure().name)
             report["passed"] = report["passed"] and suite.passed
-        entry = {"module": module, "suites": suites}
+        entry = {"module": module,
+                 "suites": [suite.to_json() for suite in suites]}
         if module == "gammabeta" and args.classical_limit:
-            from . import gammabeta
-            from .deform import DeformParams
-            js35 = DeformParams.preset("jagannathan_srinivasa", p=1,
-                                       q=Fraction(3, 5))
-            js9 = DeformParams.preset("jagannathan_srinivasa", p=1,
-                                      q=Fraction(9, 25))
-            entry["measured_only"] = [
-                gammabeta.gamma_duplication_report(js35, 2,
-                                                   truncation=96),
-                gammabeta.beta_reflection_report(js9, Fraction(1, 2),
-                                                 truncation=96),
-            ]
+            entry["measured_only"] = mod.classical_limit_reports()
         report["modules"].append(entry)
     _emit(args, report)
     if not report["passed"]:
@@ -533,6 +361,9 @@ def _load_matrix(args):
     from .spinzeta import Mat2Padic  # spin log and level only
     if not (args.matrix_file or args.matrix_json):
         raise InvalidParameterError("provide --matrix-file or --matrix-json")
+    if args.matrix_file and args.matrix_json:
+        raise InvalidParameterError(
+            "--matrix-file and --matrix-json are mutually exclusive")
     import json  # the matrix arrives as JSON
     try:
         if args.matrix_file:

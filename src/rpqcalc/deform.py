@@ -332,3 +332,35 @@ def bm_identity_suite(q, n: int, m: int) -> SuiteReport:
             bm_number(q, 2) * bm_number(q, n - 1) - bm_number(q, n - 2)),
     ]
     return SuiteReport("biedenharn_macfarlane", tuple(results))
+
+
+def _preset_oracle_suite() -> SuiteReport:
+    """Each preset's [n] against its printed closed form."""
+    q = Fraction(1, 2)
+    p = Fraction(9, 10)
+    oracles = {
+        "heine": lambda n: (1 - q ** n) / (1 - q),
+        "quesne": lambda n: (1 - q ** -n) / (q - 1),
+        "biedenharn_macfarlane":
+            lambda n: (q ** n - q ** -n) / (q - q ** -1),
+        "jagannathan_srinivasa": lambda n: (p ** n - q ** n) / (p - q),
+        "chakrabarty_jagannathan":
+            lambda n: (p ** -n - q ** n) / (p ** -1 - q),
+        "hounkonnou_ngompe":
+            lambda n: (p ** n - q ** -n) / (q - p ** -1),
+    }
+    results = []
+    for kind, oracle in oracles.items():
+        pr = DeformParams.preset(kind, p=p, q=q)
+        for n in (0, 1, 5, 13):
+            results.append(IdentityResult(
+                f"{kind}[{n}]", rpq_number(pr, n),
+                oracle(n) if n else Fraction(0)))
+    return SuiteReport("preset_closed_forms", tuple(results))
+
+
+def check_suites() -> tuple:
+    """The reports of ``rpqcalc check --module deform``."""
+    q = Fraction(1, 2)
+    return (bm_identity_suite(q, 2, 1), bm_identity_suite(q, 5, 3),
+            _preset_oracle_suite())

@@ -29,10 +29,6 @@ class PoleAtOriginError(RpqError):
     """Series division by a series with zero constant term."""
 
 
-class DecayCertificateError(RpqError):
-    """Improper integral called without a valid decay certificate."""
-
-
 class PoleError(RpqError):
     """Exact evaluation requested at a pole of a rational function."""
 

@@ -1,4 +1,4 @@
-"""Deformed power basis, gamma and beta functions, Taylor expansions.
+"""Deformed power basis, gamma and beta functions.
 
 The gamma function takes the exact finite-product (factorial) path at
 positive integers.  At rational arguments it is evaluated through the
@@ -128,27 +128,6 @@ def power_basis_poly_reversed(a, n: int,
                               params: DeformParams) -> Polynomial:
     """(a (-) x)^n = prod (a xi1^i - x xi2^i), expanded in x."""
     return _expanded(a, Polynomial.monomial(1), n, "minus", params)
-
-
-class InfiniteProduct(NamedTuple):
-    """Truncated infinite power-basis product with its tail ratio."""
-
-    partial: Fraction
-    truncation: int
-    tail_ratio: Fraction  # |last factor - 1| style geometric ratio
-
-
-def power_basis_infinite(x, y, mode: str, params: DeformParams,
-                         truncation: int = DEFAULT_TRUNCATION
-                         ) -> InfiniteProduct:
-    """prod_{i=0}^{M-1} (x xi1^i -+ y xi2^i) with the geometric ratio of
-    the first omitted correction as the tail certificate.  Converges
-    (to a nonzero limit) when xi1 = 1 and |y xi2^i| -> 0."""
-    if truncation < 0:
-        raise InvalidParameterError("truncation must be >= 0")
-    ratio = abs(Fraction(y) * Fraction(params.xi2) ** truncation)
-    return InfiniteProduct(power_basis(x, y, truncation, mode, params),
-                           truncation, ratio)
 
 
 # -- gamma ----------------------------------------------------------------
@@ -342,45 +321,36 @@ def power_basis_derivative_suite(params: DeformParams, n: int, k: int,
     return SuiteReport("power_basis_derivatives", tuple(results))
 
 
-# -- Taylor expansions ------------------------------------------------------
-
-def taylor_expand(f: Polynomial, a, params: DeformParams,
-                  form: str = "forward") -> list:
-    """Coefficients of the deformed Taylor expansion of a polynomial.
-
-    forward: f = sum_k c_k (x (-) a)^k with
-             c_k = xi1^(-C(k,2)) (D^k f)(a xi1^(-k)) / [k]!
-    reverse: f = sum_k c_k (a (-) x)^k with
-             c_k = (-1)^k xi2^(-C(k,2)) (D^k f)(a xi2^(-k)) / [k]!
-    """
-    if form not in ("forward", "reverse"):
-        raise InvalidParameterError("form must be forward or reverse")
-    x1, x2 = params.xi1, params.xi2
-    deg = max(f.degree, 0)
-    coeffs = []
-    g = f
-    for k in range(deg + 1):
-        fact = rpq_factorial(params, k)
-        if form == "forward":
-            c = x1 ** (-math.comb(k, 2)) * g(a * x1 ** (-k)) / fact
-        else:
-            c = Fraction(-1) ** k * x2 ** (-math.comb(k, 2)) \
-                * g(a * x2 ** (-k)) / fact
-        coeffs.append(c)
-        g = rpq_derivative_poly(g, params)
-    return coeffs
+def _beta_recurrence_suite(params: DeformParams) -> SuiteReport:
+    """The recurrences (i)-(iii) and the product form (vi) of beta."""
+    results = []
+    for (x, y) in ((1, 1), (2, 3), (4, 2)):
+        b = beta_rpq(x, y, params).value
+        nx, ny = rpq_number(params, x), rpq_number(params, y)
+        nxy = rpq_number(params, x + y)
+        results.append(IdentityResult(
+            f"(i) beta({x},{y}+1)",
+            beta_rpq(x, y + 1, params).value, ny / nxy * b))
+        results.append(IdentityResult(
+            f"(ii) beta({x}+1,{y})",
+            beta_rpq(x + 1, y, params).value, nx / nxy * b))
+        results.append(IdentityResult(
+            "(iii) cross form",
+            beta_rpq(x + 1, y, params).value,
+            nx / ny * beta_rpq(x, y + 1, params).value))
+        results.append(IdentityResult(
+            f"(vi) beta({x}+1,{y}+1) product form",
+            beta_rpq(x + 1, y + 1, params).value,
+            nx * ny / (rpq_number(params, x + y + 1) * nxy) * b))
+    return SuiteReport("beta_recurrences", tuple(results))
 
 
-def taylor_reconstruct(coeffs, a, params: DeformParams,
-                       form: str = "forward") -> Polynomial:
-    """Assemble sum c_k basis_k back into an expanded polynomial."""
-    out = Polynomial({})
-    for k, c in enumerate(coeffs):
-        basis = power_basis_poly(a, k, "minus", params) \
-            if form == "forward" else power_basis_poly_reversed(
-                a, k, params)
-        out = out + basis * c
-    return out
+def check_suites() -> tuple:
+    """The reports of ``rpqcalc check --module gammabeta``."""
+    js = DeformParams.preset("jagannathan_srinivasa", p=1, q=Fraction(1, 2))
+    return (power_basis_identity_suite(js, 3, 2),
+            power_basis_derivative_suite(js, 3, 2),
+            _beta_recurrence_suite(js))
 
 
 # -- measured-only reports ---------------------------------------------------
@@ -418,3 +388,14 @@ def beta_reflection_report(params: DeformParams, x,
             "beta(x,1-x)": exact_str(b.value),
             "gamma(x)gamma(1-x)": exact_str(gg),
             "product_form_matches": b.value == gg}
+
+
+def classical_limit_reports() -> list:
+    """The measured-only entries of ``rpqcalc check --module gammabeta
+    --classical-limit``."""
+    js35 = DeformParams.preset("jagannathan_srinivasa", p=1,
+                               q=Fraction(3, 5))
+    js9 = DeformParams.preset("jagannathan_srinivasa", p=1,
+                              q=Fraction(9, 25))
+    return [gamma_duplication_report(js35, 2, truncation=96),
+            beta_reflection_report(js9, Fraction(1, 2), truncation=96)]

@@ -517,14 +517,6 @@ def _sqrt_mod_p(a: int, p: int):
     return x
 
 
-def padic_exp(x: PadicNumber) -> PadicNumber:
-    return x.exp()
-
-
-def padic_log(u: PadicNumber) -> PadicNumber:
-    return u.log()
-
-
 def padic_power(q: PadicNumber, x) -> PadicNumber:
     """q^x = exp(x log q); requires |q - 1|_p < p^(-1/(p-1))."""
     d = q - 1

@@ -30,7 +30,6 @@ from .deform import IdentityResult, SuiteReport
 from .errors import InvalidParameterError, NoConvergenceError
 from .padic import (PadicNumber, int_valuation, is_prime, padic_power,
                     padic_valuation)
-from .poly import Polynomial
 
 DEFAULT_LEVELS = 6
 DEFAULT_PRECISION = 16
@@ -461,44 +460,6 @@ def volkenborn_moment(r: int, tw: TwistParams,
                      max_level, tw.shown)
 
 
-def volkenborn_shift_check(f: Polynomial, tw: TwistParams,
-                           max_level: int = DEFAULT_LEVELS) -> dict:
-    """The boundary identity for the shifted integrand f1(x) = f(x+1):
-
-        q I(f1) - rho I(f) = -rho (rho - q)
-                             (f'(0)/(log q - log rho) + f(0)),
-
-    with f' the ordinary derivative and log the p-adic logarithm.  The
-    sign differs from some printed statements; it is fixed here by the
-    total-mass case f = 1 (I(1) = rho at every level).
-    """
-    if tw.classical:
-        raise InvalidParameterError(
-            "shift identity needs a genuine twist (rho != 1)")
-    f1 = f.shift_arg(Fraction(1))
-    r_f = volkenborn_integral(lambda x: f(Fraction(x)), tw, max_level)
-    r_f1 = volkenborn_integral(lambda x: f1(Fraction(x)), tw, max_level)
-    logdiff = tw.q.log() - tw.rho.log()
-    fp0 = f.classical_derivative()(Fraction(0))
-    rhs = -tw.rho * (tw.rho - tw.q) * (fp0 / logdiff + f(Fraction(0)))
-    per_level = []
-    for vf, vf1 in zip(r_f.values, r_f1.values):
-        d = tw.q * vf1 - tw.rho * vf - rhs
-        per_level.append(float("inf") if d.is_zero() else d.valuation)
-    lhs = tw.q * r_f1.best_value - tw.rho * r_f.best_value
-    d = lhs - rhs
-    return {
-        "identity": "q I(f1) - rho I(f) = "
-                    "-rho(rho-q)(f'(0)/log(q/rho) + f(0))",
-        "lhs": str(lhs), "rhs": str(rhs),
-        "agreement_valuation":
-            float("inf") if d.is_zero() else d.valuation,
-        "agreement_by_level": per_level,
-        "converging": all(b > a for a, b in zip(per_level, per_level[1:])
-                          if a != float("inf")),
-    }
-
-
 # -- Carlitz-type Bernoulli polynomials ------------------------------------
 
 def _twist_power(base: PadicNumber, a: Fraction) -> PadicNumber:
@@ -578,24 +539,6 @@ def fermionic_integral(f: Callable, prime: int,
         lambda d: padic_valuation(d, prime))
 
 
-def fermionic_shift_check(f: Polynomial, prime: int,
-                          max_level: int = DEFAULT_LEVELS) -> dict:
-    """I_{-1}(f1) + I_{-1}(f) = 2 f(0) with f1(x) = f(x+1)."""
-    f1 = f.shift_arg(Fraction(1))
-    r = fermionic_integral(lambda x: f(Fraction(x)), prime, max_level)
-    r1 = fermionic_integral(lambda x: f1(Fraction(x)), prime, max_level)
-    lhs = r1.best_value + r.best_value
-    rhs = PadicNumber.from_rational(2 * f(Fraction(0)), prime,
-                                    r.best_value.precision or 16)
-    d = lhs - rhs
-    return {
-        "identity": "I(f1) + I(f) = 2 f(0)",
-        "lhs": str(lhs), "rhs": str(rhs),
-        "agreement_valuation": None if d.is_zero() else d.valuation,
-        "agrees_to_precision": d.is_zero(),
-    }
-
-
 # -- p-adic beta -------------------------------------------------------------
 
 def padic_beta_rpq(x: int, y: int, tw: TwistParams) -> PadicNumber:
@@ -650,11 +593,27 @@ def padic_beta_suite(tw: TwistParams, samples) -> SuiteReport:
     return SuiteReport("padic_beta", tuple(results))
 
 
-def gamma_limit_at(x: PadicNumber, tw: TwistParams,
-                   max_level: int = DEFAULT_LEVELS) -> ConvergenceReport:
-    """Gamma at a p-adic integer through its digit truncations
-    x_k = x mod p^k; convergence is reported, not assumed."""
-    if x.valuation < 0:
-        raise InvalidParameterError("argument must be a p-adic integer")
-    return _converge((padic_gamma_rpq(x.residue(k), tw) for k in count(1)),
-                     max_level, tw.shown)
+def _measure_suite(tw: TwistParams) -> SuiteReport:
+    """The distribution relation mu(a + p^N Z_p) = sum_i
+    mu(a + i p^N + p^(N+1) Z_p)."""
+    results = []
+    p = tw.prime
+    for N in (1, 2):
+        for a in (0, 3):
+            lhs = volkenborn_measure(a, N, tw)
+            rhs = None
+            for i in range(p):
+                m = volkenborn_measure(a + i * p ** N, N + 1, tw)
+                rhs = m if rhs is None else rhs + m
+            results.append(IdentityResult(
+                f"distribution relation (a={a}, N={N})", lhs, rhs))
+    return SuiteReport("volkenborn_measure", tuple(results))
+
+
+def check_suites() -> tuple:
+    """The reports of ``rpqcalc check --module padicfun``."""
+    tw = TwistParams.make(5, 6, 11, precision=12)
+    return (gamma_recurrence_check(tw, 10),
+            factorial_decomposition_check(7, tw),
+            padic_beta_suite(tw, [(1, 1), (2, 3)]),
+            _measure_suite(tw))

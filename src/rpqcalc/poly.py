@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SingularDeformationError
+from .errors import InvalidParameterError, SingularDeformationError
 
 
 class Polynomial:
@@ -22,6 +22,10 @@ class Polynomial:
         if coeffs:
             for n, c in (coeffs.items() if isinstance(coeffs, dict)
                          else enumerate(coeffs)):
+                if not isinstance(c, (int, Fraction)):
+                    raise InvalidParameterError(
+                        "polynomial coefficients must be int or Fraction; "
+                        f"got {type(c).__name__}")
                 if c != 0:
                     clean[int(n)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -96,16 +100,6 @@ class Polynomial:
         return Polynomial({n: coef * c ** n
                            for n, coef in self.coeffs.items()})
 
-    def shift_arg(self, a) -> "Polynomial":
-        """f(z + a) by binomial expansion."""
-        out = Polynomial({})
-        for n, coef in self.coeffs.items():
-            binom = 1
-            for k in range(n + 1):
-                out = out + Polynomial({n - k: coef * binom * a ** k})
-                binom = binom * (n - k) // (k + 1)
-        return out
-
     def __call__(self, x):
         """Horner evaluation at a scalar."""
         if not self.coeffs:
@@ -119,10 +113,6 @@ class Polynomial:
                 acc = acc * x ** (last - n) + c
                 last = n
         return acc * x ** last if last else acc
-
-    def classical_derivative(self) -> "Polynomial":
-        return Polynomial({n - 1: n * c
-                           for n, c in self.coeffs.items() if n >= 1})
 
     def __repr__(self):
         if not self.coeffs:

@@ -179,7 +179,7 @@ def _factorial_coeffs(f: FormalSeries, params: DeformParams) -> list:
     return [c * rpq_factorial(params, n) for n, c in enumerate(f.coeffs)]
 
 
-# -- derivative / antiderivative ---------------------------------------
+# -- derivative -----------------------------------------------------------
 
 def rpq_derivative(f, params: DeformParams):
     """Spectral derivative z^n -> [n] z^(n-1) on polynomials or series."""
@@ -189,20 +189,6 @@ def rpq_derivative(f, params: DeformParams):
         return FormalSeries([Fraction(0)])
     out = [f.coeffs[n + 1] * rpq_number(params, n + 1)
            for n in range(f.order)]
-    return FormalSeries(out)
-
-
-def rpq_antiderivative(f, params: DeformParams):
-    """z^n -> z^(n+1)/[n+1]; integration constant fixed to 0."""
-    if isinstance(f, Polynomial):
-        from .poly import rpq_antiderivative_poly
-        return rpq_antiderivative_poly(f, params)
-    out = [Fraction(0)]
-    for n in range(f.order + 1):
-        d = rpq_number(params, n + 1)
-        if d == 0:
-            raise SingularDeformationError(f"[{n + 1}] = 0")
-        out.append(f.coeffs[n] / d)
     return FormalSeries(out)
 
 
@@ -340,17 +326,6 @@ def generating_polynomials(params: DeformParams, family: str, x,
     return _factorial_coeffs(series, params)
 
 
-def euler_star_numbers(params: DeformParams, order: int,
-                       convention: str = "lower") -> list:
-    """The sech-generated family [2]/(e(z) + e(-z)), factorial-normalized."""
-    make = exp_lower if convention == "lower" else exp_upper
-    e = make(params, order)
-    em = e.scale_arg(Fraction(-1))
-    two = rpq_number(params, 2)
-    series = (e + em).inverse() * two
-    return _factorial_coeffs(series, params)
-
-
 # -- quantum-algebra realization check ------------------------------------
 
 def operator_algebra_check(params: DeformParams, n_max: int) -> SuiteReport:
@@ -378,3 +353,28 @@ def operator_algebra_check(params: DeformParams, n_max: int) -> SuiteReport:
             comm.coefficient(n),
             rpq_number(params, n + 1) - rpq_number(params, n)))
     return SuiteReport("operator_algebra", tuple(results))
+
+
+def _series_suite(js: DeformParams) -> SuiteReport:
+    """E(-z) e(z) = 1 coefficientwise, and G_(n+1) = [n+1] E_n."""
+    e = exp_lower(js, 10)
+    E = exp_upper(js, 10)
+    prod = E.scale_arg(Fraction(-1)) * e
+    results = [IdentityResult("E(-z) e(z) = 1 (z^0)",
+                              prod.coefficient(0), Fraction(1))]
+    for n in range(1, 11):
+        results.append(IdentityResult(
+            f"E(-z) e(z) = 1 (z^{n})", prod.coefficient(n), Fraction(0)))
+    G = generating_polynomials(js, "genocchi", Fraction(0), 9)
+    Eu = generating_polynomials(js, "euler", Fraction(0), 8)
+    for n in range(0, 9):
+        results.append(IdentityResult(
+            f"G_{n + 1} = [{n + 1}] E_{n}", G[n + 1],
+            rpq_number(js, n + 1) * Eu[n]))
+    return SuiteReport("series_identities", tuple(results))
+
+
+def check_suites() -> tuple:
+    """The reports of ``rpqcalc check --module series``."""
+    js = DeformParams.preset("jagannathan_srinivasa", p=1, q=Fraction(1, 2))
+    return operator_algebra_check(js, 8), _series_suite(js)

@@ -267,17 +267,6 @@ class LocalZetaRational(Frozen):
             self.num * other.num, self.den * other.den, self.prime,
             f"{self.label}*{other.label}")
 
-    def __truediv__(self, other: "LocalZetaRational") -> "LocalZetaRational":
-        return LocalZetaRational.make(
-            self.num * other.den, self.den * other.num, self.prime,
-            f"{self.label}/({other.label})")
-
-    def __sub__(self, other: "LocalZetaRational") -> "LocalZetaRational":
-        return LocalZetaRational.make(
-            self.num * other.den - other.num * self.den,
-            self.den * other.den, self.prime,
-            f"{self.label}-{other.label}")
-
     def eval_t(self, t: Fraction) -> Fraction:
         t = Fraction(t)
         den = self.den(t)
@@ -303,19 +292,6 @@ def zeta_p_factor(shift_a: int, multiplier_m: int,
     return LocalZetaRational.make(
         Polynomial.constant(Fraction(1)), den, prime,
         f"zeta_p({multiplier_m}s-{shift_a})")
-
-
-def igusa_Zf(prime: int) -> LocalZetaRational:
-    """The local zeta integral of the ternary form x3^2 + 4 x1 x2 (in
-    the shifted variable): (1 - 1/p)(1 - t/p)/((1 - p t^2)(1 - p t))."""
-    if not is_prime(prime) or prime == 2:
-        raise InvalidParameterError("odd prime required")
-    p = Fraction(prime)
-    num = Polynomial({0: 1 - 1 / p}) * Polynomial({0: Fraction(1),
-                                                   1: -1 / p})
-    den = Polynomial({0: Fraction(1), 2: -p}) \
-        * Polynomial({0: Fraction(1), 1: -p})
-    return LocalZetaRational.make(num, den, prime, "Z_f(s-2)")
 
 
 class ZetaSpinValue(NamedTuple):
@@ -360,55 +336,6 @@ def zeta_spin_half(prime: int, s: int) -> ZetaSpinValue:
     return ZetaSpinValue(acc, tuple(vals), Fraction(s), prime)
 
 
-def zeta_rank3_abelian(prime: int) -> LocalZetaRational:
-    """zeta_p(s) zeta_p(s-1) zeta_p(s-2): the subgroup zeta of the
-    rank-3 abelian algebra, imported for the subtraction form."""
-    return zeta_p_factor(0, 1, prime) * zeta_p_factor(1, 1, prime) \
-        * zeta_p_factor(2, 1, prime)
-
-
-def zeta_spin_subtraction(prime: int, s: int, i: int = 0) -> Fraction:
-    """The literal subtraction form
-
-        zeta_{Z_p^3}(s) - Z_f(s-2) zeta_p(2s-2) p^((2-s)(i+1)) (1-1/p)^(-1)
-
-    at integer s.  Compared against the product form by
-    ``zeta_cross_check``; the product form stays authoritative."""
-    z3 = zeta_rank3_abelian(prime).eval_s(s)
-    zf = igusa_Zf(prime).eval_s(s)
-    z22 = zeta_p_factor(2, 2, prime).eval_s(s)
-    pw = Fraction(prime) ** ((2 - s) * (i + 1))
-    return z3 - zf * z22 * pw / (1 - Fraction(1, prime))
-
-
-def zeta_spin_display_form(prime: int, s: int) -> Fraction:
-    """Alternative subtraction reading whose subtracted term carries an
-    extra 1/(1 - p^2 t) factor; this variant agrees identically with
-    the product form."""
-    p = Fraction(prime)
-    t = 1 / p ** s
-    z3 = zeta_rank3_abelian(prime).eval_s(s)
-    term = (1 - t / p) * p ** 2 * t / (
-        (1 - p * t) * (1 - p ** 2 * t) * (1 - p * t ** 2)
-        * (1 - p ** 2 * t ** 2))
-    return z3 - term
-
-
-def zeta_cross_check(prime: int, s: int, i: int = 0) -> dict:
-    """Product form vs both subtraction readings, exact."""
-    prod = zeta_spin_half(prime, s).value
-    sub = zeta_spin_subtraction(prime, s, i)
-    disp = zeta_spin_display_form(prime, s)
-    return {
-        "prime": prime, "s": s, "i": i,
-        "product_form": str(prod),
-        "subtraction_literal": str(sub),
-        "subtraction_display": str(disp),
-        "literal_discrepancy": str(sub - prod),
-        "display_matches_product": disp == prod,
-    }
-
-
 # -- ghost boundaries --------------------------------------------------------
 
 GHOST_GROUPS = ("GO_odd", "GSp", "GO_even_plus")
@@ -428,3 +355,28 @@ def ghost_boundary(group: str, l: int) -> Fraction:
         return Fraction(l * (l - 1), 2) - 2
     raise InvalidParameterError(
         f"unknown group {group!r}; expected one of {GHOST_GROUPS}")
+
+
+def check_suites() -> tuple:
+    """The reports of ``rpqcalc check --module spinzeta``."""
+    # imported here: the spin and zeta commands load no deformed calculus
+    from .deform import IdentityResult, SuiteReport
+    Sm, Sz, Sp = spin_generators(1, 5, 12)
+    zero = Mat2Padic.zero(5, 12)
+    results = [
+        IdentityResult("[Sz,S+] = h S+", commutator(Sz, Sp) - Sp, zero),
+        IdentityResult("[Sz,S-] = -h S-", commutator(Sz, Sm) + Sm, zero),
+        IdentityResult("[S+,S-] = 2h Sz",
+                       commutator(Sp, Sm) - Sz.scaled(
+                           PadicNumber.from_rational(2, 5, 12)), zero),
+    ]
+    zs = zeta_spin_half(2, 3)
+    expected = (Fraction(8, 7) * Fraction(4, 3) * Fraction(32, 31)
+                * Fraction(16, 15) / Fraction(256, 255))
+    results.append(IdentityResult("zeta_spin(2, 3)", zs.value, expected))
+    for group, l, expect in (("GSp", 2, 1), ("GO_odd", 1, 0),
+                             ("GO_even_plus", 2, -1)):
+        results.append(IdentityResult(
+            f"ghost {group} l={l}", ghost_boundary(group, l),
+            Fraction(expect)))
+    return (SuiteReport("spin_zeta", tuple(results)),)

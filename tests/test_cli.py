@@ -353,6 +353,15 @@ class TestCheck:
         assert as_json == plain == json.dumps(json.loads(plain),
                                               indent=2) + "\n"
 
+    def test_failing_identity_exits_one(self, capsys, monkeypatch):
+        from rpqcalc import deform
+        bad = deform.SuiteReport("s", (deform.IdentityResult("ok", 1, 1),
+                                       deform.IdentityResult("bad", 1, 2)))
+        monkeypatch.setattr(deform, "check_suites", lambda: (bad,))
+        code, out, err = run(capsys, "check", "--module", "deform")
+        assert code == 1 and json.loads(out)["passed"] is False
+        assert err == "first failing identity: ('deform', 'bad')\n"
+
     def test_format_csv_is_refused(self, capsys):
         code, out, err = run(capsys, "check", "--module", "deform",
                              "--format", "csv")
@@ -592,6 +601,26 @@ class TestOptionScope:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"parameter error: {message}\n")
 
+    @pytest.mark.parametrize("modules", [["deform"], ["series", "padicfun"]])
+    def test_classical_limit_only_with_gammabeta(self, capsys, modules):
+        # check is one SCOPE key, so --classical-limit is refused here,
+        # after --module all is expanded
+        argv = [tok for m in modules for tok in ("--module", m)]
+        code, out, err = run(capsys, "check", *argv, "--classical-limit")
+        assert (code, out, err) == (2, "", "parameter error: "
+                                    "--classical-limit is read only by "
+                                    "--module gammabeta\n")
+
+    @pytest.mark.parametrize("op", ["log", "level"])
+    def test_matrix_file_and_json_exclusive(self, capsys, tmp_path, op):
+        mat_file = tmp_path / "g.json"
+        mat_file.write_text(IDENTITY_5)
+        code, out, err = run(capsys, "spin", op, "--matrix-file",
+                             str(mat_file), "--matrix-json", '{"bogus": 1}')
+        assert (code, out, err) == (2, "", "parameter error: --matrix-file "
+                                    "and --matrix-json are mutually "
+                                    "exclusive\n")
+
 
 def test_zeta_eval_plain(capsys):
     code, out, _ = run(capsys, "zeta", "eval", "--prime", "2", "-s", "3")
@@ -700,10 +729,13 @@ def test_import_surface():
     ``dataclasses``, and ``json`` only for JSON in or out; one fresh
     process runs every subcommand.  Run first in a fresh process, the
     Fraction-layer commands load neither ``padic`` nor ``padicfun``,
-    and ``pgamma`` loads none of the Fraction-only modules."""
+    ``pgamma`` loads none of the Fraction-only modules, and ``zeta
+    eval`` and ``spin exp`` load no ``deform``."""
     pgamma = [["pgamma", "-n", "5"]]
     assert not {"rpqcalc.gammabeta", "rpqcalc.quadrature", "rpqcalc.series",
                 "rpqcalc.spinzeta"} & set(_import_surface(pgamma, [])["lead"])
+    spin_zeta = [["zeta", "eval"], ["spin", "exp"]]
+    assert "rpqcalc.deform" not in _import_surface(spin_zeta, [])["lead"]
     out = _import_surface(FRACTION_COMMANDS,
                           SURFACE_COMMANDS[len(FRACTION_COMMANDS):] + pgamma)
     assert out["bare"] == []

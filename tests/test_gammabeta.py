@@ -1,5 +1,6 @@
 """Power basis, deformed gamma/beta, Taylor expansions."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,13 +14,11 @@ from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
 from rpqcalc.gammabeta import (beta_rpq, gamma_rpq,
                                gamma_duplication_report, power_basis,
                                power_basis_derivative_suite,
-                               power_basis_identity_suite,
-                               power_basis_infinite, power_basis_poly,
+                               power_basis_identity_suite, power_basis_poly,
                                power_basis_poly_reversed,
                                beta_reflection_report, rational_pow_exact,
-                               rpq_number_at, taylor_expand,
-                               taylor_reconstruct)
-from rpqcalc.poly import Polynomial
+                               rpq_number_at)
+from rpqcalc.poly import Polynomial, rpq_derivative_poly
 
 JS = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
 # square-friendly parameters: both q and 1-q are exact squares
@@ -124,15 +123,6 @@ class TestPowerBasis:
         poly = power_basis_poly(a, 3, "minus", JS)
         for x in (F(2), F(-1, 2), F(7, 5)):
             assert poly(x) == power_basis(x, a, 3, "minus", JS)
-
-    def test_infinite_truncation_certificate(self):
-        prod = power_basis_infinite(F(1), F(1, 2), "minus", JS, 64)
-        assert prod.truncation == 64
-        assert prod.tail_ratio == F(1, 2) * F(1, 2) ** 64
-        assert prod.partial == ref_power_basis(F(1), F(1, 2), 64, "minus",
-                                               JS)
-        with pytest.raises(InvalidParameterError):
-            power_basis_infinite(F(1), F(1, 2), "minus", JS, -1)
 
 
 class TestMergedPowerBasis:
@@ -311,7 +301,39 @@ class TestMeasuredReports:
         assert rep["product_form_matches"] is True
 
 
+def taylor_expand(f, a, params, form):
+    """The deformed Taylor coefficients of a polynomial, read off its
+    iterated derivatives:
+
+    forward: f = sum_k c_k (x (-) a)^k with
+             c_k = xi1^(-C(k,2)) (D^k f)(a xi1^(-k)) / [k]!
+    reverse: f = sum_k c_k (a (-) x)^k with
+             c_k = (-1)^k xi2^(-C(k,2)) (D^k f)(a xi2^(-k)) / [k]!
+    """
+    xi = params.xi1 if form == "forward" else params.xi2
+    sign = 1 if form == "forward" else -1
+    coeffs, g = [], f
+    for k in range(max(f.degree, 0) + 1):
+        coeffs.append(sign ** k * xi ** -math.comb(k, 2)
+                      * g(a * xi ** -k) / rpq_factorial(params, k))
+        g = rpq_derivative_poly(g, params)
+    return coeffs
+
+
+def taylor_reconstruct(coeffs, a, params, form):
+    """sum_k c_k times the k-th forward or reverse power basis."""
+    out = Polynomial({})
+    for k, c in enumerate(coeffs):
+        basis = power_basis_poly(a, k, "minus", params) \
+            if form == "forward" else power_basis_poly_reversed(a, k, params)
+        out = out + basis * c
+    return out
+
+
 class TestTaylor:
+    """The deformed Taylor formula: the derivative rules of the power
+    basis make the expansion reconstruct the polynomial exactly."""
+
     def test_monomial_at_origin(self):
         cs = taylor_expand(Polynomial.monomial(3), F(0), JS, "forward")
         assert cs[3] != 0

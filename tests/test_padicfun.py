@@ -15,12 +15,11 @@ from rpqcalc.padic import PadicNumber
 from rpqcalc.padicfun import (ConvergenceReport, TwistParams,
                               carlitz_bernoulli, delta_factor,
                               factorial_decomposition_check,
-                              fermionic_integral, fermionic_shift_check,
-                              gamma_limit_at, gamma_recurrence_check,
+                              fermionic_integral, gamma_recurrence_check,
                               number_at, padic_beta_rpq, padic_beta_suite,
                               padic_factorial_rpq, padic_gamma_rpq,
                               volkenborn_integral, volkenborn_measure,
-                              volkenborn_moment, volkenborn_shift_check)
+                              volkenborn_moment)
 from rpqcalc.poly import Polynomial
 
 TW5 = TwistParams.make(5, 6, 11, precision=12)
@@ -215,10 +214,17 @@ class TestVolkenbornIntegral:
         assert exact.diff_valuations == padic.diff_valuations
 
     def test_shift_identity_converges(self):
-        rep = volkenborn_shift_check(Polynomial.monomial(1), TW5, 5)
-        assert rep["converging"]
-        levels = rep["agreement_by_level"]
-        assert levels[-1] > levels[0]
+        # q I(f1) - rho I(f) = -rho (rho - q) (f'(0)/(log q - log rho)
+        # + f(0)) for f1(x) = f(x + 1); the sign is fixed by the total
+        # mass (I(1) = rho at every level)
+        f = lambda x: F(x) ** 2 + 2 * x + 3  # f'(0) = 2, f(0) = 3
+        rho, q = TW5.rho, TW5.q
+        rep = volkenborn_integral(f, TW5, 5)
+        rep1 = volkenborn_integral(lambda x: f(x + 1), TW5, 5)
+        rhs = -rho * (rho - q) * (2 / (q.log() - rho.log()) + 3)
+        agreement = [(q * v1 - rho * v - rhs).valuation
+                     for v, v1 in zip(rep.values, rep1.values)]
+        assert agreement == list(rep.levels)
 
     def test_report_json(self):
         rep = volkenborn_integral(lambda x: F(x), CL5, 3)
@@ -431,8 +437,11 @@ class TestFermionic:
         assert all(v == 1 for v in rep.values)
 
     def test_square_shift_identity(self):
-        rep = fermionic_shift_check(Polynomial.monomial(2), 5, 6)
-        assert rep["agreement_valuation"] >= 6
+        # I(f1) + I(f) = 2 f(0) for f1(x) = f(x + 1)
+        f = lambda x: x ** 2 + 3
+        rep = fermionic_integral(f, 5, 6)
+        rep1 = fermionic_integral(lambda x: f(x + 1), 5, 6)
+        assert (rep1.best_value + rep.best_value - 2 * f(0)).valuation >= 6
 
     def test_direct_summation_oracle(self):
         total = sum((-1) ** x * (3 * x + 1) for x in range(5 ** 3))
@@ -538,19 +547,15 @@ class TestRestrictedFactorialMemo:
 
 class TestGammaLimit:
     def test_digit_truncation_convergence(self):
+        # Gamma at the digit truncations x mod 5^k of x = 1/2 settles
+        # digit by digit
         x = PadicNumber.from_rational(F(1, 2), 5, 12)
-        rep = gamma_limit_at(x, TW5, 5)
-        assert rep.converged
-
-    def test_rejects_nonintegral(self):
-        x = PadicNumber.from_rational(F(1, 5), 5, 12)
-        with pytest.raises(InvalidParameterError):
-            gamma_limit_at(x, TW5, 4)
+        values = [padic_gamma_rpq(x.residue(k), TW5) for k in range(1, 6)]
+        diffs = [(b - a).valuation for a, b in zip(values, values[1:])]
+        assert all(b > a for a, b in zip(diffs, diffs[1:]))
 
 
 class TestLevelBudget:
-    X = PadicNumber.from_rational(F(1, 2), 5, 12)
-
     @pytest.mark.parametrize("levels", [0, -1])
     @pytest.mark.parametrize("call", [
         lambda N: volkenborn_integral(lambda x: F(x), TW5, N),
@@ -559,9 +564,8 @@ class TestLevelBudget:
         lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="direct"),
         lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="moments"),
         lambda N: fermionic_integral(lambda x: x, 5, N),
-        lambda N: gamma_limit_at(TestLevelBudget.X, TW5, N),
     ], ids=["integral", "moment", "classical_moment", "carlitz_direct",
-            "carlitz_moments", "fermionic", "gamma_limit"])
+            "carlitz_moments", "fermionic"])
     def test_needs_a_level(self, call, levels):
         with pytest.raises(InvalidParameterError, match="at least one"):
             call(levels)

@@ -1,12 +1,22 @@
-"""Every module-level private function or class in ``src/rpqcalc`` is
-referenced somewhere in the package outside its own definition, so a
-helper left behind when its last caller goes is caught here."""
+"""Every module-level function or class in ``src/rpqcalc`` is referenced
+somewhere in the package outside its own definition, so a helper left
+behind when its last caller goes is caught here, and so is public API
+that only tests reach.  The export table of ``__init__`` holds names as
+strings, so it references nothing."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rpqcalc"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# public names that no command or check suite reaches, and why each stays
+TEST_ONLY = {
+    "jackson_sum": "the node-sum oracle for definite_integral_poly",
+    "rpq_number_at": "the oracle for the rational gamma recurrence test",
+    "fermionic_integral": "the exact fermionic moments of the ROADMAP "
+                          "give it a route",
+}
 
 
 def _names(node):
@@ -20,18 +30,38 @@ def _names(node):
             yield sub.name
 
 
-def test_private_definitions_are_referenced():
+def _definitions():
+    """(file, name) of every module-level definition, and the names the
+    package references outside the definition of each."""
     defined, used = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
-            own = None
-            if isinstance(stmt, DEFS) and stmt.name.startswith("_") \
-                    and not stmt.name.startswith("__"):
-                own = stmt.name
-                defined.append(f"{path.name}:{own}")
+            own = stmt.name if isinstance(stmt, DEFS) else None
+            if own:
+                defined.append((path.name, own))
             # a definition's references to itself (recursion) don't count
             used.update(n for n in _names(stmt) if n != own)
-    assert defined, "no private definitions found: wrong package path?"
-    unused = [d for d in defined if d.split(":")[1] not in used]
+    assert defined, "no definitions found: wrong package path?"
+    return defined, used
+
+
+def test_private_definitions_are_referenced():
+    defined, used = _definitions()
+    unused = [d for d in defined if d[1].startswith("_")
+              and not d[1].startswith("__") and d[1] not in used]
     assert not unused, f"private definitions nothing references: {unused}"
+
+
+def test_public_definitions_are_referenced():
+    defined, used = _definitions()
+    public = {name for _, name in defined if not name.startswith("_")}
+    unused = [d for d in defined if d[1] in public - used - set(TEST_ONLY)]
+    assert not unused, f"public definitions only tests reach: {unused}"
+    stale = set(TEST_ONLY) - (public - used)
+    assert not stale, f"allowlisted but gone or referenced: {stale}"
+
+
+def test_cli_builds_no_identity_suite():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert not {"SuiteReport", "IdentityResult"} & set(_names(tree))

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.errors import InvalidParameterError, PoleAtOriginError
-from rpqcalc.poly import Polynomial
+from rpqcalc.poly import Polynomial, rpq_antiderivative_poly
 from rpqcalc.series import (FormalSeries, _dot, _factorial_coeffs,
-                            exp_lower, exp_upper,
-                            euler_star_numbers, generating_polynomials,
-                            operator_algebra_check, rpq_antiderivative,
-                            rpq_derivative, trig_series, zigzag_numbers)
+                            exp_lower, exp_upper, generating_polynomials,
+                            operator_algebra_check, rpq_derivative,
+                            trig_series, zigzag_numbers)
 
 JS = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
 CL = DeformParams.preset("classical", p=1, q=1)
@@ -76,24 +75,24 @@ class TestDerivative:
 
 class TestAntiderivative:
     def test_monomial(self):
-        out = rpq_antiderivative(Polynomial.monomial(2), JS)
+        out = rpq_antiderivative_poly(Polynomial.monomial(2), JS)
         assert out == Polynomial.monomial(3, 1 / rpq_number(JS, 3))
 
     def test_inverts_derivative(self):
         for n in range(1, 12):
             f = Polynomial.monomial(n)
-            assert rpq_antiderivative(rpq_derivative(f, JS), JS) == f
+            assert rpq_antiderivative_poly(rpq_derivative(f, JS), JS) == f
 
     def test_constant_integrates_to_z(self):
-        assert rpq_antiderivative(Polynomial.constant(F(1)), JS) == \
+        assert rpq_antiderivative_poly(Polynomial.constant(F(1)), JS) == \
             Polynomial.monomial(1)
 
     @pytest.mark.parametrize("params", PRESETS)
     def test_two_sided_identities(self, params):
         f = Polynomial({3: F(2), 1: F(5), 0: F(7)})
-        assert rpq_derivative(rpq_antiderivative(f, params), params) == f
+        assert rpq_derivative(rpq_antiderivative_poly(f, params), params) == f
         no_const = Polynomial({3: F(2), 1: F(5)})
-        assert rpq_antiderivative(
+        assert rpq_antiderivative_poly(
             rpq_derivative(no_const, params), params) == no_const
 
 
@@ -252,8 +251,9 @@ class TestGeneratingFamilies:
             generating_polynomials(JS, "tangent", F(0), 4)
 
     def test_euler_star_family(self):
-        star = euler_star_numbers(CL, 6)
-        # classical sech numbers: 1, 0, -1, 0, 5, 0, -61
+        # [2]/(e(z) + e(-z)) = ([2]/2) sech, classically the sech
+        # numbers: 1, 0, -1, 0, 5, 0, -61
+        star = _factorial_coeffs(trig_series(CL, "sech", 6), CL)
         assert star == [F(1), F(0), F(-1), F(0), F(5), F(0), F(-61)]
 
 
@@ -319,6 +319,23 @@ class TestSeriesProtocol:
                            match="series coefficients must be int or "
                                  "Fraction; got "):
             make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polynomial([0.5, 1]),
+    lambda: Polynomial({2: Decimal("0.5")}),
+    lambda: Polynomial([F(1), "1/2"]),
+    lambda: Polynomial.constant(0.0),
+    lambda: Polynomial.monomial(1) * 0.5,
+    lambda: Polynomial.monomial(1) + 0.5,
+    lambda: Polynomial.monomial(2).scale_arg(0.5),
+], ids=["float", "Decimal", "str", "float_zero", "mul", "add", "scale_arg"])
+def test_non_rational_polynomial_coefficients_refused(make):
+    # only int and Fraction: a float would carry its binary expansion
+    with pytest.raises(InvalidParameterError,
+                       match="polynomial coefficients must be int or "
+                             "Fraction; got "):
+        make()
 
 
 def term_sum(xs, ys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,10 +13,8 @@ from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
 from rpqcalc.padic import PadicNumber
 from rpqcalc.spinzeta import (GHOST_GROUPS, Mat2Padic,
                               commutator, congruence_level, ghost_boundary,
-                              igusa_Zf, mat_exp, mat_log, spin_generators,
-                              zeta_cross_check, zeta_p_factor,
-                              zeta_spin_display_form, zeta_spin_half,
-                              zeta_rank3_abelian)
+                              mat_exp, mat_log, spin_generators,
+                              zeta_p_factor, zeta_spin_half)
 
 
 def gens(scale=1, p=5, prec=12):
@@ -291,24 +290,6 @@ class TestZetaFactors:
         with pytest.raises(InvalidParameterError):
             zeta_spin_half(n, 3)
 
-    def test_igusa_constant_term(self):
-        for p in (3, 5, 7):
-            assert igusa_Zf(p).eval_t(F(0)) == 1 - F(1, p)
-
-    def test_igusa_sample(self):
-        t = F(1, 27)
-        v = igusa_Zf(3).eval_t(t)
-        assert v == (1 - F(1, 3)) * (1 - F(1, 3) * t) \
-            / ((1 - 3 * t ** 2) * (1 - 3 * t))
-
-    def test_igusa_denominator_factors(self):
-        z = igusa_Zf(3)
-        # denominator vanishes at t = 1/p and contains the 1 - p t^2
-        # polynomial factor
-        with pytest.raises(PoleError):
-            z.eval_t(F(1, 3))
-        assert z.den(F(1, 3)) == 0
-
     def test_product_evaluation_distributes(self):
         rng = random.Random(11)
         fs = [zeta_p_factor(a, m, 5)
@@ -320,6 +301,51 @@ class TestZetaFactors:
             for f in fs:
                 expected *= f.eval_t(t)
             assert prod.eval_t(t) == expected
+
+
+def spin_bracket(u, v):
+    """[u, v] in the basis (S_z, S+, S-) at scale 1, where
+    [S_z, S+] = S+, [S_z, S-] = -S- and [S+, S-] = 2 S_z."""
+    return (2 * (u[1] * v[2] - u[2] * v[1]), u[0] * v[1] - u[1] * v[0],
+            u[2] * v[0] - u[0] * v[2])
+
+
+def in_lattice(rows, w):
+    """w in the lattice of an upper-triangular basis, by exact
+    triangular division."""
+    (pa, x, y), (_, pb, z), (_, _, pc) = rows
+    t0, r = divmod(w[0], pa)
+    if r:
+        return False
+    t1, r = divmod(w[1] - t0 * x, pb)
+    return not r and (w[2] - t0 * y - t1 * z) % pc == 0
+
+
+def subalgebra_count(p, k):
+    """Sublattices of index p^k in Z_p^3 closed under the spin bracket.
+    Each has one Hermite basis [[p^a, x, y], [0, p^b, z], [0, 0, p^c]]
+    with a + b + c = k, 0 <= x < p^b and 0 <= y, z < p^c; it is closed
+    iff the brackets of its basis rows lie in it."""
+    n = 0
+    for a in range(k + 1):
+        for b in range(k - a + 1):
+            pa, pb, pc = p ** a, p ** b, p ** (k - a - b)
+            for x, y, z in product(range(pb), range(pc), range(pc)):
+                rows = ((pa, x, y), (0, pb, z), (0, 0, pc))
+                n += all(in_lattice(rows, spin_bracket(rows[i], rows[j]))
+                         for i, j in ((0, 1), (0, 2), (1, 2)))
+    return n
+
+
+def euler_product_coefficients(p, order):
+    """The t-coefficients, to t^order, of zeta_p(s) zeta_p(s-1)
+    zeta_p(2s-1) zeta_p(2s-2) / zeta_p(3s-1) at t = p^-s."""
+    coeffs = [1] + [0] * order
+    for a, m in ((0, 1), (1, 1), (1, 2), (2, 2)):  # times 1/(1 - p^a t^m)
+        for k in range(m, order + 1):
+            coeffs[k] += p ** a * coeffs[k - m]
+    return [c - p * coeffs[k - 3] if k >= 3 else c  # times 1 - p t^3
+            for k, c in enumerate(coeffs)]
 
 
 class TestZetaSpin:
@@ -338,21 +364,30 @@ class TestZetaSpin:
         with pytest.raises(InvalidParameterError):
             zeta_spin_half(2, F(1, 2))
 
-    def test_display_form_matches_product(self):
-        for p in (3, 5, 7):
-            for s in (3, 4, 5):
-                assert zeta_spin_display_form(p, s) == \
-                    zeta_spin_half(p, s).value
-
-    def test_cross_check_reports_discrepancy(self):
-        rep = zeta_cross_check(3, 4, 0)
-        assert rep["display_matches_product"]
-        assert F(rep["literal_discrepancy"]) != 0
-
     def test_rank3_import(self):
-        z = zeta_rank3_abelian(3)
+        # the subgroup zeta of Z_p^3, zeta_p(s) zeta_p(s-1) zeta_p(s-2)
+        z = zeta_p_factor(0, 1, 3) * zeta_p_factor(1, 1, 3) \
+            * zeta_p_factor(2, 1, 3)
         t = F(1, 81)
         assert z.eval_t(t) == 1 / ((1 - t) * (1 - 3 * t) * (1 - 9 * t))
+
+    @pytest.mark.parametrize("p, counts", [
+        (3, [1, 4, 25, 85, 382, 1237]),
+        (5, [1, 6, 61, 331]),
+        (7, [1, 8, 113]),
+    ])
+    def test_subalgebra_counts(self, p, counts):
+        # the t^k coefficient of the product form is the number of
+        # subalgebras of index p^k of the spin lattice Z_p^3, counted
+        # over Hermite bases; zeta_spin_half is that product at t = p^-s
+        order = len(counts) - 1
+        assert [subalgebra_count(p, k) for k in range(order + 1)] == counts
+        assert euler_product_coefficients(p, order) == counts
+        for s in (3, 4):
+            t = F(1, p ** s)
+            assert zeta_spin_half(p, s).value == (1 - p * t ** 3) / (
+                (1 - t) * (1 - p * t) * (1 - p * t ** 2)
+                * (1 - p ** 2 * t ** 2))
 
 
 class TestGhost:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from rpqcalc.deform import (DeformParams, IdentityResult, StructureFunction,
                             SuiteReport, rpq_factorial)
-from rpqcalc.gammabeta import BetaValue, GammaValue, InfiniteProduct
+from rpqcalc.gammabeta import BetaValue, GammaValue
 from rpqcalc.padicfun import ConvergenceReport, TwistParams, volkenborn_moment
-from rpqcalc.quadrature import (DecayCertificate, ImproperResult,
-                                QuadratureSpec)
+from rpqcalc.quadrature import QuadratureSpec
 from rpqcalc.spinzeta import (LocalZetaRational, ZetaSpinValue, zeta_p_factor,
                               zeta_spin_half)
 
@@ -30,9 +29,6 @@ CASES = {
     "SuiteReport": (SuiteReport,
                     lambda: SuiteReport("s", (IdentityResult("i", 1, 1),)),
                     ("name", "results"), True),
-    "InfiniteProduct": (InfiniteProduct,
-                        lambda: InfiniteProduct(F(1, 2), 3, F(1, 8)),
-                        ("partial", "truncation", "tail_ratio"), True),
     "GammaValue": (GammaValue, lambda: GammaValue(F(6), 3, F(0), True),
                    ("value", "terms", "tail_bound", "exact"), True),
     "BetaValue": (BetaValue, lambda: BetaValue(F(1, 6), F(0), True),
@@ -41,10 +37,6 @@ CASES = {
                           lambda: volkenborn_moment(
                               1, TwistParams.make(5, 6, 11), 3),
                           ("levels", "values", "diff_valuations"), False),
-    "ImproperResult": (ImproperResult,
-                       lambda: ImproperResult(F(1), F(1, 9), None, 5),
-                       ("value", "small_tail_bound", "large_tail_bound",
-                        "nodes"), True),
     "ZetaSpinValue": (ZetaSpinValue, lambda: zeta_spin_half(2, 3),
                       ("value", "factors", "s", "prime"), True),
     "StructureFunction": (StructureFunction,
@@ -58,10 +50,6 @@ CASES = {
     "QuadratureSpec": (QuadratureSpec,
                        lambda: QuadratureSpec(_js(), terms=10),
                        ("params", "terms"), True),
-    "DecayCertificate": (DecayCertificate,
-                         lambda: DecayCertificate(F(1, 2), F(3)),
-                         ("gamma", "bound", "gamma_large", "bound_large"),
-                         True),
     "LocalZetaRational": (LocalZetaRational,
                           lambda: zeta_p_factor(1, 2, 3),
                           ("num", "den", "prime", "label"), False),
@@ -112,17 +100,19 @@ def test_immutable(case):
 
 
 def test_different_classes_never_equal():
-    a = DecayCertificate(F(1, 2), F(3))
-    assert a != StructureFunction("heine") and a != (F(1, 2), F(3))
+    a = QuadratureSpec(_js(), terms=3)
+    assert a != StructureFunction("heine") and a != (_js(), 3)
 
 
 SMALL = st.sampled_from([F(1, 3), F(1, 2), F(2, 3)])
+TERMS = st.sampled_from([1, 2, 3])
 
 
-@given(g1=SMALL, b1=SMALL, g2=SMALL, b2=SMALL)
-def test_validated_equality_is_fieldwise(g1, b1, g2, b2):
-    x, y = DecayCertificate(g1, b1), DecayCertificate(g2, b2)
-    assert (x == y) == ((g1, b1) == (g2, b2))
+@given(q1=SMALL, t1=TERMS, q2=SMALL, t2=TERMS)
+def test_validated_equality_is_fieldwise(q1, t1, q2, t2):
+    x = QuadratureSpec(DeformParams(1, q1), t1)
+    y = QuadratureSpec(DeformParams(1, q2), t2)
+    assert (x == y) == ((q1, t1) == (q2, t2))
     if x == y:
         assert hash(x) == hash(y)
 
