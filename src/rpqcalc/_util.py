@@ -26,6 +26,42 @@ def exact_str(x) -> str:
         sys.set_int_max_str_digits(old)
 
 
+def product_tree(xs):
+    """Product of ``xs`` (1 when empty), multiplied in balanced pairs.
+
+    Each level multiplies neighbours, so both operands of a product
+    have about the same size and CPython's Karatsuba applies; a
+    left-to-right running product multiplies one growing int by one
+    small factor at a time.  An odd count carries its last entry up a
+    level.  The entries may be ints or ``Fraction``s."""
+    xs = list(xs)
+    while len(xs) > 1:
+        pairs = [xs[i] * xs[i + 1] for i in range(0, len(xs) - 1, 2)]
+        if len(xs) % 2:
+            pairs.append(xs[-1])
+        xs = pairs
+    return xs[0] if xs else 1
+
+
+RATIO_LEAF = 16
+
+
+def ratio_product(nums, dens) -> Fraction:
+    """The reduced ``Fraction`` prod(nums)/prod(dens), the product of the
+    factors nums[i]/dens[i] (lists of nonzero-denominator ints).
+
+    Each run of ``RATIO_LEAF`` factors is multiplied as two ints and
+    reduced once; the reduced runs are multiplied in a balanced tree of
+    ``Fraction``s, whose products cancel across runs.  A gcd costs time
+    quadratic in the digits, so gcds of runs and of subtree halves cost
+    less than one gcd of the whole product, and much less than one gcd
+    per factor of a running product."""
+    parts = [Fraction(product_tree(nums[i:i + RATIO_LEAF]),
+                      product_tree(dens[i:i + RATIO_LEAF]))
+             for i in range(0, len(nums), RATIO_LEAF)]
+    return product_tree(parts) if parts else Fraction(1)
+
+
 def running_product_strs(factors):
     """Yield ``exact_str`` of the running products 1, f1, f1 f2, ... of
     exact rational factors, one string per product.

@@ -208,40 +208,40 @@ def _cmd_eval(args) -> int:
     params = _params(args)
     op = args.operation
     if op == "number":
-        val = deform.rpq_number(params, args.n)
-        _emit(args, {"op": "number", "n": args.n, "value": _rat_str(val)},
-              _rat_str(val))
+        val = _rat_str(deform.rpq_number(params, args.n))
+        _emit(args, {"op": "number", "n": args.n, "value": val}, val)
     elif op == "factorial":
-        val = deform.rpq_factorial(params, args.n)
-        _emit(args, {"op": "factorial", "n": args.n,
-                     "value": _rat_str(val)}, _rat_str(val))
+        val = _rat_str(deform.rpq_factorial(params, args.n))
+        _emit(args, {"op": "factorial", "n": args.n, "value": val}, val)
     elif op == "binomial":
-        val = deform.rpq_binomial(params, args.m, args.n)
+        val = _rat_str(deform.rpq_binomial(params, args.m, args.n))
         _emit(args, {"op": "binomial", "m": args.m, "n": args.n,
-                     "value": _rat_str(val)}, _rat_str(val))
+                     "value": val}, val)
     elif op == "gamma":
         from . import gammabeta  # gamma and beta only
         g = gammabeta.gamma_rpq(args.z, params,
                                 truncation=args.truncation)
-        _emit(args, {"op": "gamma", "z": _rat_str(args.z),
-                     "value": _rat_str(g.value), "terms": g.terms,
+        val = _rat_str(g.value)
+        _emit(args, {"op": "gamma", "z": _rat_str(args.z), "value": val,
+                     "terms": g.terms,
                      "tail_bound": _rat_str(g.tail_bound),
-                     "exact": g.exact}, _rat_str(g.value))
+                     "exact": g.exact}, val)
     elif op == "beta":
         from . import gammabeta  # gamma and beta only
         b = gammabeta.beta_rpq(args.x, args.y, params,
                                truncation=args.truncation)
+        val = _rat_str(b.value)
         _emit(args, {"op": "beta", "x": _rat_str(args.x),
-                     "y": _rat_str(args.y), "value": _rat_str(b.value),
+                     "y": _rat_str(args.y), "value": val,
                      "tail_bound": _rat_str(b.tail_bound),
-                     "exact": b.exact}, _rat_str(b.value))
+                     "exact": b.exact}, val)
     elif op == "integral":
         from . import quadrature  # integral only
         f = _poly_from_coeffs(args.coeffs)
-        val = quadrature.definite_integral_poly(f, args.a, args.b, params)
+        val = _rat_str(
+            quadrature.definite_integral_poly(f, args.a, args.b, params))
         _emit(args, {"op": "integral", "a": _rat_str(args.a),
-                     "b": _rat_str(args.b), "value": _rat_str(val)},
-              _rat_str(val))
+                     "b": _rat_str(args.b), "value": val}, val)
     else:  # derivative; main has refused any operation not in SCOPE
         from . import series  # derivative only
         f = _poly_from_coeffs(args.coeffs)

@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from ._util import Frozen
-from .errors import InvalidParameterError, SingularityError
+from ._util import Frozen, ratio_product
+from .errors import (InvalidParameterError, SingularDeformationError,
+                     SingularityError)
 
 PRESET_KINDS = (
     "heine",
@@ -248,12 +249,27 @@ def rpq_factorial(params: DeformParams, n: int):
 
 
 def rpq_binomial(params: DeformParams, m: int, n: int):
-    """[m]! / ([n]! [m-n]!) for 0 <= n <= m."""
+    """[m]! / ([n]! [m-n]!) for 0 <= n <= m.
+
+    Computed as the product over k = 1..j of [m-j+k]/[k], with
+    j = min(n, m-n), by ``_util.ratio_product``; no factorial is built.
+    A [k] = 0 with k <= m - j makes the factorial quotient 0/0, which
+    raises; only a custom kernel can reach it, so only a custom kernel
+    pays for the scan of [1] .. [m-j]."""
     if not 0 <= n <= m:
         raise InvalidParameterError(
             f"binomial needs 0 <= n <= m; got m = {m}, n = {n}")
-    return rpq_factorial(params, m) / (
-        rpq_factorial(params, n) * rpq_factorial(params, m - n))
+    j = min(n, m - n)
+    scan = m - j if params.structure.kind == "custom" else j
+    low = [rpq_number(params, k) for k in range(1, scan + 1)]
+    if 0 in low:
+        k = low.index(0) + 1
+        raise SingularDeformationError(
+            f"[{k}] = 0, so [{m}]!/([{n}]! [{m - n}]!) is 0/0")
+    high = [rpq_number(params, k) for k in range(m - j + 1, m + 1)]
+    pairs = list(zip(high, low))
+    return ratio_product([hi.numerator * lo.denominator for hi, lo in pairs],
+                         [hi.denominator * lo.numerator for hi, lo in pairs])
 
 
 # -- Biedenharn-Macfarlane identity suite ------------------------------

@@ -24,7 +24,7 @@ from .deform import (DeformParams, IdentityResult, SuiteReport,
                      rpq_factorial, rpq_number)
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from ._util import exact_str
+from ._util import exact_str, ratio_product
 from .poly import Polynomial, rpq_derivative_poly
 
 DEFAULT_TRUNCATION = 256
@@ -189,13 +189,19 @@ def gamma_rpq(z, params: DeformParams,
         if bound <= DEFAULT_REL_TOL or terms >= truncation:
             break
         terms = min(2 * terms, truncation)
-    prod = Fraction(1)
-    top, bot = Fraction(1), xh_z
+    # with xh = a/b and xh^z = s/t, factor i of the product,
+    # (1 - xh^(i+1))/(1 - xh^(z+i)), is the integer ratio
+    # t (b^(i+1) - a^(i+1)) / (b (t b^i - s a^i))
+    a, b = xh.numerator, xh.denominator
+    s, t = xh_z.numerator, xh_z.denominator
+    nums, dens = [], []
+    ai, bi = 1, 1               # a^i, b^i
     for _ in range(terms):
-        top = top * xh          # xh^(i+1)
-        prod = prod * (1 - top) / (1 - bot)
-        bot = bot * xh          # xh^(z+i)
-    return GammaValue(pre * prod, terms, bound, False)
+        dens.append(b * (t * bi - s * ai))
+        ai, bi = ai * a, bi * b
+        nums.append(t * (bi - ai))
+    return GammaValue(pre * ratio_product(nums, dens), terms, bound,
+                      False)
 
 
 class BetaValue(NamedTuple):

@@ -3,10 +3,11 @@
 The geometric node sum is exposed for the two-base (p, q) family with
 rational 0 < q < p <= 1, where the telescoping prefactor is exactly 1
 and the sum provably inverts the derivative on monomials.  Its nodes
-q^j/p^(j+1) shrink geometrically (ratio q/p < 1) as j grows and grow
-without bound as j falls, for every integer j.  For every other
-kernel, definite integration of polynomials goes through the exact
-spectral antiderivative.
+q^j/p^(j+1) shrink geometrically (ratio q/p < 1) as j grows; the sum
+reads them at j = 0, 1, ..., terms, and nothing in the package
+evaluates a node at j < 0.  For every other kernel, definite
+integration of polynomials goes through the exact spectral
+antiderivative.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .poly import (Polynomial, rpq_antiderivative_poly,
 
 class QuadratureSpec(Frozen):
     """Node-sum configuration: nodes q^j/p^(j+1), strictly decreasing
-    in j, over rational p and q of the two-base family."""
+    in j, over rational p and q of the two-base family.  ``jackson_sum``
+    reads the nodes j = 0..terms."""
 
     _fields = ("params", "terms")
 

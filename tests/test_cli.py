@@ -77,6 +77,36 @@ class TestEval:
         assert code == 0
         assert F(out.strip()) == (F(9, 10) ** 3 - F(1, 2) ** 3) / F(2, 5)
 
+    @pytest.mark.parametrize("argv", [
+        ["number", "-n", "5"],
+        ["factorial", "-n", "30", "-p", "9/10"],
+        ["binomial", "-m", "40", "-n", "17"],
+        ["gamma", "-z", "1/2", "-q", "9/25"],
+        ["beta", "-x", "7/2", "-y", "3/2", "-q", "9/25"],
+        ["integral", "--coeffs", "1,2,3", "-a", "1/3", "-b", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_json_value_is_the_plain_line(self, capsys, argv):
+        code, plain, _ = run(capsys, "eval", *argv)
+        assert code == 0
+        code, out, _ = run(capsys, "eval", *argv, "--format", "json")
+        assert code == 0 and plain == json.loads(out)["value"] + "\n"
+
+    def test_binomial_through_a_zero_number_is_three(self, capsys,
+                                                     tmp_path):
+        # R(u, v) = (u - v)(u - c), c = p^65, so [65] = 0 and
+        # [70]!/([3]! [67]!) is 0/0
+        c = F(9, 10) ** 65
+        payload = {"numerator": [[2, 0, "1"], [1, 1, "-1"],
+                                 [1, 0, str(-c)], [0, 1, str(c)]],
+                   "denominator": [[0, 0, "1"]]}
+        path = tmp_path / "kern.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "eval", "binomial", "-m", "70",
+                             "-n", "3", "--kernel", str(path),
+                             "-p", "9/10", "-q", "1/2")
+        assert code == 3 and out == ""
+        assert "[65] = 0" in err and "internal error" not in err
+
     def test_kernel_and_preset_exclusive(self, capsys, tmp_path):
         path = tmp_path / "kern.json"
         path.write_text(json.dumps({"numerator": [[1, 0, "1"],

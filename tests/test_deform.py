@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import deform
-from rpqcalc.deform import (DeformParams, StructureFunction,
+from rpqcalc._util import RATIO_LEAF, product_tree, ratio_product
+from rpqcalc.deform import (PRESET_KINDS, DeformParams, StructureFunction,
                             bm_identity_suite, bm_number, rpq_binomial,
                             rpq_factorial, rpq_number)
-from rpqcalc.errors import InvalidParameterError
+from rpqcalc.errors import InvalidParameterError, SingularDeformationError
 from rpqcalc.padic import PadicNumber
 
 P, Q = F(9, 10), F(1, 2)
@@ -194,6 +195,113 @@ class TestBinomials:
             for n in range(m + 1):
                 assert rpq_binomial(pr, m, n) * rpq_factorial(pr, n) \
                     * rpq_factorial(pr, m - n) == rpq_factorial(pr, m)
+
+
+def ref_binomial(params, m, n):
+    """rpq_binomial as it was before the product tree: a quotient of
+    three memoised factorials."""
+    return rpq_factorial(params, m) / (
+        rpq_factorial(params, n) * rpq_factorial(params, m - n))
+
+
+# 0 < q < p <= 1
+pq = st.tuples(st.integers(1, 40), st.integers(1, 40),
+               st.integers(0, 40)).map(
+    lambda t: (F(t[0] + t[1], t[0] + t[1] + t[2]),
+               F(t[0], t[0] + t[1] + t[2])))
+
+
+def zero_kernel(p):
+    """R(u, v) = (u - v)(u - c) with c = p^65: positive for n <= 64,
+    [65] = 0, negative beyond."""
+    c = p ** 65
+    return StructureFunction.custom(
+        [[2, 0, 1], [1, 1, -1], [1, 0, -c], [0, 1, c]], [[0, 0, 1]])
+
+
+class TestProductTrees:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=70))
+    def test_is_the_product(self, xs):
+        acc = 1
+        for x in xs:
+            acc *= x
+        assert product_tree(xs) == acc
+
+    def test_empty_is_one(self):
+        assert product_tree([]) == 1 and product_tree(iter(())) == 1
+        assert ratio_product([], []) == 1
+        assert type(ratio_product([], [])) is F
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10 ** 20, 10 ** 20),
+                              st.integers(1, 10 ** 20)),
+                    max_size=5 * RATIO_LEAF))
+    def test_ratio_is_the_running_product(self, factors):
+        acc = F(1)
+        for a, b in factors:
+            acc *= F(a, b)
+        got = ratio_product([a for a, _ in factors],
+                            [b for _, b in factors])
+        assert type(got) is F and got == acc
+
+
+class TestBinomialProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(PRESET_KINDS), pq=pq,
+           m=st.integers(0, 60),
+           where=st.sampled_from(["zero", "all", "below", "above"]),
+           data=st.data())
+    def test_matches_factorial_quotient(self, kind, pq, m, where, data):
+        n = {"zero": lambda: 0, "all": lambda: m,
+             "below": lambda: data.draw(st.integers(0, m // 2)),
+             "above": lambda: data.draw(st.integers((m + 1) // 2, m)),
+             }[where]()
+        p, q = pq
+        params = DeformParams.preset(kind, p=p, q=q)
+        got = rpq_binomial(params, m, n)
+        assert type(got) is F
+        assert got == ref_binomial(DeformParams.preset(kind, p=p, q=q),
+                                   m, n)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (1, 0), (1, 1), (9, 4),
+                                     (9, 5), (40, 13), (41, 30)])
+    def test_custom_kernel_matches_factorial_quotient(self, m, n):
+        kernel = StructureFunction.custom([[1, 0, 1], [0, 1, -1]],
+                                          [[0, 0, F(2, 5)]])
+        params = DeformParams(P, Q, kernel)
+        assert rpq_binomial(params, m, n) == ref_binomial(params, m, n)
+
+    def test_preset_reads_only_the_2j_numbers(self, monkeypatch):
+        pr = preset("jagannathan_srinivasa")
+        calls = []
+
+        def counting(params, n):
+            calls.append(n)
+            return rpq_number(params, n)
+
+        monkeypatch.setattr(deform, "rpq_number", counting)
+        rpq_binomial(pr, 50, 7)
+        assert sorted(calls) == [*range(1, 8), *range(44, 51)]
+        assert len(pr._factorials) == 1  # no factorial was built
+
+    @pytest.mark.parametrize("m,n", [(70, 3), (70, 67), (66, 1), (65, 0),
+                                     (130, 65)])
+    def test_zero_number_below_the_split_raises(self, m, n):
+        # [65] = 0 with 65 <= max(n, m - n): [m]!/([n]! [m-n]!) is 0/0
+        params = DeformParams(P, Q, zero_kernel(P))
+        assert rpq_number(params, 65) == 0
+        with pytest.raises(SingularDeformationError, match=r"\[65\] = 0"):
+            rpq_binomial(params, m, n)
+
+    @pytest.mark.parametrize("m,n", [(70, 35), (66, 33), (64, 20)])
+    def test_zero_number_above_the_split_is_zero_or_kept(self, m, n):
+        # a zero only among the top numbers [m-j+1] .. [m] gives 0, as
+        # the factorial quotient does
+        params = DeformParams(P, Q, zero_kernel(P))
+        got = rpq_binomial(params, m, n)
+        assert got == ref_binomial(params, m, n)
+        assert (got == 0) == (m >= 65)
 
 
 class TestTwistConsistency:

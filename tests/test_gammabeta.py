@@ -5,13 +5,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
+from rpqcalc.deform import (PRESET_KINDS, DeformParams, rpq_factorial,
+                            rpq_number)
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
-                            PoleError)
-from rpqcalc.gammabeta import (beta_rpq, gamma_rpq,
+                            PoleError, RpqError)
+from rpqcalc.gammabeta import (DEFAULT_REL_TOL, DEFAULT_TRUNCATION,
+                               GammaValue, beta_rpq, gamma_rpq,
                                gamma_duplication_report, power_basis,
                                power_basis_derivative_suite,
                                power_basis_identity_suite, power_basis_poly,
@@ -69,6 +71,65 @@ def ref_power_basis_poly_reversed(a, n, params):
     for i in range(n):
         acc = acc * Polynomial({0: a * x1 ** i, 1: -(x2 ** i)})
     return acc
+
+
+def ref_gamma_rpq(z, params, truncation=DEFAULT_TRUNCATION):
+    """gamma_rpq as it was before the product tree: one Fraction
+    multiplication and division per factor of the product."""
+    if truncation < 1:
+        raise InvalidParameterError(
+            f"truncation must be >= 1; got {truncation}")
+    z = F(z)
+    if z.denominator == 1:
+        n = z.numerator - 1
+        if n < 0:
+            raise PoleError(f"gamma has a pole at z = {z}")
+        return GammaValue(rpq_factorial(params, n), n, F(0), True)
+    if not params.is_twist_consistent():
+        raise ConvergenceDomainError(
+            "kernel is not consistent with its twist bases; the "
+            "product-ratio gamma is undefined for it")
+    x1, x2 = params.xi1, params.xi2
+    xh = x2 / x1
+    if not 0 < abs(xh) < 1:
+        raise ConvergenceDomainError(
+            f"product ratio needs |xi2/xi1| < 1; got {xh}")
+    c = params.twist_scale()
+    pre = (rational_pow_exact(c, z - 1)
+           * rational_pow_exact(x1, (z - 1) * (z - 2) / 2)
+           * rational_pow_exact(1 - xh, 1 - z))
+    xh_z = rational_pow_exact(xh, z)
+    terms = min(32, truncation)
+    while True:
+        bound = 2 * abs(xh) ** terms / (1 - abs(xh)) ** 2
+        if bound <= DEFAULT_REL_TOL or terms >= truncation:
+            break
+        terms = min(2 * terms, truncation)
+    prod = F(1)
+    top, bot = F(1), xh_z
+    for _ in range(terms):
+        top = top * xh          # xh^(i+1)
+        prod = prod * (1 - top) / (1 - bot)
+        bot = bot * xh          # xh^(z+i)
+    return GammaValue(pre * prod, terms, bound, False)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message it raises."""
+    try:
+        return fn(*args)
+    except (RpqError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# q and 1 - q both exact squares, so heine at any p, and
+# jagannathan_srinivasa and chakrabarty_jagannathan at p = 1, have every
+# root a half-integer z needs; 4/9 and 1/4 (1 - q not a square) and
+# p = 9/10 take the refusal of an irrational power
+EXACT_ROOT_Q = [F(9, 25), F(16, 25), F(25, 169), F(64, 289), F(4, 9),
+                F(1, 4)]
+# the presets whose xi2/xi1 lies in (0, 1); the others refuse the product
+PRODUCT_KINDS = ["heine", "jagannathan_srinivasa", "chakrabarty_jagannathan"]
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=20)
@@ -243,6 +304,40 @@ class TestGamma:
 
     def test_truncation_one_is_a_product_of_one_term(self):
         assert gamma_rpq(F(1, 2), JS9, 1).terms == 1
+
+
+class TestGammaProductTree:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.one_of(st.sampled_from(PRESET_KINDS),
+                          st.sampled_from(PRODUCT_KINDS)),
+           p=st.sampled_from([F(1), F(1), F(9, 10)]),
+           q=st.sampled_from(EXACT_ROOT_Q),
+           k=st.integers(-15, 15).filter(lambda k: k % 2),
+           truncation=st.integers(1, 256))
+    def test_matches_factor_loop(self, kind, p, q, k, truncation):
+        assume(q < p)
+        params = DeformParams.preset(kind, p=p, q=q)
+        z = F(k, 2)
+        assert outcome(gamma_rpq, z, params, truncation) == \
+            outcome(ref_gamma_rpq, z, params, truncation)
+
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    @pytest.mark.parametrize("z,truncation", [
+        (F(1, 2), 256), (F(-5, 2), 33), (F(7, 2), 7), (F(-1, 2), 1),
+        (F(13, 2), 2)])
+    def test_values_match_factor_loop(self, kind, z, truncation):
+        params = DeformParams.preset(kind, p=1, q=F(9, 25))
+        g = gamma_rpq(z, params, truncation)
+        assert g == ref_gamma_rpq(z, params, truncation)
+        assert g.terms == min(truncation, 128) and not g.exact
+
+    def test_beta_matches_factor_loop(self):
+        x, y = F(7, 2), F(-3, 2)
+        want = ref_gamma_rpq(x, JS9) * ref_gamma_rpq(y, JS9) \
+            / ref_gamma_rpq(x + y, JS9)
+        b = beta_rpq(x, y, JS9)
+        assert (b.value, b.tail_bound, b.exact) == \
+            (want.value, want.tail_bound, want.exact)
 
 
 class TestBeta:
