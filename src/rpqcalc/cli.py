@@ -172,29 +172,64 @@ def _emit(args, payload, plain_line: str | None = None):
     else:
         import json  # --format json, or a payload with no plain line
         text = json.dumps(payload, indent=2)
+    _write(args, lambda fh: fh.write(text + "\n"))
+
+
+def _write(args, emit):
+    """Call ``emit`` with --out, opened for writing, or with stdout
+    unless there is none (a process started with fd 1 closed); a failed
+    open or write raises ``_IOFail``, exit 4."""
     try:
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+                emit(fh)
+        elif sys.stdout is not None:
+            emit(sys.stdout)
     except OSError as exc:
         raise _IOFail(str(exc))
 
 
-def _to_csv(payload) -> str:
+def _to_csv(payload: dict) -> str:
     import csv  # --format csv only
     import io
     buf = io.StringIO()
-    w = csv.writer(buf)
-    if isinstance(payload, dict) and "rows" in payload:
-        w.writerow(payload["header"])
-        for row in payload["rows"]:
-            w.writerow(row)
-    else:
-        for k, v in payload.items():
-            w.writerow([k, v])
+    csv.writer(buf).writerows(payload.items())
     return buf.getvalue().rstrip("\n")
+
+
+def _write_table(args, header: list, rows):
+    """Write a table per --format to --out or stdout, each row as soon
+    as the iterator ``rows`` yields it, so memory holds one row.
+
+    The bytes are those of the whole table formatted at once: plain
+    lines of comma-joined cells, ``csv.writer`` rows, or
+    ``json.dumps({"kind", "header", "rows"}, indent=2)``.  A failed
+    write exits 4 and leaves the rows already written."""
+    def emit(fh):
+        if args.format == "csv":
+            import csv  # --format csv only
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        elif args.format == "plain":
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+        else:
+            import json  # --format json only
+            frame = json.dumps({"kind": args.kind, "header": header,
+                                "rows": []}, indent=2)
+            fh.write(frame[:-3])  # up to the '[' of '"rows": []\n}'
+            sep = "\n"
+            for row in rows:
+                # a row at depth 2 of the indent; a JSON string holds no
+                # raw newline
+                fh.write(sep + "    " + json.dumps(row, indent=2)
+                         .replace("\n", "\n    "))
+                sep = ",\n"
+            fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+    _write(args, emit)
 
 
 def _rat_str(x: Fraction) -> str:
@@ -300,58 +335,50 @@ def _cmd_check(args) -> int:
 # -- table ------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
+    # Each kind computes its values before the first byte, so a failing
+    # table writes nothing; only formatting and writing are lazy.
     if args.kind != "zeta" and args.count < 0:
         raise InvalidParameterError(f"need --count >= 0; got {args.count}")
     params = None if args.kind in ("volkenborn", "zeta") else _params(args)
+    header = ["n", "value"]
     # each kind loads only the module it tabulates
     if args.kind == "numbers":
         from . import deform
-        rows = [[str(n), _rat_str(deform.rpq_number(params, n))]
-                for n in range(args.count)]
-        header = ["n", "value"]
+        vals = [deform.rpq_number(params, n) for n in range(args.count)]
+        rows = ([str(n), _rat_str(v)] for n, v in enumerate(vals))
     elif args.kind == "factorials":
         from . import deform
+        factors = [deform.rpq_number(params, k)
+                   for k in range(1, args.count)]
         # [n]! = [n-1]! [n], printed in time linear in its digits
-        strs = running_product_strs(deform.rpq_number(params, k)
-                                    for k in range(1, args.count))
-        rows = [[str(n), s] for n, s in zip(range(args.count), strs)]
-        header = ["n", "value"]
-    elif args.kind in ("bernoulli", "euler", "genocchi"):
+        rows = ([str(n), s] for n, s in
+                zip(range(args.count), running_product_strs(factors)))
+    elif args.kind in ("bernoulli", "euler", "genocchi", "zigzag"):
         from . import series
-        vals = series.generating_polynomials(
-            params, args.kind, args.x, args.count - 1) if args.count else []
-        rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
-        header = ["n", "value"]
-    elif args.kind == "zigzag":
-        from . import series
-        vals = series.zigzag_numbers(params, args.count) \
-            if args.count else []
-        rows = [[str(n), _rat_str(v)] for n, v in enumerate(vals)]
-        header = ["n", "value"]
+        if not args.count:
+            vals = []
+        elif args.kind == "zigzag":
+            vals = series.zigzag_numbers(params, args.count)
+        else:
+            vals = series.generating_polynomials(params, args.kind, args.x,
+                                                 args.count - 1)
+        rows = ([str(n), _rat_str(v)] for n, v in enumerate(vals))
     elif args.kind == "volkenborn":
         from . import padicfun
         tw = _twist(args)
-        rows = []
-        for r in range(args.count):
-            rep = padicfun.volkenborn_moment(r, tw, args.levels)
-            rows.append([str(r), str(rep.best_value),
-                         str(rep.converged)])
+        reps = [padicfun.volkenborn_moment(r, tw, args.levels)
+                for r in range(args.count)]
+        rows = ([str(r), str(rep.best_value), str(rep.converged)]
+                for r, rep in enumerate(reps))
         header = ["r", "moment", "converged"]
     else:  # zeta
         from . import spinzeta
-        rows = []
-        for p in args.primes:
-            for s in args.s_values:
-                v = spinzeta.zeta_spin_half(p, s).value
-                rows.append([str(p), str(s), str(v.numerator),
-                             str(v.denominator)])
+        vals = [(p, s, spinzeta.zeta_spin_half(p, s).value)
+                for p in args.primes for s in args.s_values]
+        rows = ([str(p), str(s), str(v.numerator), str(v.denominator)]
+                for p, s, v in vals)
         header = ["p", "s", "value-num", "value-den"]
-    payload = {"kind": args.kind, "header": header, "rows": rows}
-    if args.format == "plain":
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-        _emit(args, payload, "\n".join(lines))
-    else:
-        _emit(args, payload)
+    _write_table(args, header, rows)
     return 0
 
 

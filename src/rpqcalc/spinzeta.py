@@ -216,30 +216,8 @@ def congruence_level(g: Mat2Padic) -> int:
 
 # -- local zeta functions ---------------------------------------------------
 
-def _poly_divmod(a: Polynomial, b: Polynomial):
-    q = Polynomial({})
-    r = a
-    db = b.degree
-    lead = b.coefficient(db)
-    while not r.is_zero() and r.degree >= db:
-        k = r.degree - db
-        c = r.coefficient(r.degree) / lead
-        q = q + Polynomial({k: c})
-        r = r - b * Polynomial({k: c})
-    return q, r
-
-
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return Polynomial.constant(Fraction(1))
-    return a * (1 / a.coefficient(a.degree))
-
-
 class LocalZetaRational(Frozen):
-    """Exact rational function in t = p^(-s), gcd-reduced."""
+    """Exact rational function num(t)/den(t) in t = p^(-s)."""
 
     _fields = ("num", "den", "prime", "label")
 
@@ -248,24 +226,6 @@ class LocalZetaRational(Frozen):
         self._set(num, den, prime, label)
         if self.den.is_zero():
             raise InvalidParameterError("zero denominator")
-
-    @classmethod
-    def make(cls, num: Polynomial, den: Polynomial, prime: int,
-             label: str = "") -> "LocalZetaRational":
-        g = _poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = _poly_divmod(num, g)
-            den, _ = _poly_divmod(den, g)
-        c = den.coefficient(0)
-        if c != 0:  # normalize constant term of the denominator to 1
-            num = num * (1 / c)
-            den = den * (1 / c)
-        return cls(num, den, prime, label)
-
-    def __mul__(self, other: "LocalZetaRational") -> "LocalZetaRational":
-        return LocalZetaRational.make(
-            self.num * other.num, self.den * other.den, self.prime,
-            f"{self.label}*{other.label}")
 
     def eval_t(self, t: Fraction) -> Fraction:
         t = Fraction(t)
@@ -289,7 +249,7 @@ def zeta_p_factor(shift_a: int, multiplier_m: int,
         raise InvalidParameterError("multiplier must be >= 1")
     den = Polynomial({0: Fraction(1),
                       multiplier_m: -Fraction(prime) ** shift_a})
-    return LocalZetaRational.make(
+    return LocalZetaRational(
         Polynomial.constant(Fraction(1)), den, prime,
         f"zeta_p({multiplier_m}s-{shift_a})")
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import cli
-from rpqcalc.deform import DeformParams, rpq_number
-from rpqcalc.series import generating_polynomials
+from rpqcalc._util import exact_str
+from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
+from rpqcalc.padicfun import TwistParams, volkenborn_moment
+from rpqcalc.series import generating_polynomials, zigzag_numbers
 from rpqcalc.spinzeta import Mat2Padic, zeta_spin_half
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -469,6 +472,151 @@ class TestTables:
         assert "--count" in err and "Traceback" not in err
 
 
+# -- streamed tables ----------------------------------------------------------
+
+def expected_rows(kind, count):
+    """The rows of ``table --kind kind --count count`` at the default
+    options, computed from the library."""
+    params = DeformParams(F(1), F(1, 2))
+    if kind == "volkenborn":
+        tw = TwistParams.make(5, 6, 11, precision=cli.DEFAULT_PRECISION)
+        reps = [volkenborn_moment(r, tw, 6) for r in range(count)]
+        return [[str(r), str(rep.best_value), str(rep.converged)]
+                for r, rep in enumerate(reps)]
+    if kind == "numbers":
+        vals = [rpq_number(params, n) for n in range(count)]
+    elif kind == "factorials":
+        vals = [rpq_factorial(params, n) for n in range(count)]
+    elif kind == "zigzag":
+        vals = zigzag_numbers(params, count) if count else []
+    else:
+        vals = (generating_polynomials(params, kind, F(0), count - 1)
+                if count else [])
+    return [[str(n), exact_str(v)] for n, v in enumerate(vals)]
+
+
+def assembled_table(fmt, payload):
+    """The table text assembled whole, as ``table`` built it before it
+    streamed its rows."""
+    lines = [payload["header"]] + payload["rows"]
+    if fmt == "plain":
+        text = "\n".join(",".join(r) for r in lines)
+    elif fmt == "json":
+        text = json.dumps(payload, indent=2)
+    else:
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        for row in lines:
+            w.writerow(row)
+        text = buf.getvalue().rstrip("\n")
+    return text + "\n"
+
+
+ZETA_GRIDS = {(): ((2, 3), (2, 3, 4)),
+              ("--primes", "7", "--s-values", "5"): ((7,), (5,))}
+
+
+def table_cases():
+    for kind in TABLE_KINDS:
+        for count in (0, 1, 6):
+            yield ("table", "--kind", kind, "--count", str(count)), (
+                kind, ["r", "moment", "converged"] if kind == "volkenborn"
+                else ["n", "value"], expected_rows(kind, count))
+    for grid, (primes, s_values) in ZETA_GRIDS.items():
+        rows = [[str(p), str(s), str(v.numerator), str(v.denominator)]
+                for p in primes for s in s_values
+                for v in [zeta_spin_half(p, s).value]]
+        for lead in (("table", "--kind", "zeta"), ("zeta", "table")):
+            yield lead + grid, (
+                "zeta", ["p", "s", "value-num", "value-den"], rows)
+
+
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("argv, table", list(table_cases()))
+def test_streamed_table_is_byte_identical(capsys, tmp_path, argv, table,
+                                          fmt, sink):
+    kind, header, rows = table
+    text = assembled_table(fmt, {"kind": kind, "header": header,
+                                 "rows": rows})
+    path = tmp_path / "table.txt"
+    extra = ("--out", str(path)) if sink == "out" else ()
+    code, out, err = run(capsys, *argv, "--format", fmt, *extra)
+    assert (code, err) == (0, "")
+    if sink == "out":
+        assert out == "" and path.read_bytes() == text.encode()
+    else:
+        assert out == text
+
+
+class _Discard:
+    """A stdout that counts what is written to it and keeps nothing."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_table_memory_is_per_row(monkeypatch):
+    # 400 factorial rows print ~6 MB; the largest row is ~50 kB
+    sink = _Discard()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["table", "--kind", "factorials", "--count", "400"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.written / 4, (peak, sink.written)
+
+
+# (u - v)/(u - c) with c = (9/10)^70: positive on the window n <= 64
+# that DeformParams checks, singular at [70]
+SINGULAR_AT_70 = {"numerator": [[1, 0, "1"], [0, 1, "-1"]],
+                  "denominator": [[1, 0, "1"],
+                                  [0, 0, str(-F(9, 10) ** 70)]]}
+# (u - v)(u - c) with c = (9/10)^65: [65] = 0, so [n]! = 0 from n = 65
+ZERO_AT_65 = {"numerator": [[2, 0, "1"], [1, 1, "-1"],
+                            [1, 0, str(-F(9, 10) ** 65)],
+                            [0, 1, str(F(9, 10) ** 65)]],
+              "denominator": [[0, 0, "1"]]}
+
+
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+@pytest.mark.parametrize("argv, code", [
+    (("table", "--kind", "numbers", "--count", "75", "-p", "9/10",
+      "--kernel", SINGULAR_AT_70), 3),
+    (("table", "--kind", "factorials", "--count", "75", "-p", "9/10",
+      "--kernel", SINGULAR_AT_70), 3),
+    (("table", "--kind", "bernoulli", "--count", "70", "-p", "9/10",
+      "--kernel", ZERO_AT_65), 3),
+    (("table", "--kind", "volkenborn", "--count", "3", "--levels", "30",
+      "--prime", "3"), 2),
+    (("zeta", "table", "--primes", "2,3", "--s-values", "3,0"), 3),
+    (("table", "--kind", "zeta", "--primes", "2", "--s-values", "3,0"), 3),
+])
+def test_failing_table_writes_nothing(capsys, tmp_path, argv, code, sink):
+    argv = list(argv)
+    if "--kernel" in argv:
+        i = argv.index("--kernel") + 1
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(json.dumps(argv[i]))
+        argv[i] = str(kernel)
+    path = tmp_path / "table.txt"
+    extra = ["--out", str(path)] if sink == "out" else []
+    got, out, err = run(capsys, *argv, *extra)
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not path.exists()
+
+
 class TestPadicCommands:
     def test_pgamma(self, capsys):
         code, out, _ = run(capsys, "pgamma", "-n", "1", "--prime", "5")
@@ -823,6 +971,21 @@ def test_closed_stdout_is_four(argv, buffered):
         os.close(write)
     err = proc.stderr.decode()
     assert proc.returncode == 4, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+
+
+def test_reader_closing_mid_table_is_four():
+    with subprocess.Popen(
+            [sys.executable, "-m", "rpqcalc.cli", "table", "--kind",
+             "factorials", "--count", "400"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+        head = proc.stdout.read(65536)
+        proc.stdout.close()  # ~6 MB of rows are still to come
+        err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 4, err
+    assert head.startswith(b"n,value\n0,1\n1,1\n2,3/2\n")
     assert "Traceback" not in err and "Exception ignored" not in err
     assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
 

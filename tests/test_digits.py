@@ -2,7 +2,9 @@
 against ``exact_str`` of the ``Fraction`` products, and the CLI
 factorial table against the ``rpq_factorial`` rows."""
 
+import csv
 import decimal
+import io
 import json
 import math
 import sys
@@ -121,5 +123,7 @@ def test_cli_table_is_byte_equal(capsys, fmt, argv, count):
     elif fmt == "json":
         text = json.dumps(payload, indent=2)
     else:
-        text = cli._to_csv(payload)
+        buf = io.StringIO()
+        csv.writer(buf).writerows([["n", "value"]] + rows)
+        text = buf.getvalue().rstrip("\n")
     assert out == text + "\n"
