@@ -47,8 +47,8 @@ _EXPORTS = {
                  "volkenborn_moment", "carlitz_bernoulli",
                  "fermionic_integral", "padic_beta_rpq"),
     "spinzeta": ("Mat2Padic", "spin_generators", "commutator", "mat_exp",
-                 "mat_log", "congruence_level", "zeta_p_factor",
-                 "zeta_spin_half", "ghost_boundary"),
+                 "mat_log", "congruence_level", "zeta_spin_half",
+                 "ghost_boundary"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

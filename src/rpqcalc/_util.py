@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def exact_str(x) -> str:
@@ -137,3 +138,48 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+# -- the records of the check suites ---------------------------------------
+
+class IdentityResult(NamedTuple):
+    name: str
+    lhs: object
+    rhs: object
+
+    @property
+    def residual(self):
+        return self.lhs - self.rhs
+
+    @property
+    def passed(self) -> bool:
+        res = self.residual
+        if hasattr(res, "is_zero"):
+            return res.is_zero()
+        return res == 0
+
+
+class SuiteReport(NamedTuple):
+    name: str
+    results: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.results)
+
+    def first_failure(self):
+        for r in self.results:
+            if not r.passed:
+                return r
+        return None
+
+    def to_json(self) -> dict:
+        return {
+            "suite": self.name,
+            "passed": self.passed,
+            "identities": [
+                {"name": r.name, "passed": r.passed,
+                 "residual": str(r.residual)}
+                for r in self.results
+            ],
+        }

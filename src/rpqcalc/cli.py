@@ -190,6 +190,13 @@ def _write(args, emit):
 
 
 def _to_csv(payload: dict) -> str:
+    """One ``key,value`` row per entry of a flat payload; a payload that
+    nests a list or an object has no such rows and is refused."""
+    nested = [k for k, v in payload.items() if isinstance(v, (list, dict))]
+    if nested:
+        raise InvalidParameterError(
+            f"--format csv cannot write the nested {', '.join(nested)}; "
+            "use --format json")
     import csv  # --format csv only
     import io
     buf = io.StringIO()
@@ -301,9 +308,6 @@ def _poly_from_coeffs(text: str):
 # -- check ------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    if args.format == "csv":
-        raise InvalidParameterError(
-            "check writes a JSON report; --format csv is not supported")
     modules = CHECK_MODULES if "all" in args.module else args.module
     if not modules:
         print("no modules selected", file=sys.stderr)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from ._util import Frozen, ratio_product
+from ._util import Frozen, IdentityResult, SuiteReport, ratio_product
 from .errors import (InvalidParameterError, SingularDeformationError,
                      SingularityError)
 
@@ -32,6 +32,7 @@ PRESET_KINDS = (
 )
 
 POSITIVITY_WINDOW = 64
+TWIST_WINDOW = 8
 
 
 def _laurent_eval(terms, u, v):
@@ -185,10 +186,10 @@ class DeformParams(Frozen):
                   _rational("xi2", xi2))
         self._bind_check()
 
-    def _bind_check(self, window: int = POSITIVITY_WINDOW):
+    def _bind_check(self):
         if self.structure.kind != "custom":
             return  # preset positivity holds on the assumed range
-        for n in range(1, window + 1):
+        for n in range(1, POSITIVITY_WINDOW + 1):
             val = rpq_number(self, n)
             if val <= 0:
                 raise InvalidParameterError(
@@ -212,9 +213,10 @@ class DeformParams(Frozen):
         [1] for every preset."""
         return rpq_number(self, 1)
 
-    def is_twist_consistent(self, window: int = 8) -> bool:
-        """Check [n] = [1] (xi1^n - xi2^n)/(xi1 - xi2) on a finite window;
-        holds for all presets, may fail for custom kernels."""
+    def is_twist_consistent(self) -> bool:
+        """Check [n] = [1] (xi1^n - xi2^n)/(xi1 - xi2) for n up to
+        ``TWIST_WINDOW``; holds for all presets, may fail for custom
+        kernels."""
         if self.structure.kind == "classical":
             return False  # xi1 = xi2 = 1 degenerates the quotient
         c = self.twist_scale()
@@ -223,7 +225,7 @@ class DeformParams(Frozen):
         if d == 0:
             return False
         return all(rpq_number(self, n) == c * (x1 ** n - x2 ** n) / d
-                   for n in range(1, window + 1))
+                   for n in range(1, TWIST_WINDOW + 1))
 
 
 def rpq_number(params: DeformParams, n: int):
@@ -278,49 +280,6 @@ def bm_number(q, n: int):
     """[n]_q = (q^n - q^-n)/(q - q^-1); defined for any integer n."""
     q = Fraction(q)
     return (q ** n - q ** -n) / (q - q ** -1)
-
-
-class IdentityResult(NamedTuple):
-    name: str
-    lhs: object
-    rhs: object
-
-    @property
-    def residual(self):
-        return self.lhs - self.rhs
-
-    @property
-    def passed(self) -> bool:
-        res = self.residual
-        if hasattr(res, "is_zero"):
-            return res.is_zero()
-        return res == 0
-
-
-class SuiteReport(NamedTuple):
-    name: str
-    results: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def first_failure(self):
-        for r in self.results:
-            if not r.passed:
-                return r
-        return None
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.name,
-            "passed": self.passed,
-            "identities": [
-                {"name": r.name, "passed": r.passed,
-                 "residual": str(r.residual)}
-                for r in self.results
-            ],
-        }
 
 
 def bm_identity_suite(q, n: int, m: int) -> SuiteReport:

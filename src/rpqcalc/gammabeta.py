@@ -20,11 +20,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .deform import (DeformParams, IdentityResult, SuiteReport,
-                     rpq_factorial, rpq_number)
+from .deform import DeformParams, rpq_factorial, rpq_number
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from ._util import exact_str, ratio_product
+from ._util import IdentityResult, SuiteReport, exact_str, ratio_product
 from .poly import Polynomial, rpq_derivative_poly
 
 DEFAULT_TRUNCATION = 256

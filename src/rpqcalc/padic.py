@@ -206,9 +206,6 @@ class PadicNumber:
             u //= self.prime
         return out
 
-    def norm(self) -> Fraction:
-        return padic_norm(self)
-
     def residue(self, k: int) -> int:
         """The integer in [0, p^k) congruent to self mod p^k.
 
@@ -350,12 +347,6 @@ class PadicNumber:
         if o is None:
             return NotImplemented
         return (self - o).is_zero()
-
-    def agreement_valuation(self, other):
-        """Valuation of the difference (``math.inf`` if equal to the
-        common precision)."""
-        d = self - self._coerce(other)
-        return d.valuation
 
     # -- special functions -------------------------------------------
 

@@ -25,8 +25,7 @@ from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import _kernel
-from ._util import Frozen
-from .deform import IdentityResult, SuiteReport
+from ._util import Frozen, IdentityResult, SuiteReport
 from .errors import InvalidParameterError, NoConvergenceError
 from .padic import (PadicNumber, int_valuation, is_prime, padic_power,
                     padic_valuation)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._util import Frozen
-from .deform import DeformParams, IdentityResult, SuiteReport
+from ._util import Frozen, IdentityResult, SuiteReport
+from .deform import DeformParams
 from .errors import InvalidParameterError
 from .poly import (Polynomial, rpq_antiderivative_poly,
                    rpq_derivative_poly)

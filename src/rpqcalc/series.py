@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .deform import DeformParams, IdentityResult, SuiteReport, \
-    rpq_factorial, rpq_number
+from ._util import IdentityResult, SuiteReport
+from .deform import DeformParams, rpq_factorial, rpq_number
 from .errors import (InvalidParameterError, PoleAtOriginError,
                      SingularDeformationError)
 from .poly import Polynomial, rpq_derivative_poly
@@ -161,11 +161,6 @@ class FormalSeries:
             s = (-1) ** ((k - 1) // 2) if signed else 1
             out[k] = s * self.coeffs[k]
         return FormalSeries(out, self.pole_order)
-
-    def to_polynomial(self) -> Polynomial:
-        if self.pole_order:
-            raise InvalidParameterError("Laurent series is not polynomial")
-        return Polynomial({n: c for n, c in enumerate(self.coeffs)})
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])

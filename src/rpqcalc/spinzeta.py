@@ -16,11 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from ._util import Frozen
+from ._util import IdentityResult, SuiteReport
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
 from .padic import PadicNumber, _exp_terms, _log_terms, is_prime
-from .poly import Polynomial
 
 Scalar = Union[int, Fraction, PadicNumber]
 
@@ -216,42 +215,9 @@ def congruence_level(g: Mat2Padic) -> int:
 
 # -- local zeta functions ---------------------------------------------------
 
-class LocalZetaRational(Frozen):
-    """Exact rational function num(t)/den(t) in t = p^(-s)."""
-
-    _fields = ("num", "den", "prime", "label")
-
-    def __init__(self, num: Polynomial, den: Polynomial, prime: int,
-                 label: str = ""):
-        self._set(num, den, prime, label)
-        if self.den.is_zero():
-            raise InvalidParameterError("zero denominator")
-
-    def eval_t(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
-        den = self.den(t)
-        if den == 0:
-            raise PoleError(
-                f"pole of {self.label or 'rational function'} at t = {t}")
-        return self.num(t) / den
-
-    def eval_s(self, s: int) -> Fraction:
-        """Evaluate at integer s through t = p^(-s)."""
-        return self.eval_t(Fraction(1, self.prime) ** s)
-
-
-def zeta_p_factor(shift_a: int, multiplier_m: int,
-                  prime: int) -> LocalZetaRational:
-    """zeta_p(m s - a) = 1/(1 - p^a t^m) under t = p^(-s)."""
-    if not is_prime(prime):
-        raise InvalidParameterError(f"need a prime; got {prime}")
-    if multiplier_m < 1:
-        raise InvalidParameterError("multiplier must be >= 1")
-    den = Polynomial({0: Fraction(1),
-                      multiplier_m: -Fraction(prime) ** shift_a})
-    return LocalZetaRational(
-        Polynomial.constant(Fraction(1)), den, prime,
-        f"zeta_p({multiplier_m}s-{shift_a})")
+# zeta_p(m s - a) as (a, m): the four factors of the spin zeta product,
+# then its divisor
+_EULER_FACTORS = ((0, 1), (1, 1), (1, 2), (2, 2), (1, 3))
 
 
 class ZetaSpinValue(NamedTuple):
@@ -273,27 +239,27 @@ def zeta_spin_half(prime: int, s: int) -> ZetaSpinValue:
 
         zeta_p(s) zeta_p(s-1) zeta_p(2s-1) zeta_p(2s-2) / zeta_p(3s-1)
 
-    evaluated exactly at integer s (t = p^(-s) must be rational)."""
+    evaluated exactly at integer s (t = p^(-s) must be rational), each
+    factor zeta_p(m s - a) as 1/(1 - p^a t^m)."""
     if not isinstance(s, int):
         raise InvalidParameterError(
             "exact evaluation needs integer s (p^(-s) must be rational)")
-    factors = [
-        zeta_p_factor(0, 1, prime),
-        zeta_p_factor(1, 1, prime),
-        zeta_p_factor(1, 2, prime),
-        zeta_p_factor(2, 2, prime),
-    ]
-    inv = zeta_p_factor(1, 3, prime)
-    vals = []
-    acc = Fraction(1)
-    for f in factors:
-        v = f.eval_s(s)
-        vals.append((f.label, v))
-        acc *= v
-    v_inv = inv.eval_s(s)
-    vals.append((inv.label + " (divisor)", v_inv))
-    acc /= v_inv
-    return ZetaSpinValue(acc, tuple(vals), Fraction(s), prime)
+    if not is_prime(prime):
+        raise InvalidParameterError(f"need a prime; got {prime}")
+    t = Fraction(1, prime) ** s
+    factors = []
+    for a, m in _EULER_FACTORS:
+        label = f"zeta_p({m}s-{a})"
+        den = 1 - prime ** a * t ** m
+        if den == 0:
+            raise PoleError(f"pole of {label} at t = {t}")
+        factors.append((label, 1 / den))
+    label, divisor = factors.pop()
+    value = Fraction(1)
+    for _, v in factors:
+        value *= v
+    factors.append((label + " (divisor)", divisor))
+    return ZetaSpinValue(value / divisor, tuple(factors), Fraction(s), prime)
 
 
 # -- ghost boundaries --------------------------------------------------------
@@ -319,8 +285,6 @@ def ghost_boundary(group: str, l: int) -> Fraction:
 
 def check_suites() -> tuple:
     """The reports of ``rpqcalc check --module spinzeta``."""
-    # imported here: the spin and zeta commands load no deformed calculus
-    from .deform import IdentityResult, SuiteReport
     Sm, Sz, Sp = spin_generators(1, 5, 12)
     zero = Mat2Padic.zero(5, 12)
     results = [

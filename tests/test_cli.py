@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import cli
-from rpqcalc._util import exact_str
+from rpqcalc._util import IdentityResult, SuiteReport, exact_str
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.padicfun import TwistParams, volkenborn_moment
 from rpqcalc.series import generating_polynomials, zigzag_numbers
@@ -388,8 +388,8 @@ class TestCheck:
 
     def test_failing_identity_exits_one(self, capsys, monkeypatch):
         from rpqcalc import deform
-        bad = deform.SuiteReport("s", (deform.IdentityResult("ok", 1, 1),
-                                       deform.IdentityResult("bad", 1, 2)))
+        bad = SuiteReport("s", (IdentityResult("ok", 1, 1),
+                                IdentityResult("bad", 1, 2)))
         monkeypatch.setattr(deform, "check_suites", lambda: (bad,))
         code, out, err = run(capsys, "check", "--module", "deform")
         assert code == 1 and json.loads(out)["passed"] is False
@@ -800,6 +800,29 @@ class TestOptionScope:
                                     "exclusive\n")
 
 
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+@pytest.mark.parametrize("argv", [
+    ("volkenborn", "--levels", "3"),
+    ("carlitz", "--levels", "3"),
+    ("pgamma", "-n", "5"),
+    ("pbeta", "-x", "2", "-y", "3"),
+    ("spin", "exp"),
+    ("spin", "log", "--matrix-json", IDENTITY_5),
+    ("zeta", "eval"),
+    ("check", "--module", "spinzeta"),
+    ("eval", "derivative", "--coeffs", "1,2"),
+])
+def test_csv_refuses_nested_payloads(capsys, tmp_path, argv, sink):
+    # one key,value row per field cannot hold a list or an object
+    path = tmp_path / "out.csv"
+    extra = ["--out", str(path)] if sink == "out" else []
+    code, out, err = run(capsys, *argv, "--format", "csv", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: --format csv ")
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_zeta_eval_plain(capsys):
     code, out, _ = run(capsys, "zeta", "eval", "--prime", "2", "-s", "3")
     assert code == 0
@@ -906,14 +929,19 @@ def test_import_surface():
     """The package and the CLI load submodules only on use, never
     ``dataclasses``, and ``json`` only for JSON in or out; one fresh
     process runs every subcommand.  Run first in a fresh process, the
-    Fraction-layer commands load neither ``padic`` nor ``padicfun``,
-    ``pgamma`` loads none of the Fraction-only modules, and ``zeta
-    eval`` and ``spin exp`` load no ``deform``."""
+    Fraction-layer commands load neither ``padic`` nor ``padicfun``, and
+    the p-adic commands load no Fraction layer: ``pgamma``,
+    ``volkenborn``, ``carlitz`` and ``pbeta`` load only ``_kernel``,
+    ``padic`` and ``padicfun``, and ``zeta eval`` and ``spin exp`` only
+    ``padic`` and ``spinzeta``."""
     pgamma = [["pgamma", "-n", "5"]]
-    assert not {"rpqcalc.gammabeta", "rpqcalc.quadrature", "rpqcalc.series",
-                "rpqcalc.spinzeta"} & set(_import_surface(pgamma, [])["lead"])
+    padic = [*pgamma, ["volkenborn", "--levels", "3"],
+             ["carlitz", "--levels", "3"], ["pbeta", "-x", "2", "-y", "3"]]
+    assert _import_surface(padic, [])["lead"] == [
+        "rpqcalc._kernel", "rpqcalc.padic", "rpqcalc.padicfun"]
     spin_zeta = [["zeta", "eval"], ["spin", "exp"]]
-    assert "rpqcalc.deform" not in _import_surface(spin_zeta, [])["lead"]
+    assert _import_surface(spin_zeta, [])["lead"] == [
+        "rpqcalc.padic", "rpqcalc.spinzeta"]
     out = _import_surface(FRACTION_COMMANDS,
                           SURFACE_COMMANDS[len(FRACTION_COMMANDS):] + pgamma)
     assert out["bare"] == []

@@ -1,10 +1,12 @@
-"""Every module-level function or class in ``src/rpqcalc`` is referenced
-somewhere in the package outside its own definition, so a helper left
-behind when its last caller goes is caught here, and so is public API
-that only tests reach.  The export table of ``__init__`` holds names as
-strings, so it references nothing."""
+"""Every module-level function or class in ``src/rpqcalc``, and every
+non-dunder method of such a class, is referenced somewhere in the
+package outside its own definition, so a helper left behind when its
+last caller goes is caught here, and so is public API that only tests
+reach.  The export table of ``__init__`` holds names as strings, so it
+references nothing."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rpqcalc"
@@ -16,6 +18,14 @@ TEST_ONLY = {
     "rpq_number_at": "the oracle for the rational gamma recurrence test",
     "fermionic_integral": "the exact fermionic moments of the ROADMAP "
                           "give it a route",
+    "padic_norm": "the public |x|_p of the padic layer, beside "
+                  "padic_valuation",
+}
+
+# methods that nothing in the package calls, and why each stays
+UNCALLED_METHODS = {
+    "PadicNumber.sqrt": "perfbench/trace_boot.py wraps it by name "
+                        "(PADIC_OPS)",
 }
 
 
@@ -44,6 +54,29 @@ def _definitions():
             used.update(n for n in _names(stmt) if n != own)
     assert defined, "no definitions found: wrong package path?"
     return defined, used
+
+
+def test_methods_are_referenced():
+    """Each non-dunder method of a module-level class is named (as an
+    attribute, a name or an import) somewhere in the package outside
+    its own body."""
+    methods, counts = [], Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        counts.update(_names(tree))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
+                            if isinstance(fn, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                            and not fn.name.startswith("__")]
+    assert methods, "no methods found: wrong package path?"
+    uncalled = {qual for qual, fn in methods
+                if counts[fn.name] == list(_names(fn)).count(fn.name)}
+    unlisted = uncalled - set(UNCALLED_METHODS)
+    assert not unlisted, f"methods nothing in the package calls: {unlisted}"
+    stale = set(UNCALLED_METHODS) - uncalled
+    assert not stale, f"allowlisted but gone or called: {stale}"
 
 
 def test_private_definitions_are_referenced():

@@ -1,5 +1,6 @@
 """Spin generators, matrix exp/log, congruence levels, zeta values."""
 
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rpqcalc import cli
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             PoleError)
 from rpqcalc.padic import PadicNumber
 from rpqcalc.spinzeta import (GHOST_GROUPS, Mat2Padic,
                               commutator, congruence_level, ghost_boundary,
                               mat_exp, mat_log, spin_generators,
-                              zeta_p_factor, zeta_spin_half)
+                              zeta_spin_half)
 
 
 def gens(scale=1, p=5, prec=12):
@@ -273,34 +275,46 @@ class TestCongruenceLevel:
         assert congruence_level(g) >= i
 
 
+# zeta_p(m s - a) as (a, m): the four factors of the spin zeta product,
+# then its divisor
+EULER_FORM = ((0, 1), (1, 1), (1, 2), (2, 2), (1, 3))
+
+
 class TestZetaFactors:
-    def test_basic_factor(self):
-        z = zeta_p_factor(0, 1, 2)
-        assert z.eval_s(3) == F(8, 7)
-
-    def test_exponent_bookkeeping(self):
-        z = zeta_p_factor(1, 3, 3)
-        t = F(1, 27)
-        assert z.eval_t(t) == 1 / (1 - 3 * t ** 3)
-
     @pytest.mark.parametrize("n", [-3, 0, 1, 4, 9, 91])
     def test_non_prime_rejected(self, n):
-        with pytest.raises(InvalidParameterError):
-            zeta_p_factor(0, 1, n)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError) as exc:
             zeta_spin_half(n, 3)
+        assert str(exc.value) == f"need a prime; got {n}"
 
-    def test_product_evaluation_distributes(self):
-        rng = random.Random(11)
-        fs = [zeta_p_factor(a, m, 5)
-              for a, m in ((0, 1), (1, 1), (1, 2), (2, 2))]
-        for _ in range(10):
-            t = F(rng.randint(1, 50), rng.randint(51, 99))
-            prod = F(1)
-            for f in fs:
-                prod *= f.eval_t(t)
-            assert prod == 1 / ((1 - t) * (1 - 5 * t) * (1 - 5 * t ** 2)
-                                * (1 - 25 * t ** 2))
+    def test_factors_are_the_euler_form(self, capsys):
+        # each factor is 1/(1 - p^a p^(-ms)); s = 1 is a pole of
+        # zeta_p(s-1) for every p, reported with the first such factor
+        for p, s in product((2, 3, 5, 7), (-2, -1, 1, 2, 3, 4, 5, 6)):
+            dens = [1 - p ** a * F(p) ** (-m * s) for a, m in EULER_FORM]
+            labels = [f"zeta_p({m}s-{a})" for a, m in EULER_FORM]
+            if 0 in dens:
+                with pytest.raises(PoleError) as exc:
+                    zeta_spin_half(p, s)
+                k = dens.index(0)
+                assert str(exc.value) == (f"pole of {labels[k]} at "
+                                          f"t = {F(1, p) ** s}")
+                continue
+            vals = [1 / d for d in dens]
+            labels[-1] += " (divisor)"
+            z = zeta_spin_half(p, s)
+            assert z.factors == tuple(zip(labels, vals))
+            # zeta eval --format json, assembled here from the factors
+            value = vals[0] * vals[1] * vals[2] * vals[3] / vals[4]
+            expected = json.dumps({
+                "prime": p, "s": str(F(s)),
+                "value": {"num": value.numerator,
+                          "den": value.denominator},
+                "factors": [{"label": lb, "value": str(v)}
+                            for lb, v in zip(labels, vals)]}, indent=2)
+            assert cli.main(["zeta", "eval", "--prime", str(p), "-s",
+                             str(s), "--format", "json"]) == 0
+            assert capsys.readouterr() == (expected + "\n", "")
 
 
 def spin_bracket(u, v):
@@ -363,14 +377,6 @@ class TestZetaSpin:
     def test_rejects_noninteger(self):
         with pytest.raises(InvalidParameterError):
             zeta_spin_half(2, F(1, 2))
-
-    def test_rank3_import(self):
-        # the subgroup zeta of Z_p^3, zeta_p(s) zeta_p(s-1) zeta_p(s-2)
-        t = F(1, 81)
-        z = F(1)
-        for a in (0, 1, 2):
-            z *= zeta_p_factor(a, 1, 3).eval_t(t)
-        assert z == 1 / ((1 - t) * (1 - 3 * t) * (1 - 9 * t))
 
     @pytest.mark.parametrize("p, counts", [
         (3, [1, 4, 25, 85, 382, 1237]),

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rpqcalc.deform import (DeformParams, IdentityResult, StructureFunction,
-                            SuiteReport, rpq_factorial)
+from rpqcalc._util import IdentityResult, SuiteReport
+from rpqcalc.deform import DeformParams, StructureFunction, rpq_factorial
 from rpqcalc.gammabeta import BetaValue, GammaValue
 from rpqcalc.padicfun import ConvergenceReport, TwistParams, volkenborn_moment
 from rpqcalc.quadrature import QuadratureSpec
-from rpqcalc.spinzeta import (LocalZetaRational, ZetaSpinValue, zeta_p_factor,
-                              zeta_spin_half)
+from rpqcalc.spinzeta import ZetaSpinValue, zeta_spin_half
 
 
 def _js():
@@ -50,9 +49,6 @@ CASES = {
     "QuadratureSpec": (QuadratureSpec,
                        lambda: QuadratureSpec(_js(), terms=10),
                        ("params", "terms"), True),
-    "LocalZetaRational": (LocalZetaRational,
-                          lambda: zeta_p_factor(1, 2, 3),
-                          ("num", "den", "prime", "label"), False),
 }
 
 
