@@ -281,6 +281,16 @@ EULER_FORM = ((0, 1), (1, 1), (1, 2), (2, 2), (1, 3))
 
 
 class TestZetaFactors:
+    def test_basic_factor(self):
+        # zeta_p(s) = 1/(1 - t) at t = p^-s
+        assert zeta_spin_half(2, 3).factors[0] == ("zeta_p(1s-0)", F(8, 7))
+
+    def test_exponent_bookkeeping(self):
+        # the divisor zeta_p(3s-1) is 1/(1 - p t^3), not 1/(1 - p^3 t)
+        t = F(1, 9)
+        assert zeta_spin_half(3, 2).factors[4] == (
+            "zeta_p(3s-1) (divisor)", 1 / (1 - 3 * t ** 3))
+
     @pytest.mark.parametrize("n", [-3, 0, 1, 4, 9, 91])
     def test_non_prime_rejected(self, n):
         with pytest.raises(InvalidParameterError) as exc:
@@ -315,6 +325,17 @@ class TestZetaFactors:
             assert cli.main(["zeta", "eval", "--prime", str(p), "-s",
                              str(s), "--format", "json"]) == 0
             assert capsys.readouterr() == (expected + "\n", "")
+
+    def test_product_evaluation_distributes(self):
+        for s in range(2, 12):
+            t = F(1, 5 ** s)
+            z = zeta_spin_half(5, s)
+            prod = F(1)
+            for _, v in z.factors[:4]:
+                prod *= v
+            assert prod == 1 / ((1 - t) * (1 - 5 * t) * (1 - 5 * t ** 2)
+                                * (1 - 25 * t ** 2))
+            assert z.value == prod / z.factors[4][1]
 
 
 def spin_bracket(u, v):
@@ -377,6 +398,17 @@ class TestZetaSpin:
     def test_rejects_noninteger(self):
         with pytest.raises(InvalidParameterError):
             zeta_spin_half(2, F(1, 2))
+
+    def test_rank3_import(self):
+        # every subalgebra of Z_p^3 is a subgroup, so zeta_spin_half lies
+        # below the subgroup zeta zeta_p(s) zeta_p(s-1) zeta_p(s-2), whose
+        # first two factors it shares
+        for p, s in product((2, 3, 5, 7), (3, 4, 5, 6)):
+            t = F(1, p ** s)
+            z = zeta_spin_half(p, s)
+            assert [v for _, v in z.factors[:2]] == [1 / (1 - t),
+                                                     1 / (1 - p * t)]
+            assert z.value < 1 / ((1 - t) * (1 - p * t) * (1 - p ** 2 * t))
 
     @pytest.mark.parametrize("p, counts", [
         (3, [1, 4, 25, 85, 382, 1237]),
