@@ -5,7 +5,8 @@ Modules
 padic       rational helpers and truncated p-adic arithmetic
 deform      structure functions, deformed numbers/factorials/binomials
 poly        exact polynomials and the spectral derivative/antiderivative
-series      formal power series: exponentials, trig, special families
+series      deformed exponentials, zigzag numbers, Bernoulli/Euler/
+            Genocchi families
 quadrature  geometric node sums, definite integrals
 gammabeta   power basis, deformed gamma/beta
 padicfun    p-adic gamma/beta, Volkenborn measure/integral, Carlitz,
@@ -37,9 +38,9 @@ _EXPORTS = {
     "padic": ("PadicNumber", "padic_valuation", "padic_norm", "padic_power"),
     "deform": ("StructureFunction", "DeformParams", "rpq_number",
                "rpq_factorial", "rpq_binomial", "bm_identity_suite"),
-    "poly": ("Polynomial",),
-    "series": ("FormalSeries", "rpq_derivative", "exp_lower", "exp_upper",
-               "trig_series", "zigzag_numbers", "generating_polynomials"),
+    "poly": ("Polynomial", "rpq_derivative_poly"),
+    "series": ("exp_lower", "exp_upper", "zigzag_numbers",
+               "generating_polynomials"),
     "quadrature": ("QuadratureSpec", "definite_integral_poly", "jackson_sum"),
     "gammabeta": ("power_basis", "gamma_rpq", "beta_rpq", "rpq_number_at"),
     "padicfun": ("TwistParams", "padic_factorial_rpq", "padic_gamma_rpq",

@@ -22,12 +22,11 @@ from fractions import Fraction
 
 from ._util import exact_str, running_product_strs
 from .errors import (ConvergenceDomainError, InvalidParameterError,
-                     NoConvergenceError, PoleAtOriginError, PoleError,
-                     RpqError, SingularDeformationError, SingularityError)
+                     NoConvergenceError, PoleError, RpqError,
+                     SingularDeformationError, SingularityError)
 
-DOMAIN_ERRORS = (ConvergenceDomainError, PoleError, PoleAtOriginError,
-                 SingularDeformationError, SingularityError,
-                 NoConvergenceError)
+DOMAIN_ERRORS = (ConvergenceDomainError, PoleError, SingularDeformationError,
+                 SingularityError, NoConvergenceError)
 
 CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
                  "padicfun", "spinzeta")
@@ -190,8 +189,9 @@ def _write(args, emit):
 
 
 def _to_csv(payload: dict) -> str:
-    """One ``key,value`` row per entry of a flat payload; a payload that
-    nests a list or an object has no such rows and is refused."""
+    """One ``key,value`` row per entry of a flat payload, booleans
+    spelt as in JSON; a payload that nests a list or an object has no
+    such rows and is refused."""
     nested = [k for k, v in payload.items() if isinstance(v, (list, dict))]
     if nested:
         raise InvalidParameterError(
@@ -200,7 +200,9 @@ def _to_csv(payload: dict) -> str:
     import csv  # --format csv only
     import io
     buf = io.StringIO()
-    csv.writer(buf).writerows(payload.items())
+    csv.writer(buf).writerows(
+        (k, ("true" if v else "false") if isinstance(v, bool) else v)
+        for k, v in payload.items())
     return buf.getvalue().rstrip("\n")
 
 
@@ -285,9 +287,9 @@ def _cmd_eval(args) -> int:
         _emit(args, {"op": "integral", "a": _rat_str(args.a),
                      "b": _rat_str(args.b), "value": val}, val)
     else:  # derivative; main has refused any operation not in SCOPE
-        from . import series  # derivative only
+        from .poly import rpq_derivative_poly  # derivative only
         f = _poly_from_coeffs(args.coeffs)
-        d = series.rpq_derivative(f, params)
+        d = rpq_derivative_poly(f, params)
         coeffs = [_rat_str(d.coefficient(k))
                   for k in range(max(d.degree, 0) + 1)]
         _emit(args, {"op": "derivative", "coefficients": coeffs},

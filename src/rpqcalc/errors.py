@@ -25,10 +25,6 @@ class SingularDeformationError(RpqError):
     """A deformed number needed as a divisor vanishes ([n] = 0)."""
 
 
-class PoleAtOriginError(RpqError):
-    """Series division by a series with zero constant term."""
-
-
 class PoleError(RpqError):
     """Exact evaluation requested at a pole of a rational function."""
 

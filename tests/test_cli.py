@@ -58,6 +58,22 @@ class TestEval:
         obj = json.loads(out)
         assert obj["value"] == "21/8" and obj["exact"] is True
 
+    @pytest.mark.parametrize("argv,exact", [
+        (("gamma", "-z", "2"), "true"),
+        (("gamma", "-z", "1/2", "--preset", "heine", "-q", "9/25",
+          "--truncation", "2"), "false"),
+        (("beta", "-x", "2", "-y", "3"), "true"),
+        (("beta", "-x", "1/2", "-y", "1/2", "--preset", "heine",
+          "-q", "9/25", "--truncation", "2"), "false"),
+    ])
+    def test_csv_booleans_are_json_spelt(self, capsys, argv, exact):
+        code, out, err = run(capsys, "eval", *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[-1] == ["exact", exact]
+        code, out, _ = run(capsys, "eval", *argv, "--format", "json")
+        assert json.loads(out)["exact"] is json.loads(exact)
+
     def test_integral(self, capsys):
         code, out, _ = run(capsys, "eval", "integral", "-p", "1",
                            "-q", "1/2", "--coeffs", "0,1",
@@ -932,8 +948,9 @@ def test_import_surface():
     Fraction-layer commands load neither ``padic`` nor ``padicfun``, and
     the p-adic commands load no Fraction layer: ``pgamma``,
     ``volkenborn``, ``carlitz`` and ``pbeta`` load only ``_kernel``,
-    ``padic`` and ``padicfun``, and ``zeta eval`` and ``spin exp`` only
-    ``padic`` and ``spinzeta``."""
+    ``padic`` and ``padicfun``, ``zeta eval`` and ``spin exp`` only
+    ``padic`` and ``spinzeta``, and ``eval derivative`` only ``deform``
+    and ``poly``, no ``series``."""
     pgamma = [["pgamma", "-n", "5"]]
     padic = [*pgamma, ["volkenborn", "--levels", "3"],
              ["carlitz", "--levels", "3"], ["pbeta", "-x", "2", "-y", "3"]]
@@ -942,6 +959,9 @@ def test_import_surface():
     spin_zeta = [["zeta", "eval"], ["spin", "exp"]]
     assert _import_surface(spin_zeta, [])["lead"] == [
         "rpqcalc.padic", "rpqcalc.spinzeta"]
+    derivative = [["eval", "derivative", "--coeffs", "1,2"]]
+    assert _import_surface(derivative, [])["lead"] == [
+        "rpqcalc.deform", "rpqcalc.poly"]
     out = _import_surface(FRACTION_COMMANDS,
                           SURFACE_COMMANDS[len(FRACTION_COMMANDS):] + pgamma)
     assert out["bare"] == []

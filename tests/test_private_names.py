@@ -98,3 +98,22 @@ def test_public_definitions_are_referenced():
 def test_cli_builds_no_identity_suite():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     assert not {"SuiteReport", "IdentityResult"} & set(_names(tree))
+
+
+def test_error_classes_are_raised():
+    """Each exception class of ``rpqcalc.errors`` but the base
+    ``RpqError`` is raised by some ``raise`` statement in the package,
+    so an error no code path can produce goes with its last raiser."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {stmt.name for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef)} - {"RpqError"}
+    assert classes, "no error classes found: wrong package path?"
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.update(_names(exc))
+    assert not classes - raised, \
+        f"error classes nothing raises: {sorted(classes - raised)}"
