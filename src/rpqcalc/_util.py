@@ -5,6 +5,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 
+def is_int(x) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def exact_str(x) -> str:
     """Decimal string of an exact value, however large.
 

@@ -10,6 +10,11 @@ parameter error, 3 domain error (message names the violated bound),
 ``run`` is the process entry point: it ends the process with
 ``os._exit`` once both streams are flushed, so no atexit handler runs.
 Callers inside a process use ``main``, which returns the exit code.
+
+The parser is built from three tables, each the one statement of its
+decision: ``SCOPE`` (what each operation reads), ``OPTIONS`` (how each
+option parses) and ``COMMANDS`` (each subcommand's handler and summary);
+``build_parser(argv)`` builds the options of the named subcommand only.
 """
 
 from __future__ import annotations
@@ -111,6 +116,10 @@ SCOPE = {
 }
 
 
+def _flag(dest: str) -> str:
+    return ("-" if len(dest) == 1 else "--") + dest.replace("_", "-")
+
+
 def _scope(args):
     """Refuse every option given that the operation of ``args`` does not
     read, then fill in the defaults of those it does (argparse stores
@@ -121,9 +130,8 @@ def _scope(args):
     elif "operation" in args:
         key += f" {args.operation}"
     reads = SCOPE[key]
-    unread = [("-" if len(dest) == 1 else "--") + dest.replace("_", "-")
-              for dest in vars(args) if dest not in reads
-              and dest not in ("command", "func", "operation", "kind")]
+    unread = [_flag(dest) for dest in vars(args) if dest not in reads
+              and dest not in ("command", "operation", "kind")]
     if unread:
         raise InvalidParameterError(f"{key} takes no {', '.join(unread)}")
     for dest, default in reads.items():
@@ -432,14 +440,12 @@ def _cmd_spin(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    if args.operation == "eval":
-        from . import spinzeta  # zeta loads no deformed calculus
-        z = spinzeta.zeta_spin_half(args.prime, args.s)
-        _emit(args, z.to_json(),
-              f"{z.value.numerator}/{z.value.denominator}")
-    else:  # table: the rows of table --kind zeta
+    if args.operation == "table":  # the rows of table --kind zeta
         args.kind = "zeta"
         return _cmd_table(args)
+    from . import spinzeta  # zeta loads no deformed calculus
+    z = spinzeta.zeta_spin_half(args.prime, args.s)
+    _emit(args, z.to_json(), f"{z.value.numerator}/{z.value.denominator}")
     return 0
 
 
@@ -489,137 +495,105 @@ def _int_list(text: str) -> list:
     return [int(t) for t in text.split(",")]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Every option is read by an operation of each subcommand that has
-    # it, and an option of several subcommands (-h included) lives on
-    # one parent parser.  Defaults come from SCOPE, so the namespace
-    # holds only the options given.
-    def parser(*parents):
-        return argparse.ArgumentParser(add_help=False, parents=parents,
-                                       argument_default=argparse.SUPPRESS)
+COMMANDS = {
+    "eval": (_cmd_eval, "evaluate a single quantity"),
+    "check": (_cmd_check, "run module identity/property suites"),
+    "table": (_cmd_table, "emit value tables over parameter grids"),
+    "spin": (_cmd_spin, "spin generator exponential/logarithm/level"),
+    "zeta": (_cmd_zeta, "spin zeta values (exact rationals)"),
+    "volkenborn": (_cmd_volkenborn,
+                   "twisted Volkenborn moments with convergence certificates"),
+    "pgamma": (_cmd_pgamma, "p-adic deformed gamma at an integer"),
+    "pbeta": (_cmd_pbeta, "p-adic deformed beta at integers"),
+    "carlitz": (_cmd_carlitz, "Carlitz-type Bernoulli values"),
+}
 
-    common = parser()
-    common.add_argument("-h", "--help", action="help",
-                        help="show this help message and exit")
-    common.add_argument("--format", choices=("json", "csv", "plain"))
-    common.add_argument("--out", metavar="PATH")
-    prime = parser()
-    prime.add_argument("--prime", type=_prime)
-    precision = parser()
-    precision.add_argument("--precision", type=_positive_int,
-                           help=f"p-adic digits; default {DEFAULT_PRECISION}")
-    q = parser()
-    q.add_argument("-q", type=_fraction,
-                   help="default 1/2, or 1 + 2 --prime for a p-adic twist")
-    twist = parser(prime, q, precision)
-    twist.add_argument("--rho", type=_fraction,
-                       help="p-adic twist parameter (rational embedded); "
-                            "default 1 + --prime")
-    deform = parser()
-    deform.add_argument("--preset",
-                        help="structure-function preset name "
-                             "(default jagannathan_srinivasa)")
-    deform.add_argument("--kernel", metavar="PATH",
-                        help="JSON file with a custom kernel "
-                             "{numerator:[[s,t,coeff]...], denominator:[...]}")
-    deform.add_argument("-p", type=_fraction, help="default 1")
-    deform.add_argument("--xi1", type=_fraction)
-    deform.add_argument("--xi2", type=_fraction)
-    levels = parser()
-    levels.add_argument("--levels", type=int)
-    grid = parser()
-    grid.add_argument("--primes", type=_int_list)
-    grid.add_argument("--s-values", type=_int_list)
+# Each option's add_argument keywords, by dest, in help order; the flag
+# is _flag(dest), and --kind takes its choices from SCOPE.
+OPTIONS = {
+    "format": dict(choices=("json", "csv", "plain")),
+    "out": dict(metavar="PATH"),
+    "module": dict(action="append", choices=CHECK_MODULES + ("all",)),
+    "classical_limit": dict(action="store_true"),
+    "preset": dict(help="structure-function preset name "
+                        "(default jagannathan_srinivasa)"),
+    "kernel": dict(metavar="PATH",
+                   help="JSON file with a custom kernel "
+                        "{numerator:[[s,t,coeff]...], denominator:[...]}"),
+    "p": dict(type=_fraction, help="default 1"),
+    "xi1": dict(type=_fraction), "xi2": dict(type=_fraction),
+    "prime": dict(type=_prime),
+    "q": dict(type=_fraction,
+              help="default 1/2, or 1 + 2 --prime for a p-adic twist"),
+    "precision": dict(type=_positive_int,
+                      help=f"p-adic digits; default {DEFAULT_PRECISION}"),
+    "generator": dict(choices=("minus", "z", "plus")),
+    "scale": dict(type=_fraction), "t": dict(type=_fraction),
+    "matrix_file": dict(), "matrix_json": dict(),
+    "rho": dict(type=_fraction,
+                help="p-adic twist parameter (rational embedded); "
+                     "default 1 + --prime"),
+    "levels": dict(type=int), "moment": dict(type=int),
+    "primes": dict(type=_int_list), "s_values": dict(type=_int_list),
+    "s": dict(type=int), "kind": dict(required=True),
+    "count": dict(type=int), "n": dict(type=int), "m": dict(type=int),
+    "z": dict(type=_fraction), "x": dict(type=_fraction),
+    "y": dict(type=_fraction), "a": dict(type=_fraction),
+    "b": dict(type=_fraction), "coeffs": dict(),
+    "truncation": dict(type=_positive_int),
+    "a_param": dict(type=_fraction), "x_int": dict(type=int),
+    "method": dict(choices=("direct", "moments")),
+}
 
+# (subcommand, dest) -> the keywords it sets over those of OPTIONS
+_OVERRIDES = {
+    ("pgamma", "n"): dict(required=True),
+    ("pbeta", "x"): dict(type=int, required=True),
+    ("pbeta", "y"): dict(type=int, required=True),
+    ("table", "x"): dict(help="argument of the polynomial families"),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of ``rpqcalc``.  Only the subcommand ``argv[0]`` names
+    gets its operations (or --kind choices) and options, from SCOPE; the
+    rest are registered bare, enough for the top-level help and "invalid
+    choice".  Defaults come from SCOPE: the namespace holds what is given."""
     top = argparse.ArgumentParser(
         prog="rpqcalc",
         description="Exact deformed quantum calculus and p-adic "
                     "special functions")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def command(name, func, parents, summary):
-        cmd = sub.add_parser(name, parents=[common, *parents], help=summary,
-                             add_help=False,
+    for name, (_, summary) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=summary,
                              argument_default=argparse.SUPPRESS)
-        cmd.set_defaults(func=func)
-        return cmd
-
-    ev = command("eval", _cmd_eval, [deform, q],
-                 "evaluate a single quantity")
-    ev.add_argument("operation",
-                    choices=("number", "factorial", "binomial", "gamma",
-                             "beta", "integral", "derivative"))
-    ev.add_argument("-n", type=int)
-    ev.add_argument("-m", type=int)
-    ev.add_argument("-z", type=_fraction)
-    ev.add_argument("-x", type=_fraction)
-    ev.add_argument("-y", type=_fraction)
-    ev.add_argument("-a", type=_fraction)
-    ev.add_argument("-b", type=_fraction)
-    ev.add_argument("--coeffs")
-    ev.add_argument("--truncation", type=_positive_int)
-
-    ck = command("check", _cmd_check, [],
-                 "run module identity/property suites")
-    ck.add_argument("--module", action="append",
-                    choices=CHECK_MODULES + ("all",))
-    ck.add_argument("--classical-limit", action="store_true")
-
-    tb = command("table", _cmd_table, [deform, twist, levels, grid],
-                 "emit value tables over parameter grids")
-    tb.add_argument("--kind", required=True,
-                    choices=("numbers", "factorials", "bernoulli",
-                             "euler", "genocchi", "zigzag",
-                             "volkenborn", "zeta"))
-    tb.add_argument("--count", type=int)
-    tb.add_argument("-x", type=_fraction,
-                    help="argument of the polynomial families")
-
-    sp = command("spin", _cmd_spin, [prime, precision],
-                 "spin generator exponential/logarithm/level")
-    sp.add_argument("operation", choices=("exp", "log", "level"))
-    sp.add_argument("--generator", choices=("minus", "z", "plus"))
-    sp.add_argument("--scale", type=_fraction)
-    sp.add_argument("-t", type=_fraction)
-    sp.add_argument("--matrix-file")
-    sp.add_argument("--matrix-json")
-
-    zt = command("zeta", _cmd_zeta, [prime, grid],
-                 "spin zeta values (exact rationals)")
-    zt.add_argument("operation", choices=("eval", "table"))
-    zt.add_argument("-s", type=int)
-
-    vk = command("volkenborn", _cmd_volkenborn, [twist, levels],
-                 "twisted Volkenborn moments with convergence certificates")
-    vk.add_argument("--moment", type=int)
-
-    pg = command("pgamma", _cmd_pgamma, [twist],
-                 "p-adic deformed gamma at an integer")
-    pg.add_argument("-n", type=int, required=True)
-
-    pb = command("pbeta", _cmd_pbeta, [twist],
-                 "p-adic deformed beta at integers")
-    pb.add_argument("-x", type=int, required=True)
-    pb.add_argument("-y", type=int, required=True)
-
-    cz = command("carlitz", _cmd_carlitz, [twist, levels],
-                 "Carlitz-type Bernoulli values")
-    cz.add_argument("-n", type=int)
-    cz.add_argument("--a-param", type=_fraction)
-    cz.add_argument("--x-int", type=int)
-    cz.add_argument("--method", choices=("direct", "moments"))
+        if not argv or argv[0] != name:
+            continue
+        keys = [key for key in SCOPE if key.split()[0] == name]
+        dests = set().union(*(SCOPE[key] for key in keys))
+        ops = [key.split()[-1] for key in keys if key != name]
+        if keys[0].startswith(f"{name} --kind "):
+            dests.add("kind")
+        elif ops:
+            cmd.add_argument("operation", choices=ops)
+        for dest, kw in OPTIONS.items():
+            if dest in dests:
+                kw = {**kw, **_OVERRIDES.get((name, dest), {})}
+                if dest == "kind":
+                    kw["choices"] = ops
+                cmd.add_argument(_flag(dest), **kw)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
         _scope(args)
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except InvalidParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
 """Structure functions and deformed numbers/factorials/binomials.
 
 A deformation is a bivariate kernel R(u, v) with R(1, 1) = 0; the
-deformed number of n is R(p^n, q^n).  Six named presets are provided
-(each with its closed form and its canonical pair of twist bases), plus
-``classical`` (the p = q -> 1 limit, [n] = n) and ``custom`` rational
-kernels N(u, v)/D(u, v) given by Laurent-polynomial coefficient lists.
+deformed number of n is R(p^n, q^n).  The table ``_PRESETS`` gives six
+named presets and ``classical`` (the p = q -> 1 limit, [n] = n), each
+with its closed form and its canonical pair of twist bases; ``custom``
+kernels are rational N(u, v)/D(u, v), given by Laurent-polynomial
+coefficient lists.  The Biedenharn-Macfarlane suite of ``check --module
+deform`` runs on that preset's own numbers.
 
 Every parameter and value is an exact rational (``Fraction``).  The
 p-adic deformed numbers over twists rho, q = 1 (mod p) live in
@@ -17,31 +19,40 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from ._util import Frozen, IdentityResult, SuiteReport, ratio_product
+from ._util import (Frozen, IdentityResult, SuiteReport, is_int,
+                    ratio_product)
 from .errors import (InvalidParameterError, SingularDeformationError,
                      SingularityError)
 
-PRESET_KINDS = (
-    "heine",
-    "quesne",
-    "biedenharn_macfarlane",
-    "jagannathan_srinivasa",
-    "chakrabarty_jagannathan",
-    "hounkonnou_ngompe",
-    "classical",
-)
+# Each preset's kernel R(u, v) at the bound (p, q) (None: the spectral
+# classical [n] = n) and twist bases (xi1, xi2) at (p, q), the dilations
+# of its derivative and the bases of its exponentials and power products.
+_PRESETS = {
+    "heine": (lambda u, v, p, q: (1 - v) / (1 - q),
+              lambda p, q: (1, q)),
+    "quesne": (lambda u, v, p, q: (1 - v ** -1) / (q - 1),
+               lambda p, q: (1, q ** -1)),
+    "biedenharn_macfarlane": (
+        lambda u, v, p, q: (v - v ** -1) / (q - q ** -1),
+        lambda p, q: (q, q ** -1)),
+    "jagannathan_srinivasa": (lambda u, v, p, q: (u - v) / (p - q),
+                              lambda p, q: (p, q)),
+    "chakrabarty_jagannathan": (
+        lambda u, v, p, q: (u ** -1 - v) / (p ** -1 - q),
+        lambda p, q: (p ** -1, q)),
+    "hounkonnou_ngompe": (lambda u, v, p, q: (u - v ** -1) / (q - p ** -1),
+                          lambda p, q: (p, q ** -1)),
+    "classical": (None, lambda p, q: (1, 1)),
+}
+PRESET_KINDS = tuple(_PRESETS)
 
 POSITIVITY_WINDOW = 64
 TWIST_WINDOW = 8
 
 
-def _laurent_eval(terms, u, v):
+def _laurent_eval(terms, u, v) -> Fraction:
     """Evaluate sum of coeff * u^s * v^t; exponents may be negative."""
-    acc = None
-    for s, t, coeff in terms:
-        val = coeff * u ** s * v ** t
-        acc = val if acc is None else acc + val
-    return acc if acc is not None else Fraction(0)
+    return sum((c * u ** s * v ** t for s, t, c in terms), Fraction(0))
 
 
 class StructureFunction(Frozen):
@@ -86,66 +97,43 @@ class StructureFunction(Frozen):
 
     @classmethod
     def custom(cls, numerator, denominator) -> "StructureFunction":
-        freeze = lambda terms: tuple(
-            (int(s), int(t), Fraction(c)) for s, t, c in terms)
+        freeze = lambda terms: tuple(_kernel_term(t) for t in terms)
         return cls("custom", freeze(numerator), freeze(denominator))
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureFunction":
         return cls.custom(obj["numerator"], obj["denominator"])
 
-    def to_json(self) -> dict:
-        if self.kind != "custom":
-            return {"kind": self.kind}
-        unpack = lambda terms: [[s, t, str(c)] for s, t, c in terms]
-        return {"kind": "custom", "numerator": unpack(self.numerator),
-                "denominator": unpack(self.denominator)}
-
     def value(self, u, v, params: "DeformParams"):
         """R(u, v).  Preset kernels also use the bound parameters p, q
         (their closed forms carry constant denominators like p - q)."""
-        k = self.kind
-        p, q = params.p, params.q
-        if k == "heine":
-            return (1 - v) / (1 - q)
-        if k == "quesne":
-            return (1 - v ** -1) / (q - 1)
-        if k == "biedenharn_macfarlane":
-            return (v - v ** -1) / (q - q ** -1)
-        if k == "jagannathan_srinivasa":
-            return (u - v) / (p - q)
-        if k == "chakrabarty_jagannathan":
-            return (u ** -1 - v) / (p ** -1 - q)
-        if k == "hounkonnou_ngompe":
-            return (u - v ** -1) / (q - p ** -1)
-        if k == "classical":
+        if self.kind == "custom":
+            den = _laurent_eval(self.denominator, u, v)
+            if den == 0:
+                raise SingularityError(
+                    f"custom kernel denominator vanishes at ({u}, {v})")
+            return _laurent_eval(self.numerator, u, v) / den
+        kernel = _PRESETS[self.kind][0]
+        if kernel is None:
             raise InvalidParameterError(
                 "classical kernel is defined spectrally, not pointwise")
-        den = _laurent_eval(self.denominator, u, v)
-        if den == 0:
-            raise SingularityError(
-                f"custom kernel denominator vanishes at ({u}, {v})")
-        return _laurent_eval(self.numerator, u, v) / den
+        return kernel(u, v, params.p, params.q)
 
 
-def _default_twists(kind: str, p, q):
-    """The two dilation factors of the preset's finite-difference
-    derivative; they are the geometric bases of the deformed
-    exponentials and power products."""
-    one = Fraction(1)
-    if kind == "heine":
-        return one, q
-    if kind == "quesne":
-        return one, q ** -1
-    if kind == "biedenharn_macfarlane":
-        return q, q ** -1
-    if kind == "chakrabarty_jagannathan":
-        return p ** -1, q
-    if kind == "hounkonnou_ngompe":
-        return p, q ** -1
-    if kind == "classical":
-        return one, one
-    return p, q  # jagannathan_srinivasa and custom kernels
+def _kernel_term(term) -> tuple:
+    """A custom kernel's [s, t, coeff] term as (int, int, Fraction): the
+    exponents ints, the coefficient an int, a Fraction or a rational
+    string; a bool or a float is refused, never rounded."""
+    try:
+        s, t, c = term
+        if is_int(s) and is_int(t) and (
+                is_int(c) or isinstance(c, (Fraction, str))):
+            return s, t, Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise InvalidParameterError(
+        f"custom kernel term {term!r} needs int exponents and an int, "
+        "Fraction or rational-string coefficient")
 
 
 def _rational(name: str, x) -> Fraction:
@@ -178,7 +166,9 @@ class DeformParams(Frozen):
             raise InvalidParameterError(
                 f"need 0 < q < p <= 1; got p = {p}, q = {q}")
         if xi1 is None:
-            x1, x2 = _default_twists(kind, p, q)
+            # a custom kernel takes jagannathan_srinivasa's bases, (p, q)
+            twists = _PRESETS.get(kind, _PRESETS["jagannathan_srinivasa"])[1]
+            x1, x2 = twists(p, q)
             xi1, xi2 = x1, x2 if xi2 is None else xi2
         elif xi2 is None:
             raise InvalidParameterError("set both twist bases or neither")
@@ -276,35 +266,26 @@ def rpq_binomial(params: DeformParams, m: int, n: int):
 
 # -- Biedenharn-Macfarlane identity suite ------------------------------
 
-def bm_number(q, n: int):
-    """[n]_q = (q^n - q^-n)/(q - q^-1); defined for any integer n."""
-    q = Fraction(q)
-    return (q ** n - q ** -n) / (q - q ** -1)
-
-
 def bm_identity_suite(q, n: int, m: int) -> SuiteReport:
     """Exact checks of the addition, negation and three-term recurrence
-    identities of the [n]_q = (q^n - q^-n)/(q - q^-1) numbers."""
-    q = Fraction(q)
-    if q == 0 or q == 1 or q == -1:
-        raise InvalidParameterError("need q not in {0, 1, -1}")
+    identities of the biedenharn_macfarlane preset at p = 1, 0 < q < 1:
+    [k] = (q^k - q^-k)/(q - q^-1) is ``rpq_number`` for k >= 0 and the
+    preset's kernel at (p^k, q^k) for k < 0."""
+    bm = DeformParams.preset("biedenharn_macfarlane", p=1, q=q)
+    q = bm.q
+    num = lambda k: (rpq_number(bm, k) if k >= 0
+                     else bm.structure.value(bm.p ** k, q ** k, bm))
     results = [
         IdentityResult(
             "[n+m] = q^-m [n] + q^n [m]",
-            bm_number(q, n + m),
-            q ** -m * bm_number(q, n) + q ** n * bm_number(q, m)),
+            num(n + m), q ** -m * num(n) + q ** n * num(m)),
         IdentityResult(
             "[n+m] = q^m [n] + q^-n [m]",
-            bm_number(q, n + m),
-            q ** m * bm_number(q, n) + q ** -n * bm_number(q, m)),
-        IdentityResult(
-            "[-m] = -[m]",
-            bm_number(q, -m),
-            -bm_number(q, m)),
+            num(n + m), q ** m * num(n) + q ** -n * num(m)),
+        IdentityResult("[-m] = -[m]", num(-m), -num(m)),
         IdentityResult(
             "[n] = [2][n-1] - [n-2]",
-            bm_number(q, n),
-            bm_number(q, 2) * bm_number(q, n - 1) - bm_number(q, n - 2)),
+            num(n), num(2) * num(n - 1) - num(n - 2)),
     ]
     return SuiteReport("biedenharn_macfarlane", tuple(results))
 

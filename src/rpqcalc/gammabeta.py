@@ -137,20 +137,6 @@ class GammaValue(NamedTuple):
     tail_bound: Fraction  # relative; 0 on the exact integer path
     exact: bool
 
-    def __mul__(self, other: "GammaValue") -> "GammaValue":
-        b = (1 + self.tail_bound) * (1 + other.tail_bound) - 1
-        return GammaValue(self.value * other.value,
-                          max(self.terms, other.terms), b,
-                          self.exact and other.exact)
-
-    def __truediv__(self, other: "GammaValue") -> "GammaValue":
-        if other.tail_bound >= 1:
-            raise ConvergenceDomainError("divisor bound too loose")
-        b = (1 + self.tail_bound) / (1 - other.tail_bound) - 1
-        return GammaValue(self.value / other.value,
-                          max(self.terms, other.terms), b,
-                          self.exact and other.exact)
-
 
 def gamma_rpq(z, params: DeformParams,
               truncation: int = DEFAULT_TRUNCATION) -> GammaValue:
@@ -211,12 +197,18 @@ class BetaValue(NamedTuple):
 
 def beta_rpq(x, y, params: DeformParams,
              truncation: int = DEFAULT_TRUNCATION) -> BetaValue:
-    """beta(x, y) = Gamma(x) Gamma(y) / Gamma(x+y)."""
+    """beta(x, y) = Gamma(x) Gamma(y) / Gamma(x+y).  With relative
+    bounds a, b and c on the three gammas, the quotient's relative
+    bound is (1 + a)(1 + b)/(1 - c) - 1, which needs c < 1."""
     gx = gamma_rpq(x, params, truncation)
     gy = gamma_rpq(y, params, truncation)
     gxy = gamma_rpq(Fraction(x) + Fraction(y), params, truncation)
-    out = gx * gy / gxy
-    return BetaValue(out.value, out.tail_bound, out.exact)
+    if gxy.tail_bound >= 1:
+        raise ConvergenceDomainError("divisor bound too loose")
+    bound = ((1 + gx.tail_bound) * (1 + gy.tail_bound)
+             / (1 - gxy.tail_bound) - 1)
+    return BetaValue(gx.value * gy.value / gxy.value, bound,
+                     gx.exact and gy.exact and gxy.exact)
 
 
 # -- identity suites --------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._util import is_int
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PrecisionError)
 
@@ -463,16 +464,35 @@ class PadicNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PadicNumber":
+        """The inverse of ``to_json``.  A zero needs an int ``zero_mod``
+        >= 0; any other value an int ``valuation`` and an int
+        ``precision`` >= 1 with exactly that many int ``digits`` in
+        [0, p).  A bool is no int; a violation names its field."""
         if not isinstance(obj, dict):
             raise TypeError(f"p-adic JSON must be an object; got {obj!r}")
-        if obj.get("valuation") is None:
-            return cls.zero(obj["prime"], obj.get("zero_mod",
-                                                  DEFAULT_PRECISION))
         p = obj["prime"]
-        unit = 0
-        for i, d in enumerate(obj["digits"]):
-            unit += d * p ** i
-        return cls(p, obj["valuation"], unit, obj["precision"])
+        _check_prime(p)
+        if obj.get("valuation") is None:
+            zero_mod = obj.get("zero_mod", DEFAULT_PRECISION)
+            _check_field("zero_mod", zero_mod, is_int(zero_mod)
+                         and zero_mod >= 0, "an int >= 0")
+            return cls.zero(p, zero_mod)
+        val, prec, digits = obj["valuation"], obj["precision"], obj["digits"]
+        _check_field("valuation", val, is_int(val), "an int")
+        _check_field("precision", prec, is_int(prec) and prec >= 1,
+                     "an int >= 1")
+        _check_field("digits", digits, isinstance(digits, list)
+                     and len(digits) == prec
+                     and all(is_int(d) and 0 <= d < p for d in digits),
+                     f"{prec} ints in [0, {p})")
+        unit = sum(d * p ** i for i, d in enumerate(digits))
+        return cls(p, val, unit, prec)
+
+
+def _check_field(name: str, value, ok: bool, need: str) -> None:
+    if not ok:
+        raise InvalidParameterError(
+            f"p-adic JSON {name!r} must be {need}; got {value!r}")
 
 
 def _sqrt_mod_p(a: int, p: int):

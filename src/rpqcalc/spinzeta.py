@@ -48,12 +48,6 @@ class Mat2Padic:
         return (self.a, self.b, self.c, self.d)
 
     @classmethod
-    def from_rational(cls, rows, prime: int, prec: int) -> "Mat2Padic":
-        (a, b), (c, d) = rows
-        emb = lambda x: PadicNumber.from_rational(Fraction(x), prime, prec)
-        return cls(emb(a), emb(b), emb(c), emb(d))
-
-    @classmethod
     def identity(cls, prime: int, prec: int) -> "Mat2Padic":
         one = PadicNumber.one(prime, prec)
         zero = PadicNumber.zero(prime, prec)

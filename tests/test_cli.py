@@ -2,11 +2,13 @@
 
 import argparse
 import csv
+import hashlib
 import importlib
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from rpqcalc import cli
 from rpqcalc._util import IdentityResult, SuiteReport, exact_str
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
+from rpqcalc.padic import PadicNumber
 from rpqcalc.padicfun import TwistParams, volkenborn_moment
 from rpqcalc.series import generating_polynomials, zigzag_numbers
 from rpqcalc.spinzeta import Mat2Padic, zeta_spin_half
@@ -691,10 +694,13 @@ class TestSpinCommands:
 # -- option scope -----------------------------------------------------------
 
 def _subcommands():
-    """name -> subparser, from the parser the CLI builds."""
-    top = cli.build_parser()
-    return next(a for a in top._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
+    """name -> subparser, each from the parser the CLI builds to parse
+    that subcommand."""
+    def subparser(name):
+        top = cli.build_parser([name])
+        return next(a for a in top._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return {name: subparser(name) for name in cli.COMMANDS}
 
 
 SUBCOMMANDS = _subcommands()
@@ -725,8 +731,8 @@ def _required(name):
             for tok in (a.option_strings[0], "1")]
 
 
-IDENTITY_5 = json.dumps(
-    Mat2Padic.from_rational([[1, 0], [0, 1]], 5, 3).to_json())
+IDENTITY_5 = json.dumps(Mat2Padic(
+    *(PadicNumber.from_rational(x, 5, 3) for x in (1, 0, 0, 1))).to_json())
 
 
 class TestOptionScope:
@@ -1153,3 +1159,152 @@ def test_script_target_is_run():
     assert target is not None
     module, name = target.groups()
     assert getattr(importlib.import_module(module), name) is cli.run
+
+
+# -- untrusted JSON input ---------------------------------------------------
+
+@pytest.mark.parametrize("numerator, term", [
+    ([[1, 0, 1], [0, 1, -0.1]], "[0, 1, -0.1]"),
+    ([[1.7, 0, 1], [0, 1, -1]], "[1.7, 0, 1]"),
+    ([[1, 0, True], [0, 1, -1]], "[1, 0, True]"),
+])
+def test_kernel_floats_and_bools_refused(capsys, tmp_path, numerator, term):
+    # a float is not read as its binary expansion, nor an exponent
+    # truncated, nor true read as 1
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"numerator": numerator,
+                                  "denominator": [[0, 0, "2/5"]]}))
+    code, out, err = run(capsys, "eval", "number", "-n", "2", "-p", "9/10",
+                         "-q", "1/2", "--kernel", str(kernel))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parameter error: custom kernel term {term} ")
+    assert err.count("\n") == 1
+
+
+def _matrix(entry):
+    """A --matrix-json whose upper-left entry is ``entry``, at p = 5."""
+    obj = json.loads(IDENTITY_5)
+    obj["entries"][0] = entry
+    return json.dumps(obj)
+
+
+ONE_5 = {"prime": 5, "precision": 3, "valuation": 0, "digits": [1, 0, 0]}
+
+
+@pytest.mark.parametrize("entry, field", [
+    (dict(ONE_5, digits=[6, 4, 4]), "digits"),
+    (dict(ONE_5, digits=[1, 0]), "digits"),
+    (dict(ONE_5, digits=[True, 0, 0]), "digits"),
+    (dict(ONE_5, digits=[1.5, 0, 0]), "digits"),
+    ({"prime": 5, "valuation": None, "zero_mod": 1e9}, "zero_mod"),
+    (dict(ONE_5, precision=-3, digits=[]), "precision"),
+    (dict(ONE_5, valuation=True), "valuation"),
+])
+@pytest.mark.parametrize("op", ["log", "level"])
+def test_matrix_entries_validated(capsys, op, entry, field):
+    code, out, err = run(capsys, "spin", op, "--matrix-json", _matrix(entry))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parameter error: p-adic JSON {field!r} must be")
+    assert err.count("\n") == 1
+
+
+def test_identity_matrix_level(capsys):
+    assert run(capsys, "spin", "level", "--matrix-json",
+               _matrix(ONE_5)) == (0, "3\n", "")
+
+
+def test_beta_divisor_bound_too_loose(capsys):
+    # Gamma(3/2)'s one-term tail bound is >= 1 here, so the quotient's
+    # relative bound (1 + a)(1 + b)/(1 - c) - 1 is undefined
+    code, out, err = run(capsys, "eval", "beta", "-x", "1/2", "-y", "1",
+                         "--truncation", "1", "--preset", "heine",
+                         "-q", "576/625")
+    assert (code, out, err) == (3, "", "domain error: divisor bound too "
+                                "loose\n")
+
+
+# -- pinned CLI text ----------------------------------------------------------
+
+# sha256 of the stdout of `rpqcalc [<subcommand>] --help` and of the
+# stderr of some parse errors, recorded on Python 3.11 at COLUMNS=80
+# from the hand-written parser that SCOPE and OPTIONS replaced; an
+# option's help, order, metavar or choices that moves shows here
+HELP_SHA256 = {
+    "": "48c9aa9cfc4c767c1a739b06319c66f67b14badb764f2f41ca69901536146970",
+    "eval": "47bfcc14a43335347aab466e9c552510d15253bf6ef3e444e307c893ddba8d42",
+    "check":
+        "5616227f1ca9535f48e21eb371e25624a9ce1059125959b3a73651d44c163e22",
+    "table":
+        "9051ab8e5c576644b7020789b08e38e2a534cf06fb5c0f053540b82c0e98822d",
+    "spin": "68e4d184d370f16f5300cbec6e7e7757678c0e291bdec666fa1a6fded631473c",
+    "zeta": "ce28cf6edc2e122e13134357189a4a0061a6913dc2c6cbff7c02e284890416f1",
+    "volkenborn":
+        "4295af2091b01c167a229fcf245e7471381eda8d4f045cf62bb56cd779b12bd0",
+    "pgamma":
+        "f31011878a374c09f85a41ace2de42cda58270896baa7ddaacfb9f89d586d253",
+    "pbeta":
+        "f1cce97a2a6d88a38a79d7a335017461a72a2fa41b0442a31c5e4b93fdd53e26",
+    "carlitz":
+        "b14434b839547372061e342be87b9f2dc90396ea90d0f35515de0dec5be583dc",
+}
+ERROR_SHA256 = {
+    "evl": "44daf855dae84c73693cc2911f6f46ae69a28b740ac7279cfd1972fd85e2a7fd",
+    "pgamma":
+        "aa46c444ecfc1002c87e8187ae6a771d2110f8741cce88cefa9d779ddb8c52a4",
+    "pbeta -x 1/2 -y 1":
+        "48380597531123af7ed4be17498538660b1dec73e2b61274201934f377f796d1",
+    "eval number --prec 3":
+        "a07a36adf171901fe5b1370994c15d097c3c9b4896e5f87d15d97d4fba5f815f",
+    "table --count 3":
+        "d39972e2b2614a51573e9334781000eeebff10be0218bb9f0bb6048516865d1e",
+    "eval": "e85b894d00621e8dbdec0855c8edb644a7613750e840856076af4c38b9b01ce1",
+    "zeta eval --prime 4":
+        "1149c1159e1652dae737a9b80ec426efe914cc6b047f7e8daa4d72665f6eada4",
+    "table --kind numbers --prime 4":
+        "83bbb0cb872b8fdae80a1fa5450adf343d46bf0cdfd61372047a1b5741287318",
+}
+on_311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                            reason="argparse's layout differs by version; "
+                                   "pinned on 3.11, as CI pins outputs")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@on_311
+@pytest.mark.parametrize("name", list(HELP_SHA256))
+def test_help_text_pinned(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *name.split(), "--help")
+    assert (code, err, _sha256(out)) == (0, "", HELP_SHA256[name])
+
+
+@on_311
+@pytest.mark.parametrize("line", list(ERROR_SHA256))
+def test_parse_errors_pinned(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *line.split())
+    assert (code, out, _sha256(err)) == (2, "", ERROR_SHA256[line])
+
+
+def _readme_commands():
+    """(argv, expected stdout or None) of each ``rpqcalc ...`` line of
+    the README; a trailing one-word ``# <value>`` comment is the value
+    it prints, a longer comment is a note."""
+    readme = Path(SRC).parent / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("rpqcalc "):
+            comment = line.partition("#")[2].split()
+            yield (shlex.split(line, comments=True)[1:],
+                   comment[0] if len(comment) == 1 else None)
+
+
+@pytest.mark.parametrize("argv, value", list(_readme_commands()),
+                         ids=lambda x: " ".join(x) if isinstance(x, list)
+                         else str(x))
+def test_readme_commands_run(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if value is not None:
+        assert out == value + "\n"

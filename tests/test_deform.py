@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rpqcalc import deform
 from rpqcalc._util import RATIO_LEAF, product_tree, ratio_product
 from rpqcalc.deform import (PRESET_KINDS, DeformParams, StructureFunction,
-                            bm_identity_suite, bm_number, rpq_binomial,
+                            bm_identity_suite, rpq_binomial,
                             rpq_factorial, rpq_number)
 from rpqcalc.errors import InvalidParameterError, SingularDeformationError
 from rpqcalc.padic import PadicNumber
@@ -326,7 +326,8 @@ class TestBmIdentities:
         assert rep.passed
 
     def test_pair_one(self):
-        assert bm_number(F(1, 2), 2) == F(1, 2) + 2
+        bm = DeformParams.preset("biedenharn_macfarlane", q=F(1, 2))
+        assert rpq_number(bm, 2) == F(1, 2) + 2
         assert bm_identity_suite(F(1, 2), 1, 1).passed
 
     def test_rejects_degenerate_q(self):
@@ -356,8 +357,28 @@ class TestCustomKernels:
     def test_json_roundtrip(self):
         sf = StructureFunction.custom(
             [[1, 0, 1], [0, 1, -1]], [[0, 0, F(2, 5)]])
-        again = StructureFunction.from_json(sf.to_json())
+        again = StructureFunction.from_json(
+            {"numerator": [[1, 0, "1"], [0, 1, "-1"]],
+             "denominator": [[0, 0, "2/5"]]})
         assert again == sf
+
+    @pytest.mark.parametrize("term", [
+        [1, 0, 0.1], [1.7, 0, 1], [1, 0, True], [True, 0, 1],
+        [1, "0", 1], [1, 0, "x"], [1, 0, "1/0"], [1, 0, None], [1, 0],
+        [1, 0, 1, 1], 7,
+    ])
+    def test_bad_terms_refused(self, term):
+        # a float is refused, not read as its binary expansion; a bool
+        # is no int; the message names the term
+        with pytest.raises(InvalidParameterError, match="custom kernel term"):
+            StructureFunction.custom([[1, 0, 1], [0, 1, -1], term],
+                                     [[0, 0, 1]])
+
+    @pytest.mark.parametrize("coeff", [1, F(2, 5), "2/5", "0.4", "-3"])
+    def test_exact_coefficients_accepted(self, coeff):
+        sf = StructureFunction.custom([[1, 0, 1], [0, 1, -1]],
+                                      [[0, 0, coeff]])
+        assert sf.denominator == ((0, 0, F(coeff)),)
 
 
 class TestParameterValidation:

@@ -112,8 +112,8 @@ def test_cli_table_is_byte_equal(capsys, fmt, argv, count):
                      "--format", fmt, *argv])
     out = capsys.readouterr().out
     assert code == 0
-    args = cli.build_parser().parse_args(
-        ["table", "--kind", "factorials", *argv])
+    argv = ["table", "--kind", "factorials", *argv]
+    args = cli.build_parser(argv).parse_args(argv)
     cli._scope(args)  # the defaults of what table --kind factorials reads
     params = cli._params(args)
     rows = [[str(n), s] for n, s in enumerate(factorial_strs(params, count))]

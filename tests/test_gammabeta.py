@@ -333,14 +333,29 @@ class TestGammaProductTree:
 
     def test_beta_matches_factor_loop(self):
         x, y = F(7, 2), F(-3, 2)
-        want = ref_gamma_rpq(x, JS9) * ref_gamma_rpq(y, JS9) \
-            / ref_gamma_rpq(x + y, JS9)
+        gx, gy, gxy = (ref_gamma_rpq(z, JS9) for z in (x, y, x + y))
         b = beta_rpq(x, y, JS9)
-        assert (b.value, b.tail_bound, b.exact) == \
-            (want.value, want.tail_bound, want.exact)
+        assert (b.value, b.tail_bound, b.exact) == (
+            gx.value * gy.value / gxy.value,
+            (1 + gx.tail_bound) * (1 + gy.tail_bound)
+            / (1 - gxy.tail_bound) - 1, False)
 
 
 class TestBeta:
+    @pytest.mark.parametrize("x, y, truncation", [
+        (F(1, 2), F(3, 2), 8), (F(1, 2), 1, 256), (2, F(5, 2), 3),
+        (F(-1, 2), F(7, 2), 2), (2, 3, 1)])
+    def test_bound_composes_the_gamma_bounds(self, x, y, truncation):
+        # relative bounds a, b, c of the three gammas give the quotient
+        # (1 + a)(1 + b)/(1 - c) - 1
+        a, b, c = (gamma_rpq(z, JS9, truncation)
+                   for z in (x, y, F(x) + F(y)))
+        beta = beta_rpq(x, y, JS9, truncation)
+        assert beta.tail_bound == (1 + a.tail_bound) * (1 + b.tail_bound) \
+            / (1 - c.tail_bound) - 1
+        assert beta.value == a.value * b.value / c.value
+        assert beta.exact == (a.exact and b.exact and c.exact)
+
     def test_unit_values(self):
         b = beta_rpq(1, 1, JS)
         assert b.value == 1 / rpq_number(JS, 1) and b.exact

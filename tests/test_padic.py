@@ -242,6 +242,57 @@ class TestExternalForms:
         assert PadicNumber.from_json(z.to_json()).is_zero()
 
 
+ONE_5 = {"prime": 5, "precision": 3, "valuation": 0, "digits": [1, 0, 0]}
+BAD_JSON = {
+    "digit_at_prime": (dict(ONE_5, digits=[6, 4, 4]), "digits"),
+    "digit_negative": (dict(ONE_5, digits=[1, -1, 0]), "digits"),
+    "too_few_digits": (dict(ONE_5, digits=[1, 0]), "digits"),
+    "too_many_digits": (dict(ONE_5, digits=[1, 0, 0, 0]), "digits"),
+    "bool_digit": (dict(ONE_5, digits=[True, 0, 0]), "digits"),
+    "float_digit": (dict(ONE_5, digits=[1.0, 0, 0]), "digits"),
+    "digits_not_list": (dict(ONE_5, digits="100"), "digits"),
+    "float_zero_mod": ({"prime": 5, "valuation": None, "zero_mod": 1e9},
+                       "zero_mod"),
+    "negative_zero_mod": ({"prime": 5, "valuation": None, "zero_mod": -1},
+                          "zero_mod"),
+    "bool_zero_mod": ({"prime": 5, "valuation": None, "zero_mod": True},
+                      "zero_mod"),
+    "negative_precision": (dict(ONE_5, precision=-3, digits=[]),
+                           "precision"),
+    "zero_precision": (dict(ONE_5, precision=0, digits=[]), "precision"),
+    "bool_precision": (dict(ONE_5, precision=True, digits=[1]),
+                       "precision"),
+    "float_valuation": (dict(ONE_5, valuation=0.5), "valuation"),
+    "bool_valuation": (dict(ONE_5, valuation=False), "valuation"),
+}
+
+
+class TestFromJson:
+    @pytest.mark.parametrize("case", sorted(BAD_JSON))
+    def test_refused_naming_the_field(self, case):
+        obj, field = BAD_JSON[case]
+        with pytest.raises(InvalidParameterError, match=repr(field)):
+            PadicNumber.from_json(obj)
+
+    def test_bool_prime_refused(self):
+        with pytest.raises(InvalidParameterError, match="not prime"):
+            PadicNumber.from_json(dict(ONE_5, prime=True))
+
+    def test_leading_zero_digit_normalised(self):
+        x = PadicNumber.from_json(dict(ONE_5, digits=[0, 1, 0]))
+        assert x == PadicNumber.from_rational(5, 5, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 101]),
+           x=st.fractions(max_denominator=10 ** 6), prec=st.integers(1, 20),
+           zero_mod=st.integers(0, 40))
+    def test_to_json_survives(self, p, x, prec, zero_mod):
+        for value in (PadicNumber.from_rational(x, p, prec),
+                      PadicNumber.zero(p, zero_mod)):
+            obj = value.to_json()
+            assert PadicNumber.from_json(obj).to_json() == obj
+
+
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(97) and is_prime(2 ** 61 - 1)
     assert not is_prime(1) and not is_prime(91)

@@ -23,6 +23,14 @@ def gens(scale=1, p=5, prec=12):
     return spin_generators(scale, p, prec)
 
 
+def rational_matrix(rows, p, prec):
+    """The 2x2 matrix of the rationals ``rows``, each embedded by
+    ``PadicNumber.from_rational``."""
+    (a, b), (c, d) = rows
+    return Mat2Padic(*(PadicNumber.from_rational(F(x), p, prec)
+                       for x in (a, b, c, d)))
+
+
 class TestGenerators:
     def test_trace_zero(self):
         for S in gens():
@@ -109,12 +117,12 @@ class TestExpLog:
             mat_exp(Sz, 1)  # v(t * eigenvalue) = 0
 
     def test_log_domain_guard(self):
-        g = Mat2Padic.from_rational([[2, 0], [0, F(1, 2)]], 5, 10)
+        g = rational_matrix([[2, 0], [0, F(1, 2)]], 5, 10)
         with pytest.raises(ConvergenceDomainError):
             mat_log(g)
 
     def test_log_needs_unit_det(self):
-        g = Mat2Padic.from_rational([[1, 0], [0, 6]], 5, 10)
+        g = rational_matrix([[1, 0], [0, 6]], 5, 10)
         with pytest.raises(InvalidParameterError):
             mat_log(g)
 
@@ -237,7 +245,7 @@ def test_exp_log_match_old_loops(p, prec, shift, abc, d, t_unit, t_val):
     both refuse."""
     a, b, c = abc
     rows = [[a, b], [c, -a if d is None else d]]
-    S = Mat2Padic.from_rational(
+    S = rational_matrix(
         [[F(x) * F(p) ** shift for x in row] for row in rows], p, prec)
     t = F(t_unit) * F(p) ** t_val
     tS = S.scaled(PadicNumber.from_rational(t, p, prec + 2))
