@@ -10,17 +10,12 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def exact_str(x) -> str:
-    """Decimal string of an exact value, however large.
+def exact_str(x: Fraction) -> str:
+    """Decimal string of an exact rational, however large.
 
     Temporarily lifts the interpreter's int-to-str digit cap; measured
     residuals are reported as exact rationals, never rounded."""
-    if isinstance(x, Fraction):
-        need = max(x.numerator.bit_length(), x.denominator.bit_length())
-    elif isinstance(x, int):
-        need = x.bit_length()
-    else:
-        return str(x)
+    need = max(x.numerator.bit_length(), x.denominator.bit_length())
     digits = need // 3 + 16
     old = sys.get_int_max_str_digits()
     if digits <= old:

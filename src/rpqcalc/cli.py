@@ -4,8 +4,8 @@ All scalars cross this boundary as exact rational strings ("7/4"), so
 results are bit-reproducible.  stdout carries data only; diagnostics go
 to stderr.  Exit codes: 0 success, 1 check-suite failure, 2 parse or
 parameter error, 3 domain error (message names the violated bound),
-4 I/O failure (a failed final flush of stdout or stderr included),
-5 internal error.
+4 I/O failure (any ``OSError`` inside ``main``, or a failed final
+flush of stdout or stderr), 5 internal error.
 
 ``run`` is the process entry point: it ends the process with
 ``os._exit`` once both streams are flushed, so no atexit handler runs.
@@ -152,8 +152,6 @@ def _params(args):
         try:
             with open(args.kernel) as fh:
                 structure = StructureFunction.from_json(json.load(fh))
-        except OSError as exc:
-            raise _IOFail(str(exc))
         except MALFORMED as exc:
             raise InvalidParameterError(f"malformed --kernel file: {exc!r}")
     return DeformParams(args.p, args.q, structure, args.xi1, args.xi2)
@@ -164,10 +162,6 @@ def _twist(args):
     rho = 1 + args.prime if args.rho is None else args.rho
     q = 1 + 2 * args.prime if args.q is None else args.q
     return TwistParams.make(args.prime, rho, q, precision=args.precision)
-
-
-class _IOFail(Exception):
-    pass
 
 
 def _emit(args, payload, plain_line: str | None = None):
@@ -185,15 +179,12 @@ def _emit(args, payload, plain_line: str | None = None):
 def _write(args, emit):
     """Call ``emit`` with --out, opened for writing, or with stdout
     unless there is none (a process started with fd 1 closed); a failed
-    open or write raises ``_IOFail``, exit 4."""
-    try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                emit(fh)
-        elif sys.stdout is not None:
-            emit(sys.stdout)
-    except OSError as exc:
-        raise _IOFail(str(exc))
+    open or write raises ``OSError``, exit 4."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            emit(fh)
+    elif sys.stdout is not None:
+        emit(sys.stdout)
 
 
 def _to_csv(payload: dict) -> str:
@@ -320,8 +311,7 @@ def _poly_from_coeffs(text: str):
 def _cmd_check(args) -> int:
     modules = CHECK_MODULES if "all" in args.module else args.module
     if not modules:
-        print("no modules selected", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("no modules selected")
     if args.classical_limit and "gammabeta" not in modules:
         raise InvalidParameterError(
             "--classical-limit is read only by --module gammabeta")
@@ -411,8 +401,6 @@ def _load_matrix(args):
             with open(args.matrix_file) as fh:
                 return Mat2Padic.from_json(json.load(fh))
         return Mat2Padic.from_json(json.loads(args.matrix_json))
-    except OSError as exc:
-        raise _IOFail(str(exc))
     except MALFORMED as exc:
         raise InvalidParameterError(f"malformed matrix JSON: {exc!r}")
 
@@ -600,7 +588,7 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except _IOFail as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     except RpqError as exc:
@@ -613,9 +601,10 @@ def run():
 
     Flushes stdout and stderr and calls ``os._exit``, skipping module
     teardown and the final garbage collections of a normal exit.  An
-    ``OSError`` out of ``main`` or out of a flush exits 4, any other
-    ``Exception`` 5, each with one line on stderr; ``KeyboardInterrupt``
-    and ``SystemExit`` propagate.
+    ``OSError`` that escapes ``main`` (raised while it parses or reports
+    a failure) or out of a flush exits 4, any other ``Exception`` 5,
+    each with one line on stderr; ``KeyboardInterrupt`` and
+    ``SystemExit`` propagate.
     """
     try:
         code = main()

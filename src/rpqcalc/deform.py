@@ -165,13 +165,12 @@ class DeformParams(Frozen):
         if kind != "classical" and not (0 < q and q < p <= 1):
             raise InvalidParameterError(
                 f"need 0 < q < p <= 1; got p = {p}, q = {q}")
+        if (xi1 is None) != (xi2 is None):
+            raise InvalidParameterError("set both twist bases or neither")
         if xi1 is None:
             # a custom kernel takes jagannathan_srinivasa's bases, (p, q)
             twists = _PRESETS.get(kind, _PRESETS["jagannathan_srinivasa"])[1]
-            x1, x2 = twists(p, q)
-            xi1, xi2 = x1, x2 if xi2 is None else xi2
-        elif xi2 is None:
-            raise InvalidParameterError("set both twist bases or neither")
+            xi1, xi2 = twists(p, q)
         self._set(p, q, structure, _rational("xi1", xi1),
                   _rational("xi2", xi2))
         self._bind_check()

@@ -1,5 +1,9 @@
 """Deformed power basis, gamma and beta functions.
 
+The power basis (x (-) y)^n is the finite product over the indices
+0..n-1, for n >= 0 only; the reciprocal rules of its derivative are
+checked on 1 / (x (-) y)^n.
+
 The gamma function takes the exact finite-product (factorial) path at
 positive integers.  At rational arguments it is evaluated through the
 normalized product ratio in the reduced base xh = xi2/xi1,
@@ -90,29 +94,23 @@ def rpq_number_at(params: DeformParams, z: Fraction) -> Fraction:
 # -- power basis ----------------------------------------------------------
 
 def power_basis(x, y, n: int, mode: str, params: DeformParams):
-    """(x (-) y)^n = prod_{i=0}^{n-1} (x xi1^i -+ y xi2^i); the plus
-    mode flips the sign.  Negative n takes the reciprocal product over
-    the indices -|n|..-1.  A slot may hold a ``Polynomial``, which
-    expands the product in that variable."""
+    """(x (-) y)^n = prod_{i=0}^{n-1} (x xi1^i -+ y xi2^i) for n >= 0;
+    the plus mode flips the sign.  A slot may hold a ``Polynomial``,
+    which expands the product in that variable."""
     if mode not in ("minus", "plus"):
         raise InvalidParameterError("mode must be 'minus' or 'plus'")
+    if n < 0:
+        raise InvalidParameterError(f"the power basis needs n >= 0; got {n}")
     sign = -1 if mode == "minus" else 1
     x1, x2 = params.xi1, params.xi2
     acc = Fraction(1)
-    for i in range(min(n, 0), max(n, 0)):
-        factor = x * x1 ** i + sign * y * x2 ** i
-        if n < 0 and factor == 0:
-            raise ZeroDivisionError(
-                f"zero factor at index {i} in reciprocal power basis")
-        acc = acc * factor
-    return acc if n >= 0 else 1 / acc
+    for i in range(n):
+        acc = acc * (x * x1 ** i + sign * y * x2 ** i)
+    return acc
 
 
 def _expanded(x, y, n: int, mode: str, params: DeformParams) -> Polynomial:
     """``power_basis`` with a ``Polynomial`` slot, as a polynomial."""
-    if n < 0:
-        raise InvalidParameterError(
-            f"a polynomial power basis needs n >= 0; got {n}")
     return Polynomial.constant(Fraction(1)) * power_basis(
         x, y, n, mode, params)
 

@@ -287,9 +287,8 @@ class ConvergenceReport(NamedTuple):
         return {
             "levels": list(self.levels),
             "values": [str(v) for v in self.values],
-            "diff_valuations": [
-                None if v is None else (v if v != float("inf") else "inf")
-                for v in self.diff_valuations],
+            "diff_valuations": [v if v != float("inf") else "inf"
+                                for v in self.diff_valuations],
             "converged": self.converged,
         }
 

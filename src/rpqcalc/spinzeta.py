@@ -14,14 +14,12 @@ normalization is changed silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-from ._util import IdentityResult, SuiteReport
+from ._util import IdentityResult, SuiteReport, is_int
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
 from .padic import PadicNumber, _exp_terms, _log_terms, is_prime
-
-Scalar = Union[int, Fraction, PadicNumber]
 
 
 class Mat2Padic:
@@ -110,22 +108,28 @@ class Mat2Padic:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Mat2Padic":
-        return cls(*(PadicNumber.from_json(e) for e in obj["entries"]))
+        """The inverse of ``to_json``; the top-level ``prime`` must be
+        the entries' prime."""
+        m = cls(*(PadicNumber.from_json(e) for e in obj["entries"]))
+        p = obj.get("prime")
+        if not (is_int(p) and p == m.prime):
+            raise InvalidParameterError(
+                f"matrix JSON 'prime' must be {m.prime}, the entries' "
+                f"prime; got {p!r}")
+        return m
 
 
 def spin_generators(scale, prime: int, precision: int):
     """The lowering, diagonal, and raising trace-zero generators at the
-    given scale (scale p^i yields the level-i congruence directions):
+    rational scale s, embedded at the given precision (scale p^i yields
+    the level-i congruence directions):
 
         S- = s [[0,0],[1,0]],  S_z = (s/2) [[1,0],[0,-1]],
         S+ = s [[0,1],[0,0]].
     """
     if not is_prime(prime) or prime == 2:
         raise InvalidParameterError("odd prime required")
-    if isinstance(scale, PadicNumber):
-        s = scale
-    else:
-        s = PadicNumber.from_rational(Fraction(scale), prime, precision)
+    s = PadicNumber.from_rational(Fraction(scale), prime, precision)
     zero = PadicNumber.zero(prime, precision + abs(int(s.valuation
                             if not s.is_zero() else 0)) + 2)
     half = s / 2

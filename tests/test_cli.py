@@ -161,6 +161,41 @@ class TestExitCodes:
         code, _, _ = run(capsys, "check")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, code, line", [
+        ("eval gamma -z 1/2 --preset classical", 3,
+         "domain error: kernel is not consistent with its twist bases; "
+         "the product-ratio gamma is undefined for it"),
+        ("eval factorial -n -1", 2,
+         "parameter error: factorial needs n >= 0; got -1"),
+        ("carlitz -n -1", 2, "parameter error: need n >= 0"),
+        ("volkenborn --moment -1", 2,
+         "parameter error: moment exponent must be >= 0"),
+        ("spin exp --prime 2", 2, "parameter error: odd prime required"),
+        ("pgamma -n 3 --prime x", 2,
+         "rpqcalc pgamma: error: argument --prime: not an integer: 'x'"),
+        ("eval integral -a 0 -b 1", 2,
+         "parameter error: --coeffs required (c0,c1,...)"),
+        ("spin level", 2,
+         "parameter error: provide --matrix-file or --matrix-json"),
+        ("check", 2, "parameter error: no modules selected"),
+        ("eval number -n 3 --xi1 1/3", 2,
+         "parameter error: set both twist bases or neither"),
+        ("eval number -n 3 --xi2 1/3", 2,
+         "parameter error: set both twist bases or neither"),
+    ])
+    def test_refusal_line(self, capsys, argv, code, line):
+        got, out, err = run(capsys, *argv.split())
+        assert (got, out, err.splitlines()[-1]) == (code, "", line)
+
+    @pytest.mark.parametrize("option", ["--out", "--kernel", "--matrix-file"])
+    def test_missing_file_is_four(self, capsys, tmp_path, option):
+        path = str(tmp_path / "no" / "file.json")
+        argv = (("spin", "level") if option == "--matrix-file"
+                else ("eval", "number"))
+        assert run(capsys, *argv, option, path) == (
+            4, "", f"i/o error: [Errno 2] No such file or directory: "
+                   f"{path!r}\n")
+
     def test_diagnostics_on_stderr_only(self, capsys):
         code, out, err = run(capsys, "eval", "gamma", "-z", "-1")
         assert code == 3 and out == "" and err != ""
@@ -582,13 +617,15 @@ class _Discard:
         pass
 
 
-def test_table_memory_is_per_row(monkeypatch):
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_table_memory_is_per_row(monkeypatch, fmt):
     # 400 factorial rows print ~6 MB; the largest row is ~50 kB
     sink = _Discard()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = cli.main(["table", "--kind", "factorials", "--count", "400"])
+        code = cli.main(["table", "--kind", "factorials", "--count", "400",
+                         "--format", fmt])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1211,6 +1248,28 @@ def test_matrix_entries_validated(capsys, op, entry, field):
 def test_identity_matrix_level(capsys):
     assert run(capsys, "spin", "level", "--matrix-json",
                _matrix(ONE_5)) == (0, "3\n", "")
+
+
+@pytest.mark.parametrize("prime, code, err", [
+    (5, 0, ""),
+    (7, 2, "parameter error: matrix JSON 'prime' must be 5, the "
+           "entries' prime; got 7\n"),
+    (None, 2, "parameter error: matrix JSON 'prime' must be 5, the "
+              "entries' prime; got None\n"),
+])
+def test_matrix_prime_is_read(capsys, prime, code, err):
+    # the matrix that spin exp prints, as printed, relabelled or
+    # stripped of its prime
+    _, text, _ = run(capsys, "spin", "exp", "--generator", "z", "--prime",
+                     "5", "-t", "0")
+    obj = json.loads(text)
+    if prime is None:
+        del obj["prime"]
+    else:
+        obj["prime"] = prime
+    out = "18\n" if code == 0 else ""
+    assert run(capsys, "spin", "level", "--matrix-json",
+               json.dumps(obj)) == (code, out, err)
 
 
 def test_beta_divisor_bound_too_loose(capsys):

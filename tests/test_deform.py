@@ -78,6 +78,12 @@ class TestNumbers:
             DeformParams(args["p"], args["q"], None, args["xi1"],
                          args["xi2"])
 
+    @pytest.mark.parametrize("given", ["xi1", "xi2"])
+    def test_one_twist_base_refused(self, given):
+        with pytest.raises(InvalidParameterError,
+                           match="^set both twist bases or neither$"):
+            DeformParams(1, F(1, 2), None, **{given: F(1, 3)})
+
     @pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2"],
                              ids=["float", "Decimal", "str"])
     @pytest.mark.parametrize("slot", ["p", "q", "xi1", "xi2"])

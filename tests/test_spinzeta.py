@@ -462,6 +462,16 @@ class TestMatrixProtocol:
         again = Mat2Padic.from_json(Sz.to_json())
         assert again == Sz
 
+    @pytest.mark.parametrize("prime", [7, None, True, 5.0])
+    def test_top_level_prime_must_match(self, prime):
+        obj = gens()[1].to_json()
+        if prime is None:
+            del obj["prime"]
+        else:
+            obj["prime"] = prime
+        with pytest.raises(InvalidParameterError, match="'prime'"):
+            Mat2Padic.from_json(obj)
+
     def test_mixed_primes_rejected(self):
         a = PadicNumber.one(5, 8)
         b = PadicNumber.one(7, 8)
