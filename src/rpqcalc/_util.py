@@ -10,21 +10,23 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def exact_str(x: Fraction) -> str:
-    """Decimal string of an exact rational, however large.
-
-    Temporarily lifts the interpreter's int-to-str digit cap; measured
-    residuals are reported as exact rationals, never rounded."""
-    need = max(x.numerator.bit_length(), x.denominator.bit_length())
-    digits = need // 3 + 16
+def uncapped(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the interpreter's int-to-str digit cap
+    lifted, so that exact results print however large they are.  Only
+    output goes through here: argument parsing keeps the cap, and still
+    refuses huge integer strings."""
     old = sys.get_int_max_str_digits()
-    if digits <= old:
-        return str(x)
+    sys.set_int_max_str_digits(0)
     try:
-        sys.set_int_max_str_digits(digits)
-        return str(x)
+        return fn(*args, **kwargs)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def exact_str(x: Fraction) -> str:
+    """Decimal string of an exact rational (or int), however large;
+    measured residuals are reported as exact rationals, never rounded."""
+    return uncapped(str, x)
 
 
 def product_tree(xs):
@@ -67,41 +69,37 @@ def running_product_strs(factors):
     """Yield ``exact_str`` of the running products 1, f1, f1 f2, ... of
     exact rational factors, one string per product.
 
-    ``str`` of an int is quadratic in its digits, so each product also
-    keeps a ``decimal.Decimal`` image of its numerator and denominator.
-    A step is ``Fraction`` multiplication, with the same two cross-gcds:
-    one exact division by a gcd and one multiplication by the small
-    reduced factor, both linear in the digits, and ``str`` of a Decimal
-    is linear too.  The context traps ``Inexact`` and every quotient
-    must be an integer, so a wrong step raises instead of printing wrong
-    digits."""
+    ``str`` of an int is quadratic in its digits, so the product is kept
+    only as a ``decimal.Decimal`` numerator and denominator, whose
+    ``str`` is linear.  A step is ``Fraction`` multiplication: two
+    cross-gcds against the small factor (from remainders of the
+    product), two exact divisions and two multiplications, all linear
+    in the digits.  The context computes on integers at ``MAX_PREC``,
+    so nothing rounds, and a division that leaves a remainder raises
+    ``Inexact`` instead of printing wrong digits."""
     import decimal  # factorial tables only
     from math import gcd
-    ctx = decimal.Context(Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN,
                           traps=[decimal.Inexact, decimal.InvalidOperation,
                                  decimal.DivisionByZero, decimal.Overflow])
-
-    def step(d, g, m):
-        # d / g is an integer: a fractional or rounded quotient raises
-        return ctx.multiply(ctx.to_integral_exact(ctx.divide(d, g)), m)
-
-    num, den = 1, 1
-    dnum = dden = decimal.Decimal(1)
+    num = den = decimal.Decimal(1)
     yield "1"
+    factors = iter(factors)
     for f in factors:
+        if f == 0:  # so is every later product
+            yield "0"
+            yield from ("0" for _ in factors)
+            return
         a, b = f.numerator, f.denominator
-        g1, g2 = gcd(num, b), gcd(a, den)
-        a, b = a // g2, b // g1
-        old_bits = max(num.bit_length(), den.bit_length())
-        num, den = num // g1 * a, den // g2 * b
-        if num == 0:
-            yield "0"  # a Decimal zero may carry a sign; Fraction's has none
-            continue
-        # room for every digit of the old and new values (log10 2 < 1/3),
-        # so only an inexact step can round
-        ctx.prec = max(old_bits, num.bit_length(), den.bit_length()) // 3 + 2
-        dnum, dden = step(dnum, g1, a), step(dden, g2, b)
-        yield str(dnum) if den == 1 else f"{dnum}/{dden}"
+        g1 = gcd(int(ctx.remainder(num, b)), b)
+        g2 = gcd(a, int(ctx.remainder(den, a)))
+        num, r1 = ctx.divmod(num, g1)
+        den, r2 = ctx.divmod(den, g2)
+        if r1 or r2:
+            raise decimal.Inexact(f"gcd {g1} or {g2} leaves a remainder")
+        num, den = ctx.multiply(num, a // g2), ctx.multiply(den, b // g1)
+        yield str(num) if den == 1 else f"{num}/{den}"
 
 
 class Frozen:

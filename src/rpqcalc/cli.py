@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from ._util import exact_str, running_product_strs
+from ._util import exact_str, running_product_strs, uncapped
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      NoConvergenceError, PoleError, RpqError,
                      SingularDeformationError, SingularityError)
@@ -172,7 +172,7 @@ def _emit(args, payload, plain_line: str | None = None):
         text = plain_line
     else:
         import json  # --format json, or a payload with no plain line
-        text = json.dumps(payload, indent=2)
+        text = uncapped(json.dumps, payload, indent=2)
     _write(args, lambda fh: fh.write(text + "\n"))
 
 
@@ -379,7 +379,8 @@ def _cmd_table(args) -> int:
         from . import spinzeta
         vals = [(p, s, spinzeta.zeta_spin_half(p, s).value)
                 for p in args.primes for s in args.s_values]
-        rows = ([str(p), str(s), str(v.numerator), str(v.denominator)]
+        rows = ([str(p), str(s), exact_str(v.numerator),
+                 exact_str(v.denominator)]
                 for p, s, v in vals)
         header = ["p", "s", "value-num", "value-den"]
     _write_table(args, header, rows)
@@ -433,7 +434,8 @@ def _cmd_zeta(args) -> int:
         return _cmd_table(args)
     from . import spinzeta  # zeta loads no deformed calculus
     z = spinzeta.zeta_spin_half(args.prime, args.s)
-    _emit(args, z.to_json(), f"{z.value.numerator}/{z.value.denominator}")
+    _emit(args, z.to_json(),
+          f"{exact_str(z.value.numerator)}/{exact_str(z.value.denominator)}")
     return 0
 
 

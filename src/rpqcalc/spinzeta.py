@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._util import IdentityResult, SuiteReport, is_int
+from ._util import IdentityResult, SuiteReport, exact_str, is_int
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
 from .padic import PadicNumber, _exp_terms, _log_terms, is_prime
@@ -228,7 +228,7 @@ class ZetaSpinValue(NamedTuple):
         return {"prime": self.prime, "s": str(self.s),
                 "value": {"num": self.value.numerator,
                           "den": self.value.denominator},
-                "factors": [{"label": lb, "value": str(v)}
+                "factors": [{"label": lb, "value": exact_str(v)}
                             for lb, v in self.factors]}
 
 

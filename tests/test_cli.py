@@ -20,10 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import cli
-from rpqcalc._util import IdentityResult, SuiteReport, exact_str
+from rpqcalc._util import IdentityResult, SuiteReport, exact_str, uncapped
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
+from rpqcalc.gammabeta import gamma_rpq
 from rpqcalc.padic import PadicNumber
 from rpqcalc.padicfun import TwistParams, volkenborn_moment
+from rpqcalc.poly import Polynomial
+from rpqcalc.quadrature import definite_integral_poly
 from rpqcalc.series import generating_polynomials, zigzag_numbers
 from rpqcalc.spinzeta import Mat2Padic, zeta_spin_half
 
@@ -897,6 +900,65 @@ def test_zeta_table_matches_table_kind_zeta(capsys, fmt):
     code_t, out_t, _ = run(capsys, "table", "--kind", "zeta", *grid)
     assert code_t == 0
     assert out == out_t and out != ""
+
+
+@pytest.mark.parametrize("argv,prime,s", [
+    (("zeta", "eval", "--prime", "3", "-s", "5000"), 3, 5000),
+    (("zeta", "eval", "--prime", "3", "-s", "5000", "--format", "json"),
+     3, 5000),
+    (("zeta", "table", "--primes", "3", "--s-values", "5000"), 3, 5000),
+    (("table", "--kind", "zeta", "--primes", "7", "--s-values", "3000"),
+     7, 3000),
+], ids=["eval", "eval-json", "zeta-table", "table-kind-zeta"])
+def test_zeta_past_the_int_str_cap(capsys, argv, prime, s):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    z = zeta_spin_half(prime, s)
+    num, den = exact_str(z.value.numerator), exact_str(z.value.denominator)
+    assert len(den) > sys.get_int_max_str_digits()
+    if "json" in argv:
+        obj = uncapped(json.loads, out)
+        assert obj["value"] == {"num": z.value.numerator,
+                                "den": z.value.denominator}
+        assert [(f["label"], uncapped(F, f["value"]))
+                for f in obj["factors"]] == list(z.factors)
+    elif argv[0] == "zeta" and argv[1] == "eval":
+        assert out == f"{num}/{den}\n"
+    else:
+        assert out == f"p,s,value-num,value-den\n{prime},{s},{num},{den}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "number", "-n", "1" + "0" * 5000),
+    ("table", "--kind", "numbers", "--count", "1" + "0" * 5000),
+], ids=["n", "count"])
+def test_parsing_keeps_the_int_str_cap(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid int value" in err
+
+
+@pytest.mark.parametrize("op,option,value,rest", [
+    ("gamma", "-z", "-1/2", ("-q", "9/25")),
+    ("integral", "--coeffs", "-1,2", ()),
+], ids=["z", "coeffs"])
+def test_negative_rational_joins_with_equals(capsys, op, option, value,
+                                             rest):
+    argv = ["eval", op, f"{option}={value}", *rest]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    args = cli.build_parser(argv).parse_args(argv)
+    cli._scope(args)  # the defaults of what the operation reads
+    params = cli._params(args)
+    if op == "gamma":
+        expected = gamma_rpq(F(value), params).value
+    else:
+        expected = definite_integral_poly(Polynomial([F(-1), F(2)]),
+                                          F(0), F(1), params)
+    assert out == exact_str(expected) + "\n"
+    code, out, err = run(capsys, "eval", op, option, value, *rest)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: expected one argument\n")
 
 
 IMPORT_SURFACE = r"""

@@ -30,11 +30,13 @@ def helper_strs(params, count):
     return list(strs)[:count]
 
 
-rationals = st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 10**6))
+# numerators and denominators past one machine word, so that the
+# remainders of the product are taken modulo divisors of several words
+rationals = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(rationals, st.integers(-10**9, 10**9)),
+@given(st.lists(st.one_of(rationals, st.integers(-10**40, 10**40)),
                 max_size=40))
 def test_matches_fraction_products(factors):
     expected, acc = ["1"], F(1)
@@ -45,12 +47,14 @@ def test_matches_fraction_products(factors):
 
 
 def test_wrong_step_raises(monkeypatch):
-    # a "gcd" that does not divide 9: the int floors, the Decimal traps
+    # a "gcd" of 9 mod 2 and 2 that does not divide 9: the exact
+    # division leaves a remainder and raises instead of printing
+    factors = [F(9), F(1, 2)]  # Fraction(1, 2) itself calls math.gcd
     real_gcd = math.gcd
     monkeypatch.setattr(math, "gcd",
-                        lambda a, b: 2 if (a, b) == (9, 2) else real_gcd(a, b))
+                        lambda a, b: 2 if (a, b) == (1, 2) else real_gcd(a, b))
     with pytest.raises(decimal.Inexact):
-        list(running_product_strs([F(9), F(1, 2)]))
+        list(running_product_strs(factors))
 
 
 def test_zero_product_has_no_sign():
