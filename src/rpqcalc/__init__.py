@@ -9,7 +9,7 @@ series      deformed exponentials, zigzag numbers, Bernoulli/Euler/
             Genocchi families
 quadrature  geometric node sums, definite integrals
 gammabeta   power basis, deformed gamma/beta
-padicfun    p-adic gamma/beta, Volkenborn measure/integral, Carlitz,
+padicfun    p-adic gamma/beta, Volkenborn measure/moments, Carlitz,
             fermionic integral
 spinzeta    spin generators over Z_p, matrix exp/log, local zeta values
 cli         command-line front end (``rpqcalc``)
@@ -22,8 +22,9 @@ Importing the package loads no submodule: each public name is
 imported from its submodule on first access (PEP 562), so a command
 pays only for the modules it uses.  ``KERNEL_BACKEND`` names the
 implementation of the modular-integer loop in ``rpqcalc._kernel``
-(``"python"``), which serves the Riemann sums of general integrands;
-the Volkenborn moments and Carlitz values are closed forms.
+(``"python"``), which no library module uses: it serves the tests'
+Riemann-sum oracle and the benchmark's tracer, while the Volkenborn
+moments and Carlitz values are closed forms.
 """
 
 import importlib
@@ -35,18 +36,17 @@ KERNEL_BACKEND = "python"
 # submodule -> the public names it defines, in the order of __all__
 _EXPORTS = {
     "errors": ("RpqError",),
-    "padic": ("PadicNumber", "padic_valuation", "padic_norm", "padic_power"),
+    "padic": ("PadicNumber", "padic_valuation", "padic_power"),
     "deform": ("StructureFunction", "DeformParams", "rpq_number",
                "rpq_factorial", "rpq_binomial", "bm_identity_suite"),
     "poly": ("Polynomial", "rpq_derivative_poly"),
     "series": ("exp_lower", "exp_upper", "zigzag_numbers",
                "generating_polynomials"),
-    "quadrature": ("QuadratureSpec", "definite_integral_poly", "jackson_sum"),
-    "gammabeta": ("power_basis", "gamma_rpq", "beta_rpq", "rpq_number_at"),
+    "quadrature": ("definite_integral_poly", "jackson_sum"),
+    "gammabeta": ("power_basis", "gamma_rpq", "beta_rpq"),
     "padicfun": ("TwistParams", "padic_factorial_rpq", "padic_gamma_rpq",
-                 "delta_factor", "volkenborn_measure", "volkenborn_integral",
-                 "volkenborn_moment", "carlitz_bernoulli",
-                 "fermionic_integral", "padic_beta_rpq"),
+                 "delta_factor", "volkenborn_measure", "volkenborn_moment",
+                 "carlitz_bernoulli", "fermionic_integral", "padic_beta_rpq"),
     "spinzeta": ("Mat2Padic", "spin_generators", "commutator", "mat_exp",
                  "mat_log", "congruence_level", "zeta_spin_half",
                  "ghost_boundary"),

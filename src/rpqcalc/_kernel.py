@@ -1,9 +1,9 @@
-"""The modular-integer loop behind the Riemann sums of general integrands.
+"""The modular-integer loop of a twisted Riemann sum, read off by level.
 
-``padicfun.volkenborn_integral`` sends the residues of an exact
-integrand f here; the moments and Carlitz values do not come here, as
-each of their level sums has a closed form.  The loop also serves the
-tests as the Riemann-sum oracle for those closed forms.
+No library module calls it: the Volkenborn moments and Carlitz values
+have a closed form at each level.  It serves the tests' Riemann-sum
+oracle for those closed forms (``tests/oracles.py``) and the
+benchmark's tracer, which wraps ``level_sums`` by name.
 
 All inputs are plain integers already reduced modulo ``mod`` (a prime
 power); results are returned reduced modulo ``mod``.

@@ -39,6 +39,10 @@ CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
 MALFORMED = (ValueError, ZeroDivisionError, KeyError, TypeError)
 
 DEFAULT_PRECISION = 16
+# the most p-adic digits --precision takes: the cost of a p-adic
+# operation grows faster than linearly in its digits, so without a cap
+# one option value could keep any p-adic command busy for hours
+MAX_PRECISION = 1000
 
 
 def _fraction(text: str) -> Fraction:
@@ -55,6 +59,14 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"need at least 1; got {n}")
+    return n
+
+
+def _precision(text: str) -> int:
+    n = _positive_int(text)
+    if n > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_PRECISION} digits (MAX_PRECISION); got {n}")
     return n
 
 
@@ -515,8 +527,9 @@ OPTIONS = {
     "prime": dict(type=_prime),
     "q": dict(type=_fraction,
               help="default 1/2, or 1 + 2 --prime for a p-adic twist"),
-    "precision": dict(type=_positive_int,
-                      help=f"p-adic digits; default {DEFAULT_PRECISION}"),
+    "precision": dict(type=_precision,
+                      help=f"p-adic digits, at most {MAX_PRECISION}; "
+                           f"default {DEFAULT_PRECISION}"),
     "generator": dict(choices=("minus", "z", "plus")),
     "scale": dict(type=_fraction), "t": dict(type=_fraction),
     "matrix_file": dict(), "matrix_json": dict(),

@@ -78,19 +78,6 @@ def rational_pow_exact(x: Fraction, e: Fraction) -> Fraction:
     return Fraction(num, den) ** e.numerator
 
 
-def rpq_number_at(params: DeformParams, z: Fraction) -> Fraction:
-    """The deformed number at a rational argument,
-    [z] = c (xi1^z - xi2^z)/(xi1 - xi2); agrees with the integer
-    deformed numbers for every preset."""
-    z = Fraction(z)
-    if z.denominator == 1 and z >= 0:
-        return rpq_number(params, z.numerator)
-    c = params.twist_scale()
-    x1, x2 = params.xi1, params.xi2
-    return c * (rational_pow_exact(x1, z) - rational_pow_exact(x2, z)) \
-        / (x1 - x2)
-
-
 # -- power basis ----------------------------------------------------------
 
 def power_basis(x, y, n: int, mode: str, params: DeformParams):

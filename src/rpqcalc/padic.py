@@ -75,16 +75,6 @@ def padic_valuation(x, p: int):
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
-def padic_norm(x) -> Fraction:
-    """|x|_p = p^(-v_p(x)); 0 for the zero element."""
-    if isinstance(x, PadicNumber):
-        if x.is_zero():
-            return Fraction(0)
-        return Fraction(1, x.prime) ** x._val if x._val >= 0 \
-            else Fraction(x.prime) ** (-x._val)
-    raise InvalidParameterError("padic_norm expects a PadicNumber")
-
-
 def _exp_terms(v, p: int, target: int, arg: str = "x") -> int:
     """The first N with N (v - 1/(p-1)) >= target.  When v(x) >= v,
     every term x^n/n! with n >= N has valuation above

@@ -1,30 +1,27 @@
 """p-adic deformed factorial/gamma/beta, the twisted Volkenborn measure
-and integral, Carlitz-type Bernoulli polynomials, and the fermionic
+and moments, Carlitz-type Bernoulli polynomials, and the fermionic
 integral.
 
-Twist parameters rho, q are p-adic numbers congruent to 1 mod p; the
-default kernel is the two-base one, [j] = (rho^j - q^j)/(rho - q).  The
-``classical`` kernel (rho = q = 1, [j] = j) gives Morita's gamma and
-the untwisted Volkenborn measure 1/p^N.
+Twist parameters rho != q are p-adic numbers congruent to 1 mod p, and
+the kernel is the two-base one, [j] = (rho^j - q^j)/(rho - q).
 
 The measure implemented here is
 
     mu(a + p^N Z_p) = rho^(p^N) * (q/rho)^a / [p^N],
 
 whose distribution relation is exact (checked in the test suite); at
-rho = 1 it reduces to the familiar q^a / [p^N] weight.  Riemann sums
-run over ascending residues, so results are deterministic.
+rho = 1 it reduces to the familiar q^a / [p^N] weight.  The moments and
+Carlitz values are its Riemann sums at each level, each in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, count, islice, repeat, takewhile
+from itertools import accumulate, count, islice, takewhile
 from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from . import _kernel
 from ._util import Frozen, IdentityResult, SuiteReport
 from .errors import InvalidParameterError, NoConvergenceError
 from .padic import (PadicNumber, int_valuation, is_prime, padic_power,
@@ -40,17 +37,17 @@ class TwistParams(Frozen):
     The prime is odd, and ``|rho - 1|_p < 1`` and ``|q - 1|_p < 1`` are
     required, so v(rho - 1), v(q - 1) >= 1 > 1/(p - 1): every accepted
     twist lies in the exp/log domain the Volkenborn operations need.
-    The kernel is the two-base one, or [j] = j when ``classical``.
+    The kernel is the two-base one.
     Unhashable: ``PadicNumber``'s precision-aware ``==`` is not
     transitive (1 + O(5) equals 1 + O(5^2) and 6 + O(5^2), which
     differ), so no hash is consistent with it.
     """
 
-    _fields = ("prime", "rho", "q", "precision", "classical")
+    _fields = ("prime", "rho", "q", "precision")
 
     def __init__(self, prime: int, rho: PadicNumber, q: PadicNumber,
-                 precision: int = DEFAULT_PRECISION, classical: bool = False):
-        self._set(prime, rho, q, precision, classical)
+                 precision: int = DEFAULT_PRECISION):
+        self._set(prime, rho, q, precision)
         if not is_prime(self.prime) or self.prime == 2:
             raise InvalidParameterError(
                 f"p-adic special functions need an odd prime; got "
@@ -58,14 +55,14 @@ class TwistParams(Frozen):
         for name, v in (("rho", self.rho), ("q", self.q)):
             if v.prime != self.prime:
                 raise InvalidParameterError(f"{name} has wrong prime")
-            if not self.classical and not v.is_unit():
+            if not v.is_unit():
                 raise InvalidParameterError(f"{name} must be a unit")
             d = v - 1
             if not d.is_zero() and d.valuation < 1:
                 raise InvalidParameterError(
                     f"need |{name} - 1|_p < 1; got valuation "
                     f"{d.valuation}")
-        if not self.classical and (self.rho - self.q).is_zero():
+        if (self.rho - self.q).is_zero():
             raise InvalidParameterError("need rho != q at this precision")
 
     @classmethod
@@ -76,17 +73,9 @@ class TwistParams(Frozen):
             else PadicNumber.from_rational(Fraction(v), prime, work)
         return cls(prime, emb(rho), emb(q), precision)
 
-    @classmethod
-    def classical_limit(cls, prime: int,
-                        precision: int = DEFAULT_PRECISION
-                        ) -> "TwistParams":
-        work = precision + DEFAULT_LEVELS + 8
-        one = PadicNumber.one(prime, work)
-        return cls(prime, one, one, precision, classical=True)
-
     def powered(self, k: int) -> "TwistParams":
         return TwistParams(self.prime, self.rho ** k, self.q ** k,
-                           self.precision, self.classical)
+                           self.precision)
 
     @property
     def work_precision(self) -> int:
@@ -98,10 +87,8 @@ class TwistParams(Frozen):
 
 
 def number_at(tw: TwistParams, z: int) -> PadicNumber:
-    """[z] = (rho^z - q^z)/(rho - q), or z when classical, for any
-    integer z (negative included, via exact powers)."""
-    if tw.classical:
-        return PadicNumber.from_rational(z, tw.prime, tw.work_precision)
+    """[z] = (rho^z - q^z)/(rho - q) for any integer z (negative
+    included, via exact powers)."""
     return (tw.rho ** z - tw.q ** z) / (tw.rho - tw.q)
 
 
@@ -116,15 +103,8 @@ def _bracket_product(m: int, sign: int, tw: TwistParams) -> PadicNumber:
     """prod [j] over j = sign k, 1 <= k < m, p not | k (sign = +-1): the
     units (rho^j - q^j)/p^v, v = v(rho - q), multiplied modulo p^(W-v)
     over running powers, then unit(rho - q)^(-count) once.  W - v digits, as
-    the PadicNumber product has; W if empty or classical."""
+    the PadicNumber product has; W if empty."""
     p, W = tw.prime, tw.work_precision
-    if tw.classical:
-        mod = p ** W
-        acc = 1
-        for k in range(1, m):
-            if k % p:
-                acc = acc * sign * k % mod
-        return PadicNumber(p, 0, acc, W)
     d = tw.rho - tw.q
     v = d.valuation
     big, pv, mod = p ** W, p ** v, p ** (W - v)
@@ -181,7 +161,7 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
     - Gamma(n+1) = (-1)^(n+1) [n]! / ([p]^(floor(n/p)) [floor(n/p)]!'),
       where ' marks the parameters raised to the p-th power;
     - the product rule [kp] = [k]' [p] (primed first factor);
-    - the product-ratio identity for each digit level (two-base kernel);
+    - the product-ratio identity for each digit level;
     - the base-p digit bookkeeping: sum_{j>=1} floor(n/p^j)
       = (n - digitsum(n))/(p - 1), and the full factorization of [n]!
       into gamma values at successively powered parameters.
@@ -209,18 +189,17 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
             number_at(twp, k) * bracket_p))
     # base-p digit levels floor(n/p^j), j = 0, 1, ... while nonzero
     levels = list(takewhile(bool, (n // p ** j for j in count())))
-    # product-ratio identity (two-base kernel): with m = floor(n/p^j),
+    # product-ratio identity: with m = floor(n/p^j),
     # [m]!/([p]^m [m]!') = prod_{k<=m} (rho^k - q^k)/(rho^kp - q^kp)
-    if not tw.classical:
-        rho, q = tw.rho, tw.q
-        for j, mj in enumerate(levels):
-            lhs_r = facts[mj] / (bracket_p ** mj * facts_powered[mj])
-            rhs_r = PadicNumber.one(p, tw.work_precision)
-            for k in range(1, mj + 1):
-                rhs_r = rhs_r * (rho ** k - q ** k) / (
-                    rho ** (k * p) - q ** (k * p))
-            results.append(IdentityResult(
-                f"product ratio at level j={j}", lhs_r, rhs_r))
+    rho, q = tw.rho, tw.q
+    for j, mj in enumerate(levels):
+        lhs_r = facts[mj] / (bracket_p ** mj * facts_powered[mj])
+        rhs_r = PadicNumber.one(p, tw.work_precision)
+        for k in range(1, mj + 1):
+            rhs_r = rhs_r * (rho ** k - q ** k) / (
+                rho ** (k * p) - q ** (k * p))
+        results.append(IdentityResult(
+            f"product ratio at level j={j}", lhs_r, rhs_r))
     # digit bookkeeping
     s = sum(nj % p for nj in levels)
     results.append(IdentityResult(
@@ -242,7 +221,7 @@ def factorial_decomposition_check(n: int, tw: TwistParams) -> SuiteReport:
     return SuiteReport("factorial_decomposition", tuple(results))
 
 
-# -- Volkenborn measure and integral --------------------------------------
+# -- Volkenborn measure and moments --------------------------------------
 
 def volkenborn_measure(a: int, level: int, tw: TwistParams) -> PadicNumber:
     """mu(a + p^N Z_p) = rho^(p^N) (q/rho)^a / [p^N]."""
@@ -323,36 +302,6 @@ def _from_residue(s: int, p: int, W: int) -> PadicNumber:
     return PadicNumber(p, 0, s, W) if s else PadicNumber.zero(p, W)
 
 
-def _level_sums(f: Callable, max_level: int,
-                tw: TwistParams) -> Iterator[PadicNumber]:
-    """Riemann sums (rho^(p^N)/[p^N]) sum_{x<p^N} (q/rho)^x f(x) for
-    N = 1..max_level from one pass over x < p^max_level: exact values
-    with p-free denominators through the kernel, others through a
-    PadicNumber running total (the tests' reference path).  Before f
-    runs, refuse the first level with no digit: N = W (classical), or
-    v(rho - q) + N = W, where [p^N] vanishes (lifting the exponent)."""
-    p, W = tw.prime, tw.work_precision
-    limit = W - (0 if tw.classical else (tw.rho - tw.q).valuation)
-    if max_level >= limit:
-        raise _too_deep(limit, tw, "the value keeps no digit")
-    mod = p ** W
-    what = tw.q / tw.rho
-    vals = [f(x) for x in range(p ** max_level)]
-    if all(isinstance(v, (int, Fraction)) and v.denominator % p
-           for v in vals):
-        residues = (v.numerator * pow(v.denominator, -1, mod) % mod
-                    for v in vals)
-        totals = (_from_residue(s, p, W) for s in _kernel.level_sums(
-            residues, what.residue(W), p, max_level, mod))
-    else:
-        weights = accumulate(repeat(what), mul,
-                             initial=PadicNumber.one(p, W))
-        totals = _at_levels(accumulate(map(mul, weights, vals),
-                                       initial=PadicNumber.zero(p, W)), p)
-    for N, total in enumerate(totals, 1):
-        yield _apply_prefactor(total, N, tw)
-
-
 def _apply_prefactor(total: PadicNumber, N: int,
                      tw: TwistParams) -> PadicNumber:
     """The level-N value rho^(p^N) total / [p^N]."""
@@ -375,19 +324,6 @@ def _too_deep(N: int, tw: TwistParams, why: str) -> InvalidParameterError:
         f"level {N} is beyond the working precision of "
         f"{tw.work_precision} digits of p = {tw.prime} ({why}); use fewer "
         f"levels or a higher precision")
-
-
-def volkenborn_integral(f: Callable, tw: TwistParams,
-                        max_level: int = DEFAULT_LEVELS
-                        ) -> ConvergenceReport:
-    """Riemann sums of f over residue classes for N = 1..max_level.
-
-    f is evaluated at the integers 0..p^max_level - 1 (the restriction
-    of a uniformly differentiable function); stabilization is certified
-    by strictly increasing valuations of successive differences and is
-    reported, never assumed.
-    """
-    return _converge(_level_sums(f, max_level, tw), max_level, tw.shown)
 
 
 def _geometric_sums(a: int, p: int, W: int) -> Iterator[int]:
@@ -451,9 +387,6 @@ def volkenborn_moment(r: int, tw: TwistParams,
     """int [t]^r dmu(t), each level in closed form (the hot path)."""
     if r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
-    if tw.classical:
-        return volkenborn_integral(lambda t: Fraction(t) ** r, tw,
-                                   max_level)
     return _converge(_moment_sums(r, tw.q / tw.rho, tw),
                      max_level, tw.shown)
 
@@ -483,12 +416,6 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
     if method not in ("direct", "moments"):
         raise InvalidParameterError("method must be direct or moments")
     a = Fraction(a)
-    if tw.classical:
-        if isinstance(x, PadicNumber):
-            raise InvalidParameterError(
-                "classical path expects integer x")
-        f = lambda t: Fraction(x + t) ** n
-        return volkenborn_integral(f, tw, max_level)
     rho_a = _twist_power(tw.rho, a)
     if isinstance(x, PadicNumber):
         rho_x = padic_power(tw.rho, x)
@@ -570,7 +497,7 @@ def padic_beta_suite(tw: TwistParams, samples) -> SuiteReport:
             padic_beta_rpq(x + 1, y, tw) + padic_beta_rpq(x, y + 1, tw),
             (dx + dy) / dxy * b))
         # (vi): composing (i) and (ii) gives the product dx*dy in the
-        # numerator (the printed sum fails already for the classical
+        # numerator (the printed sum fails already for the undeformed
         # beta at (1,1))
         results.append(IdentityResult(
             f"(vi) beta({x}+1,{y}+1)",

@@ -4,8 +4,7 @@ The geometric node sum is exposed for the two-base (p, q) family with
 rational 0 < q < p <= 1, where the telescoping prefactor is exactly 1
 and the sum provably inverts the derivative on monomials.  Its nodes
 q^j/p^(j+1) shrink geometrically (ratio q/p < 1) as j grows; the sum
-reads them at j = 0, 1, ..., terms, and nothing in the package
-evaluates a node at j < 0.  For every other kernel, definite
+reads them at j = 0, 1, ..., terms.  For every other kernel, definite
 integration of polynomials goes through the exact spectral
 antiderivative.
 """
@@ -14,36 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._util import Frozen, IdentityResult, SuiteReport
+from ._util import IdentityResult, SuiteReport
 from .deform import DeformParams
 from .errors import InvalidParameterError
 from .poly import (Polynomial, rpq_antiderivative_poly,
                    rpq_derivative_poly)
-
-
-class QuadratureSpec(Frozen):
-    """Node-sum configuration: nodes q^j/p^(j+1), strictly decreasing
-    in j, over rational p and q of the two-base family.  ``jackson_sum``
-    reads the nodes j = 0..terms."""
-
-    _fields = ("params", "terms")
-
-    def __init__(self, params: DeformParams, terms: int = 200):
-        self._set(params, terms)
-        if self.terms < 1:
-            raise InvalidParameterError("terms must be >= 1")
-        if self.params.structure.kind != "jagannathan_srinivasa":
-            raise InvalidParameterError(
-                "node-sum quadrature is defined for the two-base "
-                "(p, q) family only; use the exact antiderivative "
-                "for other kernels")
-
-    def node(self, j: int) -> Fraction:
-        p, q = self.params.p, self.params.q
-        return q ** j / p ** (j + 1)
-
-    def prefactor(self) -> Fraction:
-        return self.params.p - self.params.q
 
 
 def definite_integral_poly(f: Polynomial, a, b,
@@ -54,21 +28,28 @@ def definite_integral_poly(f: Polynomial, a, b,
     return F(b) - F(a)
 
 
-def jackson_sum(f, a, spec: QuadratureSpec):
+def jackson_sum(f, a, params: DeformParams, terms: int = 200):
     """Truncated geometric node sum for the integral over [0, a]:
 
-        (p - q) a sum_{r=0}^{terms} (q^r/p^(r+1)) f(q^r a / p^(r+1)).
+        (p - q) a sum_{r=0}^{terms} (q^r/p^(r+1)) f(q^r a / p^(r+1)),
 
+    over the nodes q^r/p^(r+1) of the two-base family only.
     Untruncated, it telescopes on polynomials to
-    ``definite_integral_poly(f, 0, a, spec.params)``; the truncation
+    ``definite_integral_poly(f, 0, a, params)``; the truncation
     evaluates any evaluable f.
     """
-    a = Fraction(a)
+    if terms < 1:
+        raise InvalidParameterError("terms must be >= 1")
+    if params.structure.kind != "jagannathan_srinivasa":
+        raise InvalidParameterError(
+            "node-sum quadrature is defined for the two-base (p, q) "
+            "family only; use the exact antiderivative for other kernels")
+    p, q, a = params.p, params.q, Fraction(a)
     total = Fraction(0)
-    for r in range(spec.terms + 1):  # ascending r: deterministic order
-        w = spec.node(r)
+    for r in range(terms + 1):  # ascending r: deterministic order
+        w = q ** r / p ** (r + 1)
         total += w * f(w * a)
-    return spec.prefactor() * a * total
+    return (p - q) * a * total
 
 
 def integration_by_parts_check(f: Polynomial, g: Polynomial, a, b,

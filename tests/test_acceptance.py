@@ -2,10 +2,11 @@
 
 Each test prints a single PASS line on success (run with -s to see
 them) and enforces its runtime budget.  Expected values come from
-independent oracles computed inside this module: direct closed-form
-evaluators, recursive generating-function inversion, brute-force
-permutation counts, explicit geometric sums, and factor-by-factor
-rational arithmetic.
+independent oracles computed inside this module or taken from
+``oracles.py``: direct closed-form evaluators, recursive
+generating-function inversion, brute-force permutation counts,
+explicit geometric sums, term-by-term Riemann sums, and
+factor-by-factor rational arithmetic.
 """
 
 import math
@@ -16,18 +17,20 @@ from itertools import permutations
 from rpqcalc import cli
 from rpqcalc.deform import (DeformParams, rpq_binomial, rpq_factorial,
                             rpq_number)
-from rpqcalc.gammabeta import beta_rpq, gamma_rpq, rpq_number_at
+from rpqcalc.gammabeta import beta_rpq, gamma_rpq
 from rpqcalc.padic import PadicNumber
 from rpqcalc.padicfun import (TwistParams, factorial_decomposition_check,
-                              gamma_recurrence_check, padic_gamma_rpq,
-                              volkenborn_integral, volkenborn_measure)
+                              gamma_recurrence_check, number_at,
+                              padic_gamma_rpq, volkenborn_measure,
+                              volkenborn_moment)
 from rpqcalc.poly import Polynomial, rpq_derivative_poly
-from rpqcalc.quadrature import QuadratureSpec, definite_integral_poly, \
-    jackson_sum
+from rpqcalc.quadrature import definite_integral_poly, jackson_sum
 from rpqcalc.series import generating_polynomials, zigzag_numbers
 from rpqcalc.spinzeta import (commutator, congruence_level, ghost_boundary,
                               mat_exp, mat_log, spin_generators,
                               zeta_spin_half)
+
+from oracles import rpq_number_at, twisted_level_sums
 
 P, Q = F(9, 10), F(1, 2)
 
@@ -98,7 +101,6 @@ def test_criterion_2_calculus():
             a, b = F(1, 5), F(4, 5)
             assert definite_integral_poly(df, a, b, params) == \
                 f(b) - f(a)
-        spec = QuadratureSpec(JS1, terms=200)
         p1, q1 = JS1.p, JS1.q
         for a in (F(1), F(3, 5)):
             for n in range(9):
@@ -107,7 +109,7 @@ def test_criterion_2_calculus():
                 # independent geometric identity
                 assert closed == a ** (n + 1) * (p1 - q1) \
                     / (p1 ** (n + 1) - q1 ** (n + 1))
-                truncated = jackson_sum(zn, a, spec)
+                truncated = jackson_sum(zn, a, JS1, terms=200)
                 assert abs(truncated - closed) <= \
                     F(1, 10 ** 30) * abs(closed)
     print(f"\nACCEPTANCE 2 calculus: PASS ({budget.elapsed:.2f}s < 5s)")
@@ -202,14 +204,14 @@ def test_criterion_5_padic_suite():
                         rhs = rhs + volkenborn_measure(
                             a + i * p ** N, N + 1, tw)
                     assert (lhs - rhs).is_zero()
-        cl = TwistParams.classical_limit(5)
-        mass = volkenborn_integral(lambda x: F(1), cl, 6)
-        assert mass.converged and mass.value == 1
-        first = volkenborn_integral(lambda x: F(x), cl, 6)
-        assert first.converged
-        diffs = list(first.diff_valuations)
-        assert all(b > a for a, b in zip(diffs, diffs[1:]))
-        assert first.value == PadicNumber.from_rational(F(-1, 2), 5, 6)
+            # total mass rho at every level, and the first moment's
+            # level values against the Riemann sums of [t]
+            mass = volkenborn_moment(0, tw, 4)
+            assert all((v - tw.rho).is_zero() for v in mass.values)
+            first = volkenborn_moment(1, tw, 4)
+            riemann = twisted_level_sums(lambda t: number_at(tw, t), tw, 4)
+            assert [repr(v) for v in first.values] == \
+                [repr(v) for v in riemann]
     print(f"\nACCEPTANCE 5 p-adic suite: PASS "
           f"({budget.elapsed:.2f}s < 60s)")
 

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -260,6 +261,30 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "--precision" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--kind", "volkenborn", "--count", "2"),
+        ("spin", "exp"),
+        ("volkenborn",),
+        ("pgamma", "-n", "5"),
+        ("pbeta", "-x", "2", "-y", "3"),
+        ("carlitz",),
+    ], ids=" ".join)
+    def test_precision_above_the_cap_is_two(self, capsys, argv):
+        # refused while parsing, before any digit is computed
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--precision",
+                             str(cli.MAX_PRECISION + 1))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"argument --precision: at most {cli.MAX_PRECISION} digits "
+            f"(MAX_PRECISION); got {cli.MAX_PRECISION + 1}\n")
+
+    def test_precision_at_the_cap_runs(self, capsys):
+        code, out, err = run(capsys, "pgamma", "-n", "5", "--precision",
+                             str(cli.MAX_PRECISION))
+        assert (code, err) == (0, "") and out.startswith("5^0 * (1 + ")
 
     @pytest.mark.parametrize("argv", [
         ("eval", "gamma", "-z", "1/2", "-q", "9/25", "--truncation", "0"),
@@ -1052,15 +1077,15 @@ def test_import_surface():
     process runs every subcommand.  Run first in a fresh process, the
     Fraction-layer commands load neither ``padic`` nor ``padicfun``, and
     the p-adic commands load no Fraction layer: ``pgamma``,
-    ``volkenborn``, ``carlitz`` and ``pbeta`` load only ``_kernel``,
-    ``padic`` and ``padicfun``, ``zeta eval`` and ``spin exp`` only
+    ``volkenborn``, ``carlitz`` and ``pbeta`` load only ``padic`` and
+    ``padicfun``, not ``_kernel``, ``zeta eval`` and ``spin exp`` only
     ``padic`` and ``spinzeta``, and ``eval derivative`` only ``deform``
     and ``poly``, no ``series``."""
     pgamma = [["pgamma", "-n", "5"]]
     padic = [*pgamma, ["volkenborn", "--levels", "3"],
              ["carlitz", "--levels", "3"], ["pbeta", "-x", "2", "-y", "3"]]
     assert _import_surface(padic, [])["lead"] == [
-        "rpqcalc._kernel", "rpqcalc.padic", "rpqcalc.padicfun"]
+        "rpqcalc.padic", "rpqcalc.padicfun"]
     spin_zeta = [["zeta", "eval"], ["spin", "exp"]]
     assert _import_surface(spin_zeta, [])["lead"] == [
         "rpqcalc.padic", "rpqcalc.spinzeta"]
@@ -1348,25 +1373,27 @@ def test_beta_divisor_bound_too_loose(capsys):
 
 # sha256 of the stdout of `rpqcalc [<subcommand>] --help` and of the
 # stderr of some parse errors, recorded on Python 3.11 at COLUMNS=80
-# from the hand-written parser that SCOPE and OPTIONS replaced; an
-# option's help, order, metavar or choices that moves shows here
+# from the hand-written parser that SCOPE and OPTIONS replaced (the six
+# subcommands that read --precision re-recorded when its help gained
+# the MAX_PRECISION cap); an option's help, order, metavar or choices
+# that moves shows here
 HELP_SHA256 = {
     "": "48c9aa9cfc4c767c1a739b06319c66f67b14badb764f2f41ca69901536146970",
     "eval": "47bfcc14a43335347aab466e9c552510d15253bf6ef3e444e307c893ddba8d42",
     "check":
         "5616227f1ca9535f48e21eb371e25624a9ce1059125959b3a73651d44c163e22",
     "table":
-        "9051ab8e5c576644b7020789b08e38e2a534cf06fb5c0f053540b82c0e98822d",
-    "spin": "68e4d184d370f16f5300cbec6e7e7757678c0e291bdec666fa1a6fded631473c",
+        "ab12702f43e2a7efd217805750db53e6e0023c4731c949910184324c4dfb2687",
+    "spin": "b2a454dde03bede2c0f909886d4a7558c008b40c8c264022bc0c715a50a39b38",
     "zeta": "ce28cf6edc2e122e13134357189a4a0061a6913dc2c6cbff7c02e284890416f1",
     "volkenborn":
-        "4295af2091b01c167a229fcf245e7471381eda8d4f045cf62bb56cd779b12bd0",
+        "e6a00f2a19fb718b6c09cb024e26c2d3a86ac962f730fe65983f999d2b2c2f66",
     "pgamma":
-        "f31011878a374c09f85a41ace2de42cda58270896baa7ddaacfb9f89d586d253",
+        "187ec78c6a727a37e9e3ab1351840ccf0425d3d9a72f747283e9673e9c891d84",
     "pbeta":
-        "f1cce97a2a6d88a38a79d7a335017461a72a2fa41b0442a31c5e4b93fdd53e26",
+        "fc31c7edb68da7633d51949475a187787d4fdc39d01f21cc600a7f4872281263",
     "carlitz":
-        "b14434b839547372061e342be87b9f2dc90396ea90d0f35515de0dec5be583dc",
+        "5a81077858c1d8d556de8d08745f006eb2f89cf86e6875df8793b5e4187e0723",
 }
 ERROR_SHA256 = {
     "evl": "44daf855dae84c73693cc2911f6f46ae69a28b740ac7279cfd1972fd85e2a7fd",

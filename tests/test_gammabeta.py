@@ -18,9 +18,10 @@ from rpqcalc.gammabeta import (DEFAULT_REL_TOL, DEFAULT_TRUNCATION,
                                power_basis_derivative_suite,
                                power_basis_identity_suite, power_basis_poly,
                                power_basis_poly_reversed,
-                               beta_reflection_report, rational_pow_exact,
-                               rpq_number_at)
+                               beta_reflection_report, rational_pow_exact)
 from rpqcalc.poly import Polynomial, rpq_derivative_poly
+
+from oracles import rpq_number_at
 
 JS = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
 # square-friendly parameters: both q and 1-q are exact squares

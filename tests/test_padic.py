@@ -1,4 +1,4 @@
-"""Rational valuation/norm and truncated p-adic arithmetic."""
+"""Rational valuation and truncated p-adic arithmetic."""
 
 import math
 from fractions import Fraction as F
@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError)
-from rpqcalc.padic import (PadicNumber, is_prime, padic_norm, padic_power,
+from rpqcalc.padic import (PadicNumber, is_prime, padic_power,
                            padic_valuation)
 
 
@@ -32,7 +32,7 @@ class TestValuation:
 
     def test_prime_itself(self):
         assert padic_valuation(F(5), 5) == 1
-        assert padic_norm(PadicNumber.from_rational(5, 5, 8)) == F(1, 5)
+        assert PadicNumber.from_rational(5, 5, 8).valuation == 1
 
     def test_zero_is_infinite(self):
         assert padic_valuation(F(0), 7) == math.inf
@@ -51,16 +51,20 @@ class TestValuation:
 
 
 class TestNorm:
+    """|x|_p = p^(-v(x)), and 0 at 0: the element's valuation and
+    zero test are what the norm is read from."""
+
     def test_positive_valuation(self):
         x = PadicNumber.from_rational(9, 3, 8)
-        assert x.valuation == 2
-        assert padic_norm(x) == F(1, 9)
+        assert x.valuation == 2 and not x.is_unit()
 
     def test_zero(self):
-        assert padic_norm(PadicNumber.zero(3, 8)) == 0
+        z = PadicNumber.zero(3, 8)
+        assert z.is_zero() and not z.is_unit()
 
     def test_unit(self):
-        assert padic_norm(PadicNumber.from_rational(F(2, 7), 3, 8)) == 1
+        x = PadicNumber.from_rational(F(2, 7), 3, 8)
+        assert x.valuation == 0 and x.is_unit()
 
 
 class TestArithmetic:
@@ -114,8 +118,9 @@ def test_ultrametric_and_multiplicativity(a, b):
     y = PadicNumber.from_rational(b, 5, 14)
     s = x + y
     if not (x.is_zero() or y.is_zero() or s.is_zero()):
-        assert padic_norm(s) <= max(padic_norm(x), padic_norm(y))
-        assert padic_norm(x * y) == padic_norm(x) * padic_norm(y)
+        # |x + y| <= max(|x|, |y|) and |xy| = |x||y|, in valuations
+        assert s.valuation >= min(x.valuation, y.valuation)
+        assert (x * y).valuation == x.valuation + y.valuation
 
 
 @settings(max_examples=40, deadline=None)

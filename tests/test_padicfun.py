@@ -1,4 +1,4 @@
-"""p-adic gamma/beta, Volkenborn measure/integral, Carlitz values."""
+"""p-adic gamma/beta, Volkenborn measure/moments, Carlitz values."""
 
 import random
 from fractions import Fraction as F
@@ -9,27 +9,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import _kernel, padicfun
+from rpqcalc.deform import DeformParams
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             NoConvergenceError)
-from rpqcalc.padic import PadicNumber
+from rpqcalc.padic import PadicNumber, padic_valuation
 from rpqcalc.padicfun import (ConvergenceReport, TwistParams,
                               carlitz_bernoulli, delta_factor,
                               factorial_decomposition_check,
                               fermionic_integral, gamma_recurrence_check,
                               number_at, padic_beta_rpq, padic_beta_suite,
                               padic_factorial_rpq, padic_gamma_rpq,
-                              volkenborn_integral, volkenborn_measure,
-                              volkenborn_moment)
+                              volkenborn_measure, volkenborn_moment)
 from rpqcalc.poly import Polynomial
+from rpqcalc.series import generating_polynomials
+
+from oracles import morita_gamma, twisted_level_sums, untwisted_level_sums
 
 TW5 = TwistParams.make(5, 6, 11, precision=12)
 TW3 = TwistParams.make(3, 4, 7, precision=12)
-CL5 = TwistParams.classical_limit(5)
 
 MAKERS = {
     "twisted5": lambda: TwistParams.make(5, 6, 11, precision=12),
     "twisted3": lambda: TwistParams.make(3, 4, 7, precision=12),
-    "classical5": lambda: TwistParams.classical_limit(5),
 }
 
 
@@ -39,22 +40,20 @@ class TestFactorialAndGamma:
         assert padic_factorial_rpq(1, TW5) == 1
 
     def test_classical_limit_values(self):
-        assert padic_factorial_rpq(4, CL5) == \
-            PadicNumber.from_rational(6, 5, 16)
-        assert padic_gamma_rpq(4, CL5) == \
-            PadicNumber.from_rational(6, 5, 16)
+        # Morita's Gamma_p, the rho = q = 1 limit, as the oracle has it
+        assert morita_gamma(4, 5, 16) == 6
+        assert morita_gamma(6, 5, 16) == 24  # j = 5 is skipped
+        assert morita_gamma(-1, 5, 16) == 1
 
     def test_multiples_skipped(self):
         # at p = 5, j = 5 is excluded: product over {1,2,3,4} only
-        assert padic_factorial_rpq(6, CL5) == \
-            PadicNumber.from_rational(24, 5, 16)
         expected = PadicNumber.one(5, 20)
         for j in (1, 2, 3, 4):
             expected = expected * number_at(TW5, j)
         assert padic_factorial_rpq(6, TW5) == expected
 
     def test_base_values(self):
-        for tw in (TW5, TW3, CL5):
+        for tw in (TW5, TW3):
             assert padic_gamma_rpq(0, tw) == 1
             assert padic_gamma_rpq(1, tw) == -1
 
@@ -110,19 +109,8 @@ class TestDecomposition:
         rep = factorial_decomposition_check(2, TW5)
         assert rep.passed
 
-    def test_classical(self):
-        rep = factorial_decomposition_check(7, TwistParams.classical_limit(3))
-        # product-ratio rows are two-base-only; the rest must pass
-        assert all(r.passed for r in rep.results)
-
 
 class TestMeasure:
-    def test_classical_is_uniform(self):
-        for N in (1, 2):
-            for a in (0, 2):
-                assert volkenborn_measure(a, N, CL5) == \
-                    PadicNumber.from_rational(F(1, 5 ** N), 5, 12)
-
     def test_distribution_relation(self):
         for tw in (TW5, TW3):
             p = tw.prime
@@ -143,15 +131,14 @@ class TestMeasure:
     @given(st.sampled_from([3, 5, 7]),
            st.lists(st.tuples(st.integers(min_value=-1, max_value=3),
                               st.fractions(max_denominator=50)),
-                    min_size=2, max_size=2),
-           st.booleans())
-    def test_strong_bound_required(self, p, offsets, classical):
+                    min_size=2, max_size=2))
+    def test_strong_bound_required(self, p, offsets):
         # the exp/log domain v(x - 1) > 1/(p - 1) of the Volkenborn
         # operations holds for every twist the constructor accepts
         rho, q = (PadicNumber.from_rational(1 + F(p) ** k * u, p, 12)
                   for k, u in offsets)
         try:
-            tw = TwistParams(p, rho, q, 8, classical)
+            tw = TwistParams(p, rho, q, 8)
         except InvalidParameterError:
             return
         for x in (tw.rho, tw.q):
@@ -161,17 +148,19 @@ class TestMeasure:
 
 class TestVolkenbornIntegral:
     def test_constant_total_mass(self):
-        rep = volkenborn_integral(lambda x: F(1), CL5, 5)
-        assert rep.converged and rep.value == 1
-        rep5 = volkenborn_integral(lambda x: F(1), TW5, 4)
-        for v in rep5.values:
+        # the zeroth moment is the total mass, rho at every level
+        rep = volkenborn_moment(0, TW5, 4)
+        for v in rep.values:
             assert (v - TW5.rho).is_zero()
 
     def test_classical_first_moment(self):
-        rep = volkenborn_integral(lambda x: F(x), CL5, 6)
-        assert rep.converged
-        assert list(rep.diff_valuations) == [1, 2, 3, 4, 5]
-        assert rep.value == PadicNumber.from_rational(F(-1, 2), 5, 6)
+        # the untwisted oracle: level N of int x is (5^N - 1)/2, which
+        # agrees with the limit B_1 = -1/2 to valuation N
+        sums = untwisted_level_sums(F, 5, 6)
+        assert [padic_valuation(b - a, 5)
+                for a, b in zip(sums, sums[1:])] == [1, 2, 3, 4, 5]
+        assert [padic_valuation(s + F(1, 2), 5) for s in sums] == \
+            [1, 2, 3, 4, 5, 6]
 
     def test_no_convergence_is_loud(self):
         rep = ConvergenceReport((1, 2, 3),
@@ -189,29 +178,27 @@ class TestVolkenbornIntegral:
         mom = volkenborn_moment(r, tw, levels)
         def f(x):
             return ((tw.rho ** x - tw.q ** x) / (tw.rho - tw.q)) ** r
-        gen = volkenborn_integral(f, tw, levels)
-        assert len(mom.values) == len(gen.values) == levels
-        for a, b in zip(mom.values, gen.values):
+        gen = twisted_level_sums(f, tw, levels)
+        assert len(mom.values) == len(gen) == levels
+        for a, b in zip(mom.values, gen):
             assert (a - b).is_zero() and repr(a) == repr(b)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
     def test_residue_and_padic_paths_agree(self, make, seed):
-        # Fraction values take the kernel's residue path, PadicNumber
-        # values the running PadicNumber total; the path is chosen once
-        # for all levels, so the two must agree level by level
+        # in the oracle, Fraction values take the kernel's residue path,
+        # PadicNumber values the running PadicNumber total; the two must
+        # agree level by level
         tw = make()
         p, W = tw.prime, tw.work_precision
         rng = random.Random(seed)
         dens = [d for d in range(1, 30) if d % p]
         poly = Polynomial([F(rng.randrange(-50, 50), rng.choice(dens))
                            for _ in range(rng.randrange(1, 6))])
-        exact = volkenborn_integral(lambda x: poly(F(x)), tw, 4)
-        padic = volkenborn_integral(
+        exact = twisted_level_sums(lambda x: poly(F(x)), tw, 4)
+        padic = twisted_level_sums(
             lambda x: PadicNumber.from_rational(poly(F(x)), p, W), tw, 4)
-        assert [repr(v) for v in exact.values] == \
-            [repr(v) for v in padic.values]
-        assert exact.diff_valuations == padic.diff_valuations
+        assert [repr(v) for v in exact] == [repr(v) for v in padic]
 
     def test_shift_identity_converges(self):
         # q I(f1) - rho I(f) = -rho (rho - q) (f'(0)/(log q - log rho)
@@ -219,15 +206,28 @@ class TestVolkenbornIntegral:
         # mass (I(1) = rho at every level)
         f = lambda x: F(x) ** 2 + 2 * x + 3  # f'(0) = 2, f(0) = 3
         rho, q = TW5.rho, TW5.q
-        rep = volkenborn_integral(f, TW5, 5)
-        rep1 = volkenborn_integral(lambda x: f(x + 1), TW5, 5)
+        sums = twisted_level_sums(f, TW5, 5)
+        sums1 = twisted_level_sums(lambda x: f(x + 1), TW5, 5)
         rhs = -rho * (rho - q) * (2 / (q.log() - rho.log()) + 3)
         agreement = [(q * v1 - rho * v - rhs).valuation
-                     for v, v1 in zip(rep.values, rep1.values)]
-        assert agreement == list(rep.levels)
+                     for v, v1 in zip(sums, sums1)]
+        assert agreement == [1, 2, 3, 4, 5]
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), r=st.integers(0, 10),
+           levels=st.integers(1, 5))
+    def test_untwisted_sums_tend_to_bernoulli(self, p, r, levels):
+        # the untwisted oracle against the classical Bernoulli numbers of
+        # rpqcalc.series: level N of int x^r agrees with B_r to
+        # valuation N - 1 at least
+        b_r = generating_polynomials(DeformParams.preset("classical"),
+                                     "bernoulli", 0, r)[r]
+        sums = untwisted_level_sums(lambda x: x ** r, p, levels)
+        for N, s in enumerate(sums, 1):
+            assert padic_valuation(s - b_r, p) >= N - 1, (N, s, b_r)
 
     def test_report_json(self):
-        rep = volkenborn_integral(lambda x: F(x), CL5, 3)
+        rep = volkenborn_moment(1, TW5, 3)
         obj = rep.to_json()
         assert obj["levels"] == [1, 2, 3]
         assert len(obj["values"]) == 3
@@ -297,9 +297,8 @@ class TestClosedForm:
         mom = volkenborn_moment(r, tw, 4)
         def f(x):
             return ((tw.rho ** x - tw.q ** x) / (tw.rho - tw.q)) ** r
-        gen = volkenborn_integral(f, tw, 4)
-        assert [repr(v) for v in mom.values] == \
-            [repr(v) for v in gen.values]
+        gen = twisted_level_sums(f, tw, 4)
+        assert [repr(v) for v in mom.values] == [repr(v) for v in gen]
 
     def test_no_kernel_needed(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -312,8 +311,6 @@ class TestClosedForm:
         for rep in reports:
             assert isinstance(rep, ConvergenceReport)
             assert rep.levels == (1, 2, 3, 4, 5)
-        with pytest.raises(AssertionError, match="kernel"):
-            volkenborn_integral(lambda x: F(x), TW5, 2)
 
 
 class TestDeepLevels:
@@ -347,11 +344,6 @@ class TestCarlitz:
         rep = carlitz_bernoulli(0, F(0), 0, TW5, 4)
         for v in rep.values:
             assert (v - TW5.rho).is_zero()
-
-    def test_classical_limit_first_value(self):
-        rep = carlitz_bernoulli(1, F(0), 0, CL5, 6)
-        assert rep.converged
-        assert rep.value == PadicNumber.from_rational(F(-1, 2), 5, 6)
 
     def test_paths_agree(self):
         d = carlitz_bernoulli(2, F(1), 0, TW5, 4, method="direct")
@@ -485,12 +477,9 @@ def reference_product(m, sign, tw):
 
 @st.composite
 def twists(draw):
-    """The classical twist, or a two-base one with v(rho - q) in
-    {1, 2, 3} and rho, q embedded at different precisions."""
+    """A two-base twist with v(rho - q) in {1, 2, 3} and rho, q
+    embedded at different precisions."""
     p = draw(st.sampled_from([3, 5, 7]))
-    if draw(st.booleans()):
-        return TwistParams.classical_limit(
-            p, draw(st.integers(min_value=1, max_value=12)))
     v = draw(st.sampled_from([1, 2, 3]))
     prime_to_p = st.integers(min_value=1, max_value=500).filter(
         lambda k: k % p)
@@ -521,13 +510,14 @@ class TestResidueProduct:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_morita_recurrence(self, p):
-        # Gamma_p(x+1) = -x Gamma_p(x) for p not | x, -Gamma_p(x) else
-        tw = TwistParams.classical_limit(p)
+        # the oracle's Gamma_p(x+1) = -x Gamma_p(x) for p not | x,
+        # -Gamma_p(x) else, and every value a unit
+        W = 16
+        mod = p ** W
         for x in range(-50, 201):
-            g, g1 = padic_gamma_rpq(x, tw), padic_gamma_rpq(x + 1, tw)
-            want = -x * g if x % p else -g
-            assert g1.is_unit() and g1 == want
-            assert str(g1) == str(want), x
+            g, g1 = morita_gamma(x, p, W), morita_gamma(x + 1, p, W)
+            want = (-x * g if x % p else -g) % mod
+            assert g1 % p and g1 == want, x
 
 
 class TestRestrictedFactorialMemo:
@@ -558,55 +548,29 @@ class TestGammaLimit:
 class TestLevelBudget:
     @pytest.mark.parametrize("levels", [0, -1])
     @pytest.mark.parametrize("call", [
-        lambda N: volkenborn_integral(lambda x: F(x), TW5, N),
         lambda N: volkenborn_moment(2, TW5, N),
-        lambda N: volkenborn_moment(2, CL5, N),
         lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="direct"),
         lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="moments"),
         lambda N: fermionic_integral(lambda x: x, 5, N),
-    ], ids=["integral", "moment", "classical_moment", "carlitz_direct",
-            "carlitz_moments", "fermionic"])
+    ], ids=["moment", "carlitz_direct", "carlitz_moments", "fermionic"])
     def test_needs_a_level(self, call, levels):
         with pytest.raises(InvalidParameterError, match="at least one"):
             call(levels)
-
-    @pytest.mark.parametrize("call", [
-        lambda f: volkenborn_integral(f, TW5, 40),
-        lambda f: volkenborn_integral(f, CL5, 40),
-        lambda f: volkenborn_moment(2, CL5, 40),
-    ], ids=["integral", "classical_integral", "classical_moment"])
-    def test_too_deep_refused_before_f_runs(self, call):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return F(x) ** 2
-
-        with pytest.raises(InvalidParameterError,
-                           match=r"level \d+ is beyond the working "):
-            call(f)
-        assert not calls
 
     @pytest.mark.parametrize("tw", [
         TwistParams(3, PadicNumber.from_rational(4, 3, 4),
                     PadicNumber.from_rational(7, 3, 5), 4),
         TwistParams(3, PadicNumber.from_rational(4, 3, 5),
                     PadicNumber.from_rational(4 + 9, 3, 5), 4),
-        TwistParams(3, PadicNumber.one(3, 3), PadicNumber.one(3, 3), 3,
-                    classical=True),
-    ], ids=["v1", "v2", "classical"])
+    ], ids=["v1", "v2"])
     def test_budget_edge(self, tw):
         # level 3 is the first refused: [3^3] vanishes at working
-        # precision (W - v(rho - q) = 3), or N = W = 3 when classical;
-        # level 2 still runs
-        assert tw.classical and tw.work_precision == 3 or (
-            number_at(tw, 27).is_zero() and not number_at(tw, 9).is_zero())
-        calls = []
+        # precision (W - v(rho - q) = 3); level 2 still runs
+        assert number_at(tw, 27).is_zero() and not number_at(tw, 9).is_zero()
         with pytest.raises(InvalidParameterError,
-                           match=r"level 3 .*keeps no digit"):
-            volkenborn_integral(lambda x: calls.append(x) or F(x), tw, 3)
-        assert not calls
-        assert len(volkenborn_integral(lambda x: F(x), tw, 2).values) == 2
+                           match=r"level 3 .*\[p\^3\] vanishes"):
+            volkenborn_moment(1, tw, 3)
+        assert len(volkenborn_moment(1, tw, 2).values) == 2
 
     def test_single_level_has_no_differences(self):
         rep = volkenborn_moment(1, TW5, 1)
@@ -635,7 +599,7 @@ class TestTwistValidation:
         a, b, c = (PadicNumber(5, 0, 1, 1), PadicNumber(5, 0, 1, 2),
                    PadicNumber(5, 0, 6, 2))
         assert a == b and a == c and b != c
-        for obj in (a, TW5, CL5):
+        for obj in (a, TW5):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(obj)
 

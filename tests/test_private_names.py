@@ -14,20 +14,19 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # public names that no command or check suite reaches, and why each stays
 TEST_ONLY = {
-    "jackson_sum": "the node-sum oracle for definite_integral_poly",
-    "rpq_number_at": "the oracle for the rational gamma recurrence test",
-    "fermionic_integral": "the exact fermionic moments of the ROADMAP "
+    "jackson_sum": "the node-sum oracle for definite_integral_poly, until "
+                   "a check entry compares the two (ROADMAP item 12)",
+    "fermionic_integral": "the exact fermionic moments of ROADMAP item 1 "
                           "give it a route",
-    "padic_norm": "the public |x|_p of the padic layer, beside "
-                  "padic_valuation",
+    "level_sums": "the Riemann-sum oracle of tests/oracles.py, and "
+                  "perfbench/trace_boot.py wraps it by name until the "
+                  "benchmark drops its kernel layer (ROADMAP item 16)",
 }
 
 # methods that nothing in the package calls, and why each stays
 UNCALLED_METHODS = {
     "PadicNumber.sqrt": "perfbench/trace_boot.py wraps it by name "
                         "(PADIC_OPS)",
-    "TwistParams.classical_limit": "the classical twist rho = q = 1 of "
-                                   "the tests and ROADMAP items 1-2",
 }
 
 

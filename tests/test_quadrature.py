@@ -10,20 +10,11 @@ from hypothesis import strategies as st
 from rpqcalc.deform import DeformParams, rpq_number
 from rpqcalc.errors import InvalidParameterError
 from rpqcalc.poly import Polynomial
-from rpqcalc.quadrature import (QuadratureSpec, definite_integral_poly,
+from rpqcalc.quadrature import (definite_integral_poly,
                                 fundamental_theorem_check,
                                 integration_by_parts_check, jackson_sum)
 
 JS = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
-SPEC = QuadratureSpec(JS, terms=200)
-
-
-def old_neg_node(spec, j):
-    """The negative-index node as it was computed apart from ``node``
-    (its q/p branch, the only one the parameter range admits)."""
-    p, q = spec.params.p, spec.params.q
-    return F(p) ** (-j - 1) / F(q) ** (-j)
-
 
 @st.composite
 def two_base_params(draw):
@@ -58,14 +49,14 @@ class TestDefinite:
 
 class TestJacksonSum:
     def test_linear_closed_form(self):
-        trunc = jackson_sum(Polynomial.monomial(1), F(1), SPEC)
+        trunc = jackson_sum(Polynomial.monomial(1), F(1), JS)
         assert abs(trunc - F(2, 3)) < F(1, 10 ** 30)
 
     def test_constant_telescopes(self):
         one = Polynomial.constant(F(1))
         for a in (F(1), F(3, 5)):
             assert definite_integral_poly(one, F(0), a, JS) == a
-            trunc = jackson_sum(one, a, QuadratureSpec(JS, terms=500))
+            trunc = jackson_sum(one, a, JS, terms=500)
             assert abs(trunc - a) < F(1, 10 ** 100)
 
     @pytest.mark.parametrize("n", range(9))
@@ -73,25 +64,27 @@ class TestJacksonSum:
         f = Polynomial.monomial(n)
         closed = definite_integral_poly(f, F(0), F(1), JS)
         assert closed == 1 / rpq_number(JS, n + 1)
-        trunc = jackson_sum(f, F(1), SPEC)
+        trunc = jackson_sum(f, F(1), JS)
         assert abs(trunc - closed) <= F(1, 10 ** 30) * abs(closed)
 
-    def test_node_structure(self):
-        # nodes strictly decreasing within the regime
-        nodes = [SPEC.node(r) for r in range(10)]
-        assert all(b < a for a, b in zip(nodes, nodes[1:]))
-
     @settings(max_examples=60, deadline=None)
-    @given(two_base_params(), st.integers(min_value=-30, max_value=-1))
-    def test_negative_nodes_match_old_formula(self, params, j):
-        spec = QuadratureSpec(params, terms=5)
-        assert spec.node(j) == old_neg_node(spec, j)
-        assert spec.node(j) > spec.node(j + 1) > 0
+    @given(two_base_params(), st.integers(min_value=1, max_value=30))
+    def test_node_structure(self, params, terms):
+        # f is read at the nodes q^r/p^(r+1), r = 0..terms, in strictly
+        # decreasing order within the regime
+        nodes = []
+        jackson_sum(lambda x: nodes.append(x) or 0, 1, params, terms)
+        p, q = params.p, params.q
+        assert nodes == [q ** r / p ** (r + 1) for r in range(terms + 1)]
+        assert all(a > b > 0 for a, b in zip(nodes, nodes[1:]))
 
     def test_general_kernels_rejected(self):
         bm = DeformParams.preset("biedenharn_macfarlane", q=F(1, 2))
-        with pytest.raises(InvalidParameterError):
-            QuadratureSpec(bm)
+        one = Polynomial.constant(F(1))
+        with pytest.raises(InvalidParameterError, match="two-base"):
+            jackson_sum(one, 1, bm)
+        with pytest.raises(InvalidParameterError, match="terms"):
+            jackson_sum(one, 1, JS, terms=0)
 
     def test_subinterval_is_single_node(self):
         # the integral over one geometric band equals its node value
