@@ -3,10 +3,10 @@
 Rationals are plain ``fractions.Fraction`` (numerator/denominator kept
 coprime with positive denominator by the stdlib, which is exactly the
 invariant needed here).  p-adic numbers use a fixed-precision digit
-model: a nonzero value is ``unit * p^val`` with ``unit`` a p-adic unit
-known modulo ``p^prec``, i.e. the value is known modulo
-``p^(val+prec)``.  All values are immutable; arithmetic returns fresh
-objects carrying the precision actually guaranteed by the operands.
+model: a value is ``unit * p^val`` with ``unit`` known modulo
+``p^prec``, i.e. the value is known modulo ``p^(val+prec)``, zero
+included.  All values are immutable; arithmetic returns fresh objects
+carrying the precision actually guaranteed by the operands.
 """
 
 from __future__ import annotations
@@ -112,10 +112,14 @@ def _log_terms(w: int, p: int, target: int, arg: str = "u - 1") -> int:
 class PadicNumber:
     """A truncated p-adic number.
 
-    Nonzero: ``unit * p^val`` with ``1 <= unit < p^prec``, ``p`` not
-    dividing ``unit``; the value is guaranteed modulo ``p^(val+prec)``.
-    The zero element has ``unit == 0`` and ``val`` holding its absolute
-    precision (it is known to vanish modulo ``p^val``).
+    ``PadicNumber(p, val, unit, prec)`` is ``unit * p^val`` known modulo
+    ``p^(val+prec)``, for every value: its absolute precision.  The
+    constructor reduces ``unit`` modulo ``p^prec`` and moves the powers
+    of ``p`` it holds into ``val``, so a nonzero value keeps
+    ``1 <= unit < p^prec`` with ``p`` not dividing ``unit``, and a unit
+    that vanishes modulo ``p^prec`` gives the zero ``O(p^(val+prec))``,
+    stored with ``val + prec`` as its ``val``, ``unit == 0`` and
+    ``prec == 0``.
     """
 
     __slots__ = ("prime", "_val", "unit", "prec")
@@ -123,21 +127,19 @@ class PadicNumber:
 
     def __init__(self, prime: int, val: int, unit: int, prec: int):
         _check_prime(prime)
-        if unit == 0:
-            self.prime, self._val, self.unit, self.prec = prime, val, 0, 0
-            return
-        if prec < 1:
+        if prec < 0:
+            raise PrecisionError(f"precision must be >= 0; got {prec}")
+        if unit and not prec:
             raise PrecisionError("nonzero value needs at least one digit")
         unit %= prime ** prec
-        if unit == 0:  # cancelled at this precision: zero mod p^(val+prec)
-            self.prime, self._val, self.unit, self.prec = \
-                prime, val + prec, 0, 0
-            return
-        shift = int_valuation(unit, prime)
-        if shift:  # keep the leading digit nonzero
-            val += shift
-            prec -= shift
-            unit //= prime ** shift
+        if unit == 0:  # vanishes at this precision: zero mod p^(val+prec)
+            val, prec = val + prec, 0
+        else:
+            shift = int_valuation(unit, prime)
+            if shift:  # keep the leading digit nonzero
+                val += shift
+                prec -= shift
+                unit //= prime ** shift
         self.prime, self._val, self.unit, self.prec = prime, val, unit, prec
 
     # -- constructors ------------------------------------------------
@@ -182,7 +184,7 @@ class PadicNumber:
 
     @property
     def absolute_precision(self) -> int:
-        return self._val if self.unit == 0 else self._val + self.prec
+        return self._val + self.prec
 
     @property
     def precision(self) -> int:
@@ -204,16 +206,12 @@ class PadicNumber:
         if k > self.absolute_precision:
             raise PrecisionError(
                 f"residue mod p^{k} exceeds precision O(p^{self.absolute_precision})")
-        if self.unit == 0:
-            return 0
         if self._val < 0:
             raise PrecisionError("negative valuation: not a p-adic integer")
         return self.unit * self.prime ** self._val % self.prime ** k
 
     def with_precision(self, prec: int) -> "PadicNumber":
         """Truncate to at most ``prec`` significant digits."""
-        if self.unit == 0:
-            return self
         if prec >= self.prec:
             return self
         return PadicNumber(self.prime, self._val, self.unit, prec)
@@ -238,30 +236,16 @@ class PadicNumber:
         if o is None:
             return NotImplemented
         p = self.prime
-        if self.unit == 0 and o.unit == 0:
-            return PadicNumber.zero(p, min(self._val, o._val))
-        if self.unit == 0:
-            return o._truncate_abs(min(self._val, o.absolute_precision))
-        if o.unit == 0:
-            return self._truncate_abs(min(o._val, self.absolute_precision))
-        abs_prec = min(self.absolute_precision, o.absolute_precision)
-        v = min(self._val, o._val)
-        if v >= abs_prec:
-            return PadicNumber.zero(p, abs_prec)
-        m = p ** (abs_prec - v)
+        A = min(self._val + self.prec, o._val + o.prec)
+        v = min(self._val, o._val, A)
         s = (self.unit * p ** (self._val - v)
-             + o.unit * p ** (o._val - v)) % m
-        if s == 0:
-            return PadicNumber.zero(p, abs_prec)
-        return PadicNumber(p, v, s, abs_prec - v)
+             + o.unit * p ** (o._val - v)) % p ** (A - v)
+        return PadicNumber(p, v, s, A - v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.unit == 0:
-            return self
-        return PadicNumber(self.prime, self._val,
-                           self.prime ** self.prec - self.unit, self.prec)
+        return PadicNumber(self.prime, self._val, -self.unit, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -279,13 +263,10 @@ class PadicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.prime
-        if self.unit == 0 or o.unit == 0:
-            # O(p^a) * (u p^v + ...) = O(p^(a+v)); O(p^a) * O(p^b) = O(p^(a+b))
-            return PadicNumber.zero(p, self._val + o._val)
-        prec = min(self.prec, o.prec)
-        unit = self.unit * o.unit % p ** prec
-        return PadicNumber(p, self._val + o._val, unit, prec)
+        # known modulo p^min(A1 + v2, A2 + v1), A = v + prec; a zero
+        # factor O(p^a) has prec 0, so the product is O(p^(a + v))
+        return PadicNumber(self.prime, self._val + o._val,
+                           self.unit * o.unit, min(self.prec, o.prec))
 
     __rmul__ = __mul__
 
@@ -316,19 +297,9 @@ class PadicNumber:
                                    self.prec or DEFAULT_PRECISION)
         if n < 0:
             return self.inverse() ** (-n)
-        if self.unit == 0:
-            return PadicNumber.zero(self.prime, self._val * n)
         m = self.prime ** self.prec
         return PadicNumber(self.prime, self._val * n,
                            pow(self.unit, n, m), self.prec)
-
-    def _truncate_abs(self, abs_prec: int) -> "PadicNumber":
-        if self.unit == 0:
-            return PadicNumber.zero(self.prime, min(self._val, abs_prec))
-        if abs_prec <= self._val:
-            return PadicNumber.zero(self.prime, abs_prec)
-        return PadicNumber(self.prime, self._val, self.unit,
-                           min(self.prec, abs_prec - self._val))
 
     # -- comparison --------------------------------------------------
 
@@ -394,10 +365,7 @@ class PadicNumber:
             if exponent < A:
                 term = apow * pow(k, -1, m) % m * p ** exponent % m
                 acc = (acc - term if n % 2 == 0 else acc + term) % m
-        if acc == 0:
-            return PadicNumber.zero(p, A)
-        t = int_valuation(acc, p)
-        return PadicNumber(p, t, acc // p ** t, A - t)
+        return PadicNumber(p, 0, acc, A)
 
     def sqrt(self) -> "PadicNumber":
         """Square root by Hensel lifting (odd p, square unit, even

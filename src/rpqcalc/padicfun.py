@@ -298,10 +298,6 @@ def _at_levels(running: Iterable, p: int) -> Iterator:
             mark *= p
 
 
-def _from_residue(s: int, p: int, W: int) -> PadicNumber:
-    return PadicNumber(p, 0, s, W) if s else PadicNumber.zero(p, W)
-
-
 def _apply_prefactor(total: PadicNumber, N: int,
                      tw: TwistParams) -> PadicNumber:
     """The level-N value rho^(p^N) total / [p^N]."""
@@ -378,7 +374,7 @@ def _moment_sums(r: int, base: PadicNumber, tw: TwistParams,
                             tw.q.residue(W), p, W)
     scale = (tw.rho - tw.q) ** r
     for N, s in enumerate(sums, 1):
-        yield _apply_prefactor(_from_residue(s, p, W) / scale, N, tw)
+        yield _apply_prefactor(PadicNumber(p, 0, s, W) / scale, N, tw)
 
 
 def volkenborn_moment(r: int, tw: TwistParams,

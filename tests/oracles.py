@@ -5,12 +5,14 @@ computes by the defining sum or product, term by term, what the library
 computes in closed form or through a different route.
 """
 
+import math
 from fractions import Fraction
 
 from rpqcalc import _kernel
 from rpqcalc.deform import rpq_number
+from rpqcalc.errors import PrecisionError
 from rpqcalc.gammabeta import rational_pow_exact
-from rpqcalc.padic import PadicNumber
+from rpqcalc.padic import DEFAULT_PRECISION, PadicNumber, int_valuation
 from rpqcalc.padicfun import number_at
 
 
@@ -52,7 +54,7 @@ def twisted_level_sums(f, tw, levels: int) -> list:
     if all(isinstance(v, (int, Fraction)) for v in vals):
         residues = (v.numerator * pow(v.denominator, -1, mod) % mod
                     for v in vals)
-        totals = [PadicNumber(p, 0, s, W) if s else PadicNumber.zero(p, W)
+        totals = [PadicNumber(p, 0, s, W)
                   for s in _kernel.level_sums(residues, ratio.residue(W), p,
                                               levels, mod)]
     else:
@@ -77,3 +79,109 @@ def rpq_number_at(params, z) -> Fraction:
     x1, x2 = params.xi1, params.xi2
     return params.twist_scale() * (rational_pow_exact(x1, z)
                                    - rational_pow_exact(x2, z)) / (x1 - x2)
+
+
+# -- PadicNumber's precision rules, one branch per zero case --------------
+#
+# A second statement of the arithmetic of ``PadicNumber`` on
+# (p, val, unit, prec) tuples, written case by case: a zero is
+# (p, A, 0, 0), zero modulo p^A, and every zero operand and every
+# cancellation takes its own branch.  The class states the same rules as
+# one formula per operation; the tests hold the two equal.
+
+def padic_tuple(x: PadicNumber) -> tuple:
+    """x as (p, val, unit, prec); a zero's val is its absolute precision."""
+    return (x.prime, x.absolute_precision - x.precision, x.unit, x.precision)
+
+
+def tuple_view(t: tuple) -> tuple:
+    """(valuation, unit, precision, absolute precision) of a tuple."""
+    p, val, unit, prec = t
+    return (math.inf, 0, 0, val) if unit == 0 else (val, unit, prec,
+                                                    val + prec)
+
+
+def _tuple_padic(p: int, val: int, unit: int, prec: int) -> tuple:
+    if unit == 0:
+        return (p, val, 0, 0)
+    if prec < 1:
+        raise PrecisionError("nonzero value needs at least one digit")
+    unit %= p ** prec
+    if unit == 0:
+        return (p, val + prec, 0, 0)
+    shift = int_valuation(unit, p)
+    return (p, val + shift, unit // p ** shift, prec - shift)
+
+
+def _tuple_abs(t: tuple) -> int:
+    return tuple_view(t)[3]
+
+
+def _tuple_truncate_abs(t: tuple, abs_prec: int) -> tuple:
+    p, val, unit, prec = t
+    if unit == 0:
+        return (p, min(val, abs_prec), 0, 0)
+    if abs_prec <= val:
+        return (p, abs_prec, 0, 0)
+    return _tuple_padic(p, val, unit, min(prec, abs_prec - val))
+
+
+def tuple_add(a: tuple, b: tuple) -> tuple:
+    p = a[0]
+    if a[2] == 0 and b[2] == 0:
+        return (p, min(a[1], b[1]), 0, 0)
+    if a[2] == 0:
+        return _tuple_truncate_abs(b, min(a[1], _tuple_abs(b)))
+    if b[2] == 0:
+        return _tuple_truncate_abs(a, min(b[1], _tuple_abs(a)))
+    abs_prec = min(_tuple_abs(a), _tuple_abs(b))
+    v = min(a[1], b[1])
+    if v >= abs_prec:
+        return (p, abs_prec, 0, 0)
+    s = (a[2] * p ** (a[1] - v) + b[2] * p ** (b[1] - v)) \
+        % p ** (abs_prec - v)
+    if s == 0:
+        return (p, abs_prec, 0, 0)
+    return _tuple_padic(p, v, s, abs_prec - v)
+
+
+def tuple_neg(a: tuple) -> tuple:
+    p, val, unit, prec = a
+    if unit == 0:
+        return a
+    return _tuple_padic(p, val, p ** prec - unit, prec)
+
+
+def tuple_mul(a: tuple, b: tuple) -> tuple:
+    p = a[0]
+    if a[2] == 0 or b[2] == 0:
+        return (p, a[1] + b[1], 0, 0)
+    prec = min(a[3], b[3])
+    return _tuple_padic(p, a[1] + b[1], a[2] * b[2] % p ** prec, prec)
+
+
+def tuple_pow(a: tuple, n: int) -> tuple:
+    """a ** n for n >= 0."""
+    p, val, unit, prec = a
+    if n == 0:
+        return _tuple_padic(p, 0, 1, prec or DEFAULT_PRECISION)
+    if unit == 0:
+        return (p, val * n, 0, 0)
+    return _tuple_padic(p, val * n, pow(unit, n, p ** prec), prec)
+
+
+def tuple_with_precision(a: tuple, prec: int) -> tuple:
+    if a[2] == 0 or prec >= a[3]:
+        return a
+    return _tuple_padic(a[0], a[1], a[2], prec)
+
+
+def tuple_residue(a: tuple, k: int) -> int:
+    p, val, unit, _ = a
+    if k > _tuple_abs(a):
+        raise PrecisionError(f"residue mod p^{k} exceeds precision")
+    if unit == 0:
+        return 0
+    if val < 0:
+        raise PrecisionError("negative valuation: not a p-adic integer")
+    return unit * p ** val % p ** k

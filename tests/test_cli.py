@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, formats, exit codes, round trips."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -1337,6 +1338,22 @@ def test_identity_matrix_level(capsys):
                _matrix(ONE_5)) == (0, "3\n", "")
 
 
+# the identity with its off-diagonal zeros given as three zero digits at
+# valuation 1: each is zero modulo 5^4, so the diagonal's 3 digits bound
+# the level and the log
+ZERO_DIGITS_5 = json.dumps({"prime": 5, "entries": [
+    ONE_5, *2 * [dict(ONE_5, valuation=1, digits=[0, 0, 0])], ONE_5]})
+
+
+def test_zero_digit_entries_keep_their_precision(capsys):
+    assert run(capsys, "spin", "level", "--matrix-json",
+               ZERO_DIGITS_5) == (0, "3\n", "")
+    code, out, err = run(capsys, "spin", "log", "--matrix-json",
+                         ZERO_DIGITS_5, "--format", "json")
+    assert (code, err) == (0, "")
+    assert [e["zero_mod"] for e in json.loads(out)["entries"]] == [3] * 4
+
+
 @pytest.mark.parametrize("prime, code, err", [
     (5, 0, ""),
     (7, 2, "parameter error: matrix JSON 'prime' must be 5, the "
@@ -1456,3 +1473,105 @@ def test_readme_commands_run(capsys, argv, value):
     assert (code, err) == (0, "")
     if value is not None:
         assert out == value + "\n"
+
+
+# -- fuzzed argv --------------------------------------------------------------
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+FRACTIONS = st.one_of(_ints(-30, 30), st.builds(
+    "{}/{}".format, st.integers(-30, 30), st.integers(1, 30)))
+
+# Tokens for each option of cli.OPTIONS that has no choices, by dest.
+# Sizes are bounded so each command runs in milliseconds: eval's [n]!
+# is exact, and at n = 2000 it runs for seconds.
+FUZZ_VALUES = {
+    "out": st.sampled_from([os.devnull, "no-such-dir/out.txt"]),
+    "preset": st.sampled_from(["heine", "classical", "bogus"]),
+    "kernel": st.sampled_from([os.devnull, "no-such-dir/kernel.json"]),
+    **dict.fromkeys(["xi1", "xi2", "scale", "t", "z", "x", "y", "a", "b",
+                     "a_param"], FRACTIONS),
+    # values in range for the deformation (0 < q < p <= 1) and for a
+    # twist at p = 3, 5 or 7 (rho, q = 1 mod p), as well as any fraction
+    **dict.fromkeys(["p", "q", "rho"], st.one_of(st.sampled_from(
+        ["1", "9/10", "1/2", "1/3", "4", "6", "8", "11", "13/3"]),
+        FRACTIONS)),
+    "prime": st.sampled_from(["2", "3", "5", "7"]),
+    "precision": _ints(-1, 40),
+    "matrix_file": st.sampled_from([os.devnull, "no-such-dir/g.json"]),
+    "matrix_json": st.sampled_from([IDENTITY_5, ZERO_DIGITS_5, "{", "[]",
+                                    '{"prime": 5}']),
+    "levels": _ints(-1, 4), "moment": _ints(-1, 30),
+    "primes": st.sampled_from(["2,3", "5", "3,7", ""]),
+    "s_values": st.sampled_from(["2,3,4", "1", "0,-1", "30"]),
+    "s": _ints(-3, 30), "count": _ints(-2, 30), "n": _ints(-30, 30),
+    "m": _ints(-2, 30), "truncation": _ints(-1, 30),
+    "x_int": _ints(-30, 30), "coeffs": st.sampled_from(["1,2,3", "", "1/2"]),
+}
+# pgamma and pbeta take their arguments in the thousands in milliseconds
+FUZZ_WIDE = {("pgamma", "n"): _ints(-2000, 2000),
+             ("pbeta", "x"): _ints(-2000, 2000),
+             ("pbeta", "y"): _ints(-2000, 2000)}
+FUZZ_REQUIRED = {"pgamma": ["n"], "pbeta": ["x", "y"]}
+MALFORMED_TOKENS = st.sampled_from(["", "x", "1/0", "1.5", "-", "--",
+                                    "1e9", "0x10"])
+
+
+def _option_value(draw, name, dest):
+    """A malformed token one time in eight, else a valid one; --out
+    takes valid ones only, as it writes to whatever path it is given."""
+    if dest != "out" and draw(st.integers(0, 7)) == 0:
+        return draw(MALFORMED_TOKENS)
+    choices = cli.OPTIONS[dest].get("choices")
+    if dest == "kind":
+        choices = [k.split()[-1] for k in cli.SCOPE if " --kind " in k]
+    return draw(st.sampled_from(choices) if choices
+                else FUZZ_WIDE.get((name, dest), FUZZ_VALUES.get(dest)))
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """An operation of cli.SCOPE (now and then a malformed one), the
+    options it reads, each with a valid or malformed value, and now and
+    then an option it does not read or a stray token."""
+    key = draw(st.sampled_from([*cli.SCOPE, "eval bogus", "table --kind "
+                                "bogus", "spin", "bogus"]))
+    name = key.split()[0]
+    reads = list(cli.SCOPE.get(key, ()))
+    dests = [] if draw(st.integers(0, 7)) == 0 else \
+        list(FUZZ_REQUIRED.get(name, []))
+    dests += draw(st.lists(st.sampled_from(reads), unique=True, max_size=4)
+                  if reads else st.just([]))
+    dests = list(dict.fromkeys(dests))
+    if draw(st.integers(0, 9)) == 0:
+        dests.append(draw(st.sampled_from(list(cli.OPTIONS))))
+    argv = key.split()
+    for dest in dests:
+        argv.append(("-" if len(dest) == 1 else "--")
+                    + dest.replace("_", "-"))
+        if cli.OPTIONS[dest].get("action") != "store_true":
+            argv.append(_option_value(draw, name, dest))
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "stray"])))
+    return argv
+
+
+def test_fuzz_values_cover_every_option():
+    valued = {d for d, kw in cli.OPTIONS.items()
+              if kw.get("action") != "store_true" and "choices" not in kw}
+    assert valued - {"kind"} == set(FUZZ_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_argv())
+def test_fuzzed_argv_exits_by_the_contract(argv):
+    # 0, 2 (parse or parameter error), 3 (domain), 4 (i/o), and 1 only
+    # from check; every failure says why on stderr, and no exception
+    # escapes main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4) or (code, argv[0]) == (1, "check"), argv
+    assert code == 0 or err.getvalue(), argv

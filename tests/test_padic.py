@@ -1,13 +1,18 @@
 """Rational valuation and truncated p-adic arithmetic."""
 
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError)
+from oracles import (padic_tuple, tuple_add, tuple_mul, tuple_neg,
+                     tuple_pow, tuple_residue, tuple_view,
+                     tuple_with_precision)
+from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
+                            PrecisionError)
 from rpqcalc.padic import (PadicNumber, is_prime, padic_power,
                            padic_valuation)
 
@@ -132,6 +137,81 @@ def test_ring_laws_to_precision(a, b, c):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+def _operands(p):
+    """Embedded rationals of valuation -3..5 at 1-20 digits, zeros
+    O(p^k) for k in -3..20, and the zeros cancellation leaves."""
+    rational = st.builds(
+        lambda a, k, prec: PadicNumber.from_rational(a * F(p) ** k, p, prec),
+        st.fractions(min_value=-50, max_value=50, max_denominator=40)
+        .filter(lambda f: f.denominator % p), st.integers(-3, 5),
+        st.integers(1, 20))
+    zero = st.builds(PadicNumber.zero, st.just(p), st.integers(-3, 20))
+    cancelled = st.one_of(rational.map(lambda x: x - x),
+                          st.builds(operator.mul, rational, zero))
+    return st.one_of(rational, zero, cancelled)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two operands at one prime; now and then y = p^j - x, whose sum
+    with x cancels its leading digits."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    x = draw(_operands(p))
+    near = st.builds(lambda j, prec: PadicNumber.from_rational(
+        F(p) ** j, p, prec) - x, st.integers(-3, 25), st.integers(1, 20))
+    return x, draw(st.one_of(_operands(p), near))
+
+
+def _outcome(f, *args):
+    """f(*args) seen as (valuation, unit, precision, absolute precision),
+    an int, or the PrecisionError it raises."""
+    try:
+        out = f(*args)
+    except PrecisionError:
+        return PrecisionError
+    if isinstance(out, PadicNumber):
+        out = padic_tuple(out)
+    return tuple_view(out) if isinstance(out, tuple) else out
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_pairs(), st.integers(0, 5), st.integers(0, 24))
+def test_one_rule_matches_the_case_by_case_rules(pair, n, k):
+    # the class's single formulas against tests/oracles.py's branches,
+    # zero operands and cancelled results included
+    x, y = pair
+    a, b = padic_tuple(x), padic_tuple(y)
+    assert _outcome(operator.add, x, y) == _outcome(tuple_add, a, b)
+    assert _outcome(operator.sub, x, y) == \
+        _outcome(tuple_add, a, tuple_neg(b))
+    assert _outcome(operator.neg, x) == _outcome(tuple_neg, a)
+    assert _outcome(operator.mul, x, y) == _outcome(tuple_mul, a, b)
+    assert _outcome(operator.pow, x, n) == _outcome(tuple_pow, a, n)
+    assert _outcome(x.with_precision, k) == \
+        _outcome(tuple_with_precision, a, k)
+    assert _outcome(x.residue, k) == _outcome(tuple_residue, a, k)
+
+
+class TestPrecisionRule:
+    """unit * p^val is known modulo p^(val + prec) for every value."""
+
+    def test_vanishing_unit_keeps_val_plus_prec(self):
+        x = PadicNumber(5, 2, 0, 3)
+        assert x.is_zero() and x.absolute_precision == 5
+        # as a unit that cancels mod p^prec, 250 = 2 * 5^3, already did
+        assert PadicNumber(5, 2, 250, 3).absolute_precision == 5
+
+    def test_all_zero_digits_read_as_zero_mod_val_plus_prec(self):
+        x = PadicNumber.from_json({"prime": 5, "valuation": 1,
+                                   "precision": 3, "digits": [0, 0, 0]})
+        assert x.is_zero() and x.absolute_precision == 4
+
+    @pytest.mark.parametrize("unit,prec", [(1, 0), (0, -1), (3, -2)])
+    def test_negative_or_empty_precision_refused(self, unit, prec):
+        with pytest.raises(PrecisionError):
+            PadicNumber(5, 0, unit, prec)
 
 
 class TestExpLog:
