@@ -179,8 +179,9 @@ def _twist(args):
 def _emit(args, payload, plain_line: str | None = None):
     """Write data per --format to --out or stdout."""
     if args.format == "csv":
-        text = _to_csv(payload)
-    elif args.format == "plain" and plain_line is not None:
+        _write(args, _csv_emit(payload))
+        return
+    if args.format == "plain" and plain_line is not None:
         text = plain_line
     else:
         import json  # --format json, or a payload with no plain line
@@ -199,22 +200,20 @@ def _write(args, emit):
         emit(sys.stdout)
 
 
-def _to_csv(payload: dict) -> str:
-    """One ``key,value`` row per entry of a flat payload, booleans
-    spelt as in JSON; a payload that nests a list or an object has no
-    such rows and is refused."""
+def _csv_emit(payload: dict):
+    """The ``emit`` of ``_write`` for a flat payload: one ``key,value``
+    ``csv.writer`` row per entry, booleans spelt as in JSON.  A payload
+    that nests a list or an object has no such rows and is refused
+    here, before anything is written or --out is opened."""
     nested = [k for k, v in payload.items() if isinstance(v, (list, dict))]
     if nested:
         raise InvalidParameterError(
             f"--format csv cannot write the nested {', '.join(nested)}; "
             "use --format json")
     import csv  # --format csv only
-    import io
-    buf = io.StringIO()
-    csv.writer(buf).writerows(
+    return lambda fh: csv.writer(fh).writerows(
         (k, ("true" if v else "false") if isinstance(v, bool) else v)
         for k, v in payload.items())
-    return buf.getvalue().rstrip("\n")
 
 
 def _write_table(args, header: list, rows):

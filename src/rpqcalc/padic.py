@@ -76,12 +76,12 @@ def padic_valuation(x, p: int):
 
 
 def _exp_terms(v, p: int, target: int, arg: str = "x") -> int:
-    """The first N with N (v - 1/(p-1)) >= target.  When v(x) >= v,
-    every term x^n/n! with n >= N has valuation above
-    n v - n/(p-1) >= target (v(n!) < n/(p-1)), so the terms n < N give
-    exp(x) mod p^target.  The series converges exactly when
-    v > 1/(p-1) (Robert, GTM 198, ch. 5); outside that domain the
-    ``ConvergenceDomainError`` names ``arg``."""
+    """The first N with N (v - 1/(p-1)) >= target.  When v(x) >= v (a
+    zero known modulo p^k passes v = k), every term x^n/n! with n >= N
+    has valuation above n v - n/(p-1) >= target (v(n!) < n/(p-1)), so
+    the terms n < N give exp(x) mod p^target.  The series converges
+    exactly when v > 1/(p-1) (Robert, GTM 198, ch. 5); outside that
+    domain the ``ConvergenceDomainError`` names ``arg``."""
     if v == math.inf:
         return 1
     if v * (p - 1) <= 1:
@@ -107,6 +107,30 @@ def _log_terms(w: int, p: int, target: int, arg: str = "u - 1") -> int:
         if n == pk:
             k, pk = k + 1, pk * p
     return n
+
+
+def _exp_sum(x, one, target: int, terms: int):
+    """sum_{n < terms} x^n / n! for a PadicNumber or a 2x2 matrix x,
+    from ``one`` = x^0 known modulo p^target; the term counts of
+    ``_exp_terms`` make it exp(x) modulo p^target."""
+    acc = term = one
+    for n in range(1, terms):
+        term = PadicNumber.from_rational(
+            Fraction(1, n), x.prime, target + n) * (term * x)
+        acc = acc + term
+    return acc
+
+
+def _log_sum(x, one, target: int, terms: int):
+    """sum_{0 < n < terms} (-1)^(n-1) x^n / n for a PadicNumber or a 2x2
+    matrix x, known modulo p^target like ``one`` = x^0; the term counts
+    of ``_log_terms`` make it log(1 + x) modulo p^target."""
+    acc, power = one - one, one  # acc starts as zero mod p^target
+    for n in range(1, terms):
+        power = power * x
+        acc = acc + PadicNumber.from_rational(
+            Fraction(1 if n % 2 else -1, n), x.prime, target + n) * power
+    return acc
 
 
 class PadicNumber:
@@ -202,7 +226,9 @@ class PadicNumber:
     def residue(self, k: int) -> int:
         """The integer in [0, p^k) congruent to self mod p^k.
 
-        Requires v >= 0 and k within the guaranteed precision."""
+        Requires v >= 0 and 0 <= k within the guaranteed precision."""
+        if k < 0:
+            raise PrecisionError(f"residue needs k >= 0; got {k}")
         if k > self.absolute_precision:
             raise PrecisionError(
                 f"residue mod p^{k} exceeds precision O(p^{self.absolute_precision})")
@@ -313,59 +339,21 @@ class PadicNumber:
     # -- special functions -------------------------------------------
 
     def exp(self) -> "PadicNumber":
-        """exp(x) = sum x^n/n!, truncated at the stored precision.
+        """exp(x) = sum x^n/n!, known modulo p^A for x known modulo p^A.
 
-        Per-term valuation is n*v(x) - v(n!); the series converges iff
-        v(x) > 1/(p-1).
+        The series converges iff v(x) > 1/(p-1); a zero known modulo
+        p^A only has v(x) >= A, so it must have A > 1/(p-1) too.
         """
-        p = self.prime
-        if self.unit == 0:
-            return PadicNumber.one(p, self._val)
         A = self.absolute_precision
-        terms = _exp_terms(self._val, p, A)
-        m = p ** A
-        u, v = self.unit % m, self._val
-        acc = 1 % m
-        upow = 1
-        fact_unit = 1      # n! = p^fact_val * fact_unit
-        fact_val = 0
-        for n in range(1, terms):
-            upow = upow * u % m
-            k = n
-            while k % p == 0:
-                fact_val += 1
-                k //= p
-            fact_unit = fact_unit * k % m
-            exponent = n * v - fact_val
-            if exponent < A:
-                acc = (acc + upow * pow(fact_unit, -1, m)
-                       * p ** exponent) % m
-        return PadicNumber(p, 0, acc, A)
+        terms = _exp_terms(self._val, self.prime, A)
+        return _exp_sum(self, PadicNumber.one(self.prime, A), A, terms)
 
     def log(self) -> "PadicNumber":
         """log(u) = sum (-1)^(n-1) (u-1)^n / n for |u - 1|_p < 1."""
-        p = self.prime
         x = self - 1
-        if x.is_zero():
-            return PadicNumber.zero(p, x._val)
-        A = min(self.absolute_precision, x.absolute_precision)
-        terms = _log_terms(x._val, p, A)
-        m = p ** A
-        a, w = x.unit % m, x._val
-        acc = 0
-        apow = 1
-        for n in range(1, terms):
-            apow = apow * a % m
-            f = 0
-            k = n
-            while k % p == 0:
-                f += 1
-                k //= p
-            exponent = n * w - f
-            if exponent < A:
-                term = apow * pow(k, -1, m) % m * p ** exponent % m
-                acc = (acc - term if n % 2 == 0 else acc + term) % m
-        return PadicNumber(p, 0, acc, A)
+        A = x.absolute_precision
+        terms = _log_terms(x._val, self.prime, A)
+        return _log_sum(x, PadicNumber.one(self.prime, A), A, terms)
 
     def sqrt(self) -> "PadicNumber":
         """Square root by Hensel lifting (odd p, square unit, even

@@ -19,7 +19,8 @@ from typing import NamedTuple
 from ._util import IdentityResult, SuiteReport, exact_str, is_int
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from .padic import PadicNumber, _exp_terms, _log_terms, is_prime
+from .padic import (PadicNumber, _exp_sum, _exp_terms, _log_sum, _log_terms,
+                    is_prime)
 
 
 class Mat2Padic:
@@ -77,6 +78,8 @@ class Mat2Padic:
 
     def scaled(self, s) -> "Mat2Padic":
         return Mat2Padic(self.a * s, self.b * s, self.c * s, self.d * s)
+
+    __rmul__ = scaled  # c * M for a PadicNumber c, as c * x for a scalar x
 
     def trace(self) -> PadicNumber:
         return self.a + self.d
@@ -158,14 +161,9 @@ def mat_exp(S: Mat2Padic, t) -> Mat2Padic:
     tS = S.scaled(t)
     if (S @ S).is_zero():
         return Mat2Padic.identity(p, S.precision + 2) + tS
-    target = min(e.absolute_precision for e in tS.entries())
+    target = tS.precision
     terms = _exp_terms(tS.min_valuation(), p, target, "tS")
-    acc = term = Mat2Padic.identity(p, target)
-    for n in range(1, terms):
-        term = (term @ tS).scaled(
-            PadicNumber.from_rational(Fraction(1, n), p, target + n))
-        acc = acc + term
-    return acc
+    return _exp_sum(tS, Mat2Padic.identity(p, target), target, terms)
 
 
 def mat_log(g: Mat2Padic) -> Mat2Padic:
@@ -184,18 +182,11 @@ def mat_log(g: Mat2Padic) -> Mat2Padic:
     X = g - ident
     if X.is_zero():
         return Mat2Padic.zero(p, prec)
-    target = min(e.absolute_precision for e in X.entries())
+    target = X.precision
     terms = _log_terms(X.min_valuation(), p, target, "g - I")
     if (X @ X).is_zero():
         return X
-    acc = Mat2Padic.zero(p, target)
-    power = Mat2Padic.identity(p, target)
-    for n in range(1, terms):
-        power = power @ X
-        coeff = Fraction(1, n) if n % 2 else Fraction(-1, n)
-        acc = acc + power.scaled(
-            PadicNumber.from_rational(coeff, p, target + n))
-    return acc
+    return _log_sum(X, Mat2Padic.identity(p, target), target, terms)
 
 
 def congruence_level(g: Mat2Padic) -> int:

@@ -12,7 +12,8 @@ from rpqcalc import _kernel
 from rpqcalc.deform import rpq_number
 from rpqcalc.errors import PrecisionError
 from rpqcalc.gammabeta import rational_pow_exact
-from rpqcalc.padic import DEFAULT_PRECISION, PadicNumber, int_valuation
+from rpqcalc.padic import (DEFAULT_PRECISION, PadicNumber, _exp_terms,
+                          _log_terms, int_valuation)
 from rpqcalc.padicfun import number_at
 
 
@@ -185,3 +186,62 @@ def tuple_residue(a: tuple, k: int) -> int:
     if val < 0:
         raise PrecisionError("negative valuation: not a p-adic integer")
     return unit * p ** val % p ** k
+
+
+# -- the residue loops of exp and log -----------------------------------
+#
+# exp and log of a PadicNumber summed as integers modulo p^A, with the
+# factorial's p-part and unit kept apart and a shortcut for a zero
+# argument: the series the library now sums in PadicNumber arithmetic.
+
+def residue_exp(x: PadicNumber) -> PadicNumber:
+    """exp(x) = sum x^n/n! modulo p^A, A the absolute precision of x;
+    a zero known modulo p^A gives one modulo p^A."""
+    p, A = x.prime, x.absolute_precision
+    if x.is_zero():
+        return PadicNumber.one(p, A)
+    terms = _exp_terms(x.valuation, p, A)
+    m = p ** A
+    u, v = x.unit % m, x.valuation
+    acc = 1 % m
+    upow = 1
+    fact_unit = 1      # n! = p^fact_val * fact_unit
+    fact_val = 0
+    for n in range(1, terms):
+        upow = upow * u % m
+        k = n
+        while k % p == 0:
+            fact_val += 1
+            k //= p
+        fact_unit = fact_unit * k % m
+        exponent = n * v - fact_val
+        if exponent < A:
+            acc = (acc + upow * pow(fact_unit, -1, m) * p ** exponent) % m
+    return PadicNumber(p, 0, acc, A)
+
+
+def residue_log(u: PadicNumber) -> PadicNumber:
+    """log(u) = sum (-1)^(n-1) (u-1)^n / n modulo p^A, A the absolute
+    precision of u - 1; u - 1 zero modulo p^A gives zero modulo p^A."""
+    p = u.prime
+    x = u - 1
+    A = min(u.absolute_precision, x.absolute_precision)
+    if x.is_zero():
+        return PadicNumber.zero(p, A)
+    terms = _log_terms(x.valuation, p, A)
+    m = p ** A
+    a, w = x.unit % m, x.valuation
+    acc = 0
+    apow = 1
+    for n in range(1, terms):
+        apow = apow * a % m
+        f = 0
+        k = n
+        while k % p == 0:
+            f += 1
+            k //= p
+        exponent = n * w - f
+        if exponent < A:
+            term = apow * pow(k, -1, m) % m * p ** exponent % m
+            acc = (acc - term if n % 2 == 0 else acc + term) % m
+    return PadicNumber(p, 0, acc, A)

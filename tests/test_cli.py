@@ -1437,6 +1437,87 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# (exit code, stdout sha256) of commands that reach the p-adic exp and
+# log series and that no benchmark pool entry runs: carlitz with a
+# non-integer --a-param (a p-adic power q^a = exp(a log q)) and spin exp
+# with t = 1/p or a scale p^i (the matrix exponential), recorded from
+# the residue loops that the shared series sums replaced
+SERIES_ROUTE_SHA256 = {
+    "carlitz -n 2 --a-param 1/2 --prime 3 --method direct --format plain": (
+        0, "9a02321d49c76981f389ee80dd89544a5b8956d8075fdbf71e431ca5c6015af8"),
+    "carlitz -n 2 --a-param 1/2 --prime 3 --method direct --format json": (
+        0, "2a78554f4b32c24bdb0adf2eb6f77300da4c123574e479c63e9f61b342b709ac"),
+    "carlitz -n 2 --a-param 1/2 --prime 3 --method moments --format plain": (
+        0, "9a02321d49c76981f389ee80dd89544a5b8956d8075fdbf71e431ca5c6015af8"),
+    "carlitz -n 2 --a-param 1/2 --prime 3 --method moments --format json": (
+        0, "98c30d06382dd81fe9008c6c7b363eacf53429faa7271f2e1378114b7f23303b"),
+    "carlitz -n 2 --a-param 1/2 --prime 5 --method direct --format plain": (
+        0, "85f49c457acbf6d197635ba859594b77f7685803276bd9f45c8af9e9ca143a43"),
+    "carlitz -n 2 --a-param 1/2 --prime 5 --method direct --format json": (
+        0, "8ded67dc0f0b4a758befd0cb4fa476c948f47afb34ff01abb0278db22242dd47"),
+    "carlitz -n 2 --a-param 1/2 --prime 5 --method moments --format plain": (
+        0, "85f49c457acbf6d197635ba859594b77f7685803276bd9f45c8af9e9ca143a43"),
+    "carlitz -n 2 --a-param 1/2 --prime 5 --method moments --format json": (
+        0, "15ddbae45374e3ce198ec345d268c66c101b6c44dc81cdfd19085f66d5f875a5"),
+    "carlitz -n 2 --a-param 1/2 --prime 7 --method direct --format plain": (
+        0, "c2f099eb9f4cf2bed36c9c917abcf6f9f19cb4ce5bc4d5d79162dec483a12ae8"),
+    "carlitz -n 2 --a-param 1/2 --prime 7 --method direct --format json": (
+        0, "4e040b5ea4bb8ddc0247d6b109d272660466d9d2b4849437cf2ee9ce0c586d08"),
+    "carlitz -n 2 --a-param 1/2 --prime 7 --method moments --format plain": (
+        0, "c2f099eb9f4cf2bed36c9c917abcf6f9f19cb4ce5bc4d5d79162dec483a12ae8"),
+    "carlitz -n 2 --a-param 1/2 --prime 7 --method moments --format json": (
+        0, "913444d09d2a749fb5966252b907b81f0267399213e6f55c45e6b556aadc626c"),
+    "carlitz -n 3 --a-param=-3/4 --prime 5 --method moments": (
+        0, "2ff6c523bdf0fe256735fcfafedefe3716fa28a91ae9c8016cad4cbeb2956fe9"),
+    "carlitz -n 3 --a-param=2/3 --prime 5 --method direct": (
+        0, "4a75442f4a221be7365df4f6aa7755d9d33306200bd1fa8ba6e178c4782511cb"),
+    "carlitz -n 3 --a-param=7/3 --prime 7 --method moments": (
+        0, "cc310bdc5015edac7e9eaa5988389d3fb0142604c3ed5b7bffe5981aa58706e4"),
+    "carlitz -n 3 --a-param=1/5 --prime 3 --method direct": (
+        0, "41d7a8d79f4d62e26097f4344c7fc1bcf02b8a5a78c2f759852fad6728eab382"),
+    "carlitz -n 3 --a-param=1/5 --prime 5 --method moments": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "carlitz -n 1 --a-param 1/2 --prime 5 --x-int 4 --precision 40": (
+        0, "e9df2b8f2a7fbb028a003a57225db72a9948467b6d146856ddcf14c640cd5078"),
+    "spin exp --generator minus --prime 3 -t 1/3": (
+        0, "2080c86011c3b2b95b73703d4b84b570771de847babef74b6c747cabac6b89a4"),
+    "spin exp --generator z --prime 3 -t 1/3": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "spin exp --generator plus --prime 3 -t 1/3": (
+        0, "561aa7e8f67295d92104ec76d7608858ada4a32dd240542c47ffcebb89c58d06"),
+    "spin exp --generator minus --prime 5 -t 1/5": (
+        0, "d78fceb1f0cccf3e576918194ca82b8f80568d251e4b3bfd9bfffc790ceda675"),
+    "spin exp --generator z --prime 5 -t 1/5": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "spin exp --generator plus --prime 5 -t 1/5": (
+        0, "e4a44010e12485e31b436e729467cbbacfacd6752c27e2f9d480c880b7956667"),
+    "spin exp --generator minus --prime 7 -t 1/7": (
+        0, "9ecd659e3476c476369085d97048204af4128c84935c1f2fb50578aaf714120a"),
+    "spin exp --generator z --prime 7 -t 1/7": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "spin exp --generator plus --prime 7 -t 1/7": (
+        0, "b3e631f9b0c24fff23567049f770ad36f1ff586bc10d2b003cfd5b7265546e96"),
+    "spin exp --generator z --prime 3 --scale 3": (
+        0, "cd5054c4cb6ae22a9f12ce41ed8f3ddd6c8648a977db5c6a20ce145fbb456916"),
+    "spin exp --generator z --prime 3 --scale 9 -t 1/3 --format json": (
+        0, "55d91a9565641548cab8fca88151c064af9aa2b0f57d2d151e41810d20ab6e0a"),
+    "spin exp --generator z --prime 5 --scale 5": (
+        0, "4f249bccd32cefbed4089eedb0009dfa3bbbdbf16f6dbe9e82e83df4eb2c5a2b"),
+    "spin exp --generator z --prime 5 --scale 25 -t 1/5 --format json": (
+        0, "da4880cbff447feda9ecf16acf3846e545c32968399bee9177e0a60353414306"),
+    "spin exp --generator z --prime 7 --scale 7": (
+        0, "f8d00e40101df7ff61c8ce7cfd4f0f52a0f47afa6df39cb89f715cd1647f91d3"),
+    "spin exp --generator z --prime 7 --scale 49 -t 1/7 --format json": (
+        0, "7ba606a99d7ee54dcda79a3db3fadc24b527584d13a2166dbcf115c4e1fcc1e5"),
+}
+
+
+@pytest.mark.parametrize("line", list(SERIES_ROUTE_SHA256))
+def test_series_routes_pinned(capsys, line):
+    code, out, _ = run(capsys, *line.split())
+    assert (code, _sha256(out)) == SERIES_ROUTE_SHA256[line]
+
+
 @on_311
 @pytest.mark.parametrize("name", list(HELP_SHA256))
 def test_help_text_pinned(capsys, monkeypatch, name):

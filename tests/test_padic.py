@@ -2,17 +2,18 @@
 
 import math
 import operator
+import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (padic_tuple, tuple_add, tuple_mul, tuple_neg,
-                     tuple_pow, tuple_residue, tuple_view,
-                     tuple_with_precision)
+from oracles import (padic_tuple, residue_exp, residue_log, tuple_add,
+                     tuple_mul, tuple_neg, tuple_pow, tuple_residue,
+                     tuple_view, tuple_with_precision)
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
-                            PrecisionError)
+                            PrecisionError, RpqError)
 from rpqcalc.padic import (PadicNumber, is_prime, padic_power,
                            padic_valuation)
 
@@ -213,6 +214,11 @@ class TestPrecisionRule:
         with pytest.raises(PrecisionError):
             PadicNumber(5, 0, unit, prec)
 
+    def test_negative_residue_refused(self):
+        # p ** k is a float for k < 0, and so was the residue
+        with pytest.raises(PrecisionError, match="k >= 0; got -1"):
+            PadicNumber.from_rational(7, 5, 3).residue(-1)
+
 
 class TestExpLog:
     def test_exp_zero(self):
@@ -242,6 +248,23 @@ class TestExpLog:
     def test_log_domain_error(self):
         with pytest.raises(ConvergenceDomainError):
             PadicNumber.from_rational(2, 5, 10).log()
+
+    @pytest.mark.parametrize("p, k, bound", [
+        (2, 1, "v(x) > 1; got v(x) = 1"),
+        (5, 0, "v(x) > 1/4; got v(x) = 0"),
+        (5, -1, "v(x) > 1/4; got v(x) = -1"),
+    ])
+    def test_exp_of_zero_outside_domain_refused(self, p, k, bound):
+        # zero mod p^k stands for values of valuation k, outside the
+        # domain, so no digit of exp is certified
+        with pytest.raises(ConvergenceDomainError, match=re.escape(bound)):
+            PadicNumber.zero(p, k).exp()
+
+    def test_log_of_zero_outside_domain_refused(self):
+        # zero mod 5^0 - 1 is zero mod 5^0: v(u - 1) >= 0 only
+        with pytest.raises(ConvergenceDomainError,
+                           match=re.escape("< 1; got v(u - 1) = 0")):
+            PadicNumber.zero(5, 0).log()
 
     def test_power(self):
         q = PadicNumber.from_rational(6, 5, 8)
@@ -276,6 +299,47 @@ def test_exp_log_match_rational_series(p, k, num, den, prec):
     oracle = sum((-1) ** (n - 1) * x ** n / n
                  for n in range(1, 4 * (k + prec)))
     assert (1 + px).log() == PadicNumber.from_rational(oracle, p, k + prec)
+
+
+@st.composite
+def series_arguments(draw):
+    """unit * p^val at p in {2, 3, 5, 7, 11}, val in -2..40 and 1-60
+    digits; a zero unit gives zero modulo p^(val + digits)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    prec = draw(st.integers(1, 60))
+    unit = draw(st.one_of(st.just(0), st.integers(1, p ** prec - 1)))
+    return PadicNumber(p, draw(st.integers(-2, 40)), unit, prec)
+
+
+def _series_outcome(f, x):
+    try:
+        return repr(f(x))
+    except RpqError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(series_arguments())
+@example(PadicNumber.zero(2, 1))
+@example(PadicNumber.zero(5, 0))
+@example(PadicNumber(5, -1, 1, 1))
+def test_exp_log_match_the_residue_loops(x):
+    """exp of x, and log of x and of 1 + x, give the repr or the error
+    class of the residue loops of tests/oracles.py, except where the
+    argument is a zero whose certified digits leave the domain open:
+    the loops returned a digit there, the series refuse."""
+    if x.is_zero() and x.absolute_precision * (x.prime - 1) <= 1:
+        assert _series_outcome(PadicNumber.exp, x) is ConvergenceDomainError
+    else:
+        assert _series_outcome(PadicNumber.exp, x) == \
+            _series_outcome(residue_exp, x)
+    for u in (x, 1 + x):
+        if (u - 1).is_zero() and (u - 1).absolute_precision <= 0:
+            assert _series_outcome(PadicNumber.log, u) \
+                is ConvergenceDomainError
+        else:
+            assert _series_outcome(PadicNumber.log, u) == \
+                _series_outcome(residue_log, u)
 
 
 class TestSqrt:
