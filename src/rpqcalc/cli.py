@@ -27,11 +27,11 @@ from fractions import Fraction
 
 from ._util import exact_str, running_product_strs, uncapped
 from .errors import (ConvergenceDomainError, InvalidParameterError,
-                     NoConvergenceError, PoleError, RpqError,
-                     SingularDeformationError, SingularityError)
+                     PoleError, RpqError, SingularDeformationError,
+                     SingularityError)
 
 DOMAIN_ERRORS = (ConvergenceDomainError, PoleError, SingularDeformationError,
-                 SingularityError, NoConvergenceError)
+                 SingularityError)
 
 CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
                  "padicfun", "spinzeta")

@@ -29,9 +29,5 @@ class PoleError(RpqError):
     """Exact evaluation requested at a pole of a rational function."""
 
 
-class NoConvergenceError(RpqError):
-    """A limit process did not stabilize within its level budget."""
-
-
 class PrecisionError(RpqError):
     """A p-adic result was requested beyond its guaranteed precision."""

@@ -475,10 +475,19 @@ def _sqrt_mod_p(a: int, p: int):
 
 
 def padic_power(q: PadicNumber, x) -> PadicNumber:
-    """q^x = exp(x log q); requires |q - 1|_p < p^(-1/(p-1))."""
+    """q^x for an int, ``Fraction`` or ``PadicNumber`` exponent x: the
+    exact q ** x when x is an integer, else exp(x log q).  Either way q
+    must satisfy |q - 1|_p < p^(-1/(p-1)); any other exponent type is
+    refused."""
     d = q - 1
     if not d.is_zero():  # v(log q) = v(q - 1) must lie in the exp domain
         _exp_terms(d._val, q.prime, 0, "q - 1")
-    if not isinstance(x, PadicNumber):
+    if isinstance(x, Fraction) and x.denominator == 1 or is_int(x):
+        return q ** int(x)
+    if isinstance(x, Fraction):
         x = PadicNumber.from_rational(x, q.prime, max(q.prec, 1))
+    elif not isinstance(x, PadicNumber):
+        raise InvalidParameterError(
+            f"the exponent of a p-adic power must be an int, a Fraction or "
+            f"a PadicNumber; got {type(x).__name__}")
     return (x * q.log()).exp()

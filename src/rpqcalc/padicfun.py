@@ -20,10 +20,10 @@ import math
 from fractions import Fraction
 from itertools import accumulate, count, islice, takewhile
 from operator import attrgetter, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._util import Frozen, IdentityResult, SuiteReport
-from .errors import InvalidParameterError, NoConvergenceError
+from .errors import InvalidParameterError
 from .padic import (PadicNumber, int_valuation, is_prime, padic_power,
                     padic_valuation)
 
@@ -251,14 +251,6 @@ class ConvergenceReport(NamedTuple):
             for a, b in zip(ds, ds[1:]))
 
     @property
-    def value(self) -> PadicNumber:
-        if not self.converged:
-            raise NoConvergenceError(
-                f"no stabilization within the level budget; difference "
-                f"valuations {self.diff_valuations}")
-        return self.best_value
-
-    @property
     def best_value(self) -> PadicNumber:
         return self.values[-1]
 
@@ -357,20 +349,16 @@ def _moment_residues(r: int, b: int, rx: int, qx: int, rho: int, q: int,
 
 
 def _moment_sums(r: int, base: PadicNumber, tw: TwistParams,
-                 rho_x: Optional[PadicNumber] = None,
-                 q_x: Optional[PadicNumber] = None
+                 rho_x: PadicNumber, q_x: PadicNumber
                  ) -> Iterator[PadicNumber]:
     """Level sums (rho^(p^N)/[p^N]) sum_{t<p^N} base^t [x+t]^r for
     N = 1, 2, ..., [x+t] = (rho_x rho^t - q_x q^t)/(rho - q), in closed
-    form; rho_x = q_x = 1 (x = 0) when omitted.  base = (q/rho) rho^c
-    gives int rho^(ct) [x+t]^r dmu(t)."""
+    form.  base = (q/rho) rho^c gives int rho^(ct) [x+t]^r dmu(t)."""
     p = tw.prime
-    W = min(tw.work_precision, base.absolute_precision)
-    rx = qx = 1
-    if rho_x is not None:
-        W = min(W, rho_x.absolute_precision, q_x.absolute_precision)
-        rx, qx = rho_x.residue(W), q_x.residue(W)
-    sums = _moment_residues(r, base.residue(W), rx, qx, tw.rho.residue(W),
+    W = min(tw.work_precision, base.absolute_precision,
+            rho_x.absolute_precision, q_x.absolute_precision)
+    sums = _moment_residues(r, base.residue(W), rho_x.residue(W),
+                            q_x.residue(W), tw.rho.residue(W),
                             tw.q.residue(W), p, W)
     scale = (tw.rho - tw.q) ** r
     for N, s in enumerate(sums, 1):
@@ -380,27 +368,19 @@ def _moment_sums(r: int, base: PadicNumber, tw: TwistParams,
 def volkenborn_moment(r: int, tw: TwistParams,
                       max_level: int = DEFAULT_LEVELS
                       ) -> ConvergenceReport:
-    """int [t]^r dmu(t), each level in closed form (the hot path)."""
+    """int [t]^r dmu(t): the Carlitz value B_{r;0}(0)."""
     if r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
-    return _converge(_moment_sums(r, tw.q / tw.rho, tw),
-                     max_level, tw.shown)
+    return carlitz_bernoulli(r, 0, 0, tw, max_level)
 
 
 # -- Carlitz-type Bernoulli polynomials ------------------------------------
 
-def _twist_power(base: PadicNumber, a: Fraction) -> PadicNumber:
-    """base^a for rational a: exact for integers, else exp(a log base)."""
-    a = Fraction(a)
-    if a.denominator == 1:
-        return base ** a.numerator
-    return padic_power(base, a)
-
-
 def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
                       max_level: int = DEFAULT_LEVELS,
                       method: str = "direct") -> ConvergenceReport:
-    """B_{n;a}(x) = int rho^(at) [x+t]^n dmu(t).
+    """B_{n;a}(x) = int rho^(at) [x+t]^n dmu(t), for a and x each an
+    int, a ``Fraction`` or a ``PadicNumber`` (powers by ``padic_power``).
 
     ``direct`` integrates the full integrand; ``moments`` uses the
     two-base split [x+t] = rho^t [x] + q^x [t] and the binomial
@@ -411,13 +391,8 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
         raise InvalidParameterError("need n >= 0")
     if method not in ("direct", "moments"):
         raise InvalidParameterError("method must be direct or moments")
-    a = Fraction(a)
-    rho_a = _twist_power(tw.rho, a)
-    if isinstance(x, PadicNumber):
-        rho_x = padic_power(tw.rho, x)
-        q_x = padic_power(tw.q, x)
-    else:
-        rho_x, q_x = tw.rho ** int(x), tw.q ** int(x)
+    rho_a = padic_power(tw.rho, a)
+    rho_x, q_x = padic_power(tw.rho, x), padic_power(tw.q, x)
     if method == "direct":
         base = tw.q / tw.rho * rho_a
         return _converge(_moment_sums(n, base, tw, rho_x, q_x),
@@ -431,8 +406,9 @@ def _carlitz_moments(n, a, rho_x, q_x, tw, max_level):
     bracket_x = (rho_x - q_x) / (tw.rho - tw.q)
     coeffs = [math.comb(n, r) * bracket_x ** (n - r) * q_x ** r
               for r in range(n + 1)]
+    one = PadicNumber.one(tw.prime, tw.work_precision)
     streams = [_moment_sums(
-        r, tw.q / tw.rho * _twist_power(tw.rho, a + n - r), tw)
+        r, tw.q / tw.rho * padic_power(tw.rho, a + n - r), tw, one, one)
         for r in range(n + 1)]
     zero = PadicNumber.zero(tw.prime, tw.work_precision)
     return _converge((_resolved(sum(map(mul, coeffs, moments), zero), N, tw)

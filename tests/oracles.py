@@ -245,3 +245,18 @@ def residue_log(u: PadicNumber) -> PadicNumber:
             term = apow * pow(k, -1, m) % m * p ** exponent % m
             acc = (acc - term if n % 2 == 0 else acc + term) % m
     return PadicNumber(p, 0, acc, A)
+
+
+# -- the group law of the spin matrices ------------------------------------
+
+def bch_degree3(X, Y):
+    """The Baker-Campbell-Hausdorff series of log(exp X exp Y) through
+    degree 3, X + Y + [X,Y]/2 + ([X,[X,Y]] - [Y,[X,Y]])/12, for 2x2
+    matrices with ``@``, ``-``, ``+`` and ``scaled``.  Its first omitted
+    term is the degree-4 -[Y,[X,[X,Y]]]/24 (Serre, *Lie Algebras and
+    Lie Groups*, Part I, ch. IV)."""
+    def bracket(A, B):
+        return A @ B - B @ A
+    XY = bracket(X, Y)
+    return X + Y + XY.scaled(Fraction(1, 2)) \
+        + (bracket(X, XY) - bracket(Y, XY)).scaled(Fraction(1, 12))

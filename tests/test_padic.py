@@ -273,6 +273,14 @@ class TestExpLog:
         assert padic_power(q, 2) == q * q
         x = PadicNumber.from_rational(2, 5, 8)
         assert padic_power(q, x) == q * q
+        # an integral Fraction is the exact power, like an int
+        for n in (-3, 0, 2):
+            assert repr(padic_power(q, F(n))) == repr(q ** n)
+            assert repr(padic_power(q, n)) == repr(q ** n)
+        for bad in (2.0, 0.5, "2", None):
+            with pytest.raises(InvalidParameterError,
+                               match=f"exponent .*; got {type(bad).__name__}"):
+                padic_power(q, bad)
 
     def test_power_domain(self):
         q = PadicNumber.from_rational(2, 5, 8)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import bch_degree3
 from rpqcalc import cli
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             PoleError)
-from rpqcalc.padic import PadicNumber
+from rpqcalc.padic import PadicNumber, padic_valuation
 from rpqcalc.spinzeta import (GHOST_GROUPS, Mat2Padic,
                               commutator, congruence_level, ghost_boundary,
                               mat_exp, mat_log, spin_generators,
@@ -264,6 +265,28 @@ def test_exp_log_match_old_loops(p, prec, shift, abc, d, t_unit, t_val):
             assert mat_log(new) == tS
     else:
         assert isinstance(new, ConvergenceDomainError)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), prec=st.integers(12, 30),
+       k=st.integers(1, 3), abc=st.tuples(*[st.integers(-3, 3)] * 6))
+@example(p=3, prec=30, k=1, abc=(1, 0, 0, 0, 0, 1))
+def test_group_law_is_bch(p, prec, k, abc):
+    """exp and log against the group law: for X, Y in p^k times the
+    spin lattice, log(exp X exp Y) minus the degree-3 BCH polynomial
+    has valuation at least 4k - v_p(24), or the precision of both
+    sides where that is lower.  The bound is the valuation of the first
+    omitted term, -[Y,[X,[X,Y]]]/24 (Serre, *Lie Algebras and Lie
+    Groups*, Part I, ch. IV); the later terms have denominators whose
+    p-valuation grows more slowly than their degree times k."""
+    Sm, Sz, Sp = gens(p=p, prec=prec)
+    X, Y = ((Sm.scaled(a) + Sz.scaled(b) + Sp.scaled(c)).scaled(p ** k)
+            for a, b, c in (abc[:3], abc[3:]))
+    got = mat_log(mat_exp(X, 1) @ mat_exp(Y, 1))
+    want = bch_degree3(X, Y)
+    bound = min(4 * k - padic_valuation(24, p), got.precision,
+                want.precision)
+    assert all(e.valuation >= bound for e in (got - want).entries())
 
 
 class TestCongruenceLevel:
