@@ -2,7 +2,7 @@
 
 Modules
 -------
-padic       rational helpers and truncated p-adic arithmetic
+padic       truncated p-adic arithmetic and the p-adic power
 deform      structure functions, deformed numbers/factorials/binomials
 poly        exact polynomials and the spectral derivative/antiderivative
 series      deformed exponentials, zigzag numbers, Bernoulli/Euler/
@@ -10,7 +10,7 @@ series      deformed exponentials, zigzag numbers, Bernoulli/Euler/
 quadrature  geometric node sums, definite integrals
 gammabeta   power basis, deformed gamma/beta
 padicfun    p-adic gamma/beta, Volkenborn measure/moments, Carlitz,
-            fermionic integral
+            fermionic moments
 spinzeta    spin generators over Z_p, matrix exp/log, local zeta values
 cli         command-line front end (``rpqcalc``)
 
@@ -24,7 +24,7 @@ pays only for the modules it uses.  ``KERNEL_BACKEND`` names the
 implementation of the modular-integer loop in ``rpqcalc._kernel``
 (``"python"``), which no library module uses: it serves the tests'
 Riemann-sum oracle and the benchmark's tracer, while the Volkenborn
-moments and Carlitz values are closed forms.
+and fermionic moments and the Carlitz values are closed forms.
 """
 
 import importlib
@@ -36,7 +36,7 @@ KERNEL_BACKEND = "python"
 # submodule -> the public names it defines, in the order of __all__
 _EXPORTS = {
     "errors": ("RpqError",),
-    "padic": ("PadicNumber", "padic_valuation", "padic_power"),
+    "padic": ("PadicNumber", "padic_power"),
     "deform": ("StructureFunction", "DeformParams", "rpq_number",
                "rpq_factorial", "rpq_binomial", "bm_identity_suite"),
     "poly": ("Polynomial", "rpq_derivative_poly"),

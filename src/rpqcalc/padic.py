@@ -65,16 +65,6 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def padic_valuation(x, p: int):
-    """v_p(x) for a rational x: the n in x = p^n * a/b with p dividing
-    neither a nor b.  Returns ``math.inf`` for x = 0."""
-    _check_prime(p)
-    x = Fraction(x)
-    if x == 0:
-        return math.inf
-    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
-
-
 def _exp_terms(v, p: int, target: int, arg: str = "x") -> int:
     """The first N with N (v - 1/(p-1)) >= target.  When v(x) >= v (a
     zero known modulo p^k passes v = k), every term x^n/n! with n >= N
@@ -178,11 +168,15 @@ class PadicNumber:
 
     @classmethod
     def from_rational(cls, x, prime: int, prec: int = DEFAULT_PRECISION):
-        """Embed a rational with p not dividing the reduced denominator's
-        prime-to-p part (any rational is fine: p-powers go to the
-        valuation)."""
+        """Embed x, an int (not a bool) or a ``Fraction``; any rational
+        is fine, as p-powers go to the valuation.  Any other type is
+        refused: a float would embed its binary expansion, not the
+        rational it was meant to be."""
         _check_prime(prime)  # before int_valuation, which loops at p = 1
-        x = Fraction(x)
+        if not (is_int(x) or isinstance(x, Fraction)):
+            raise InvalidParameterError(
+                f"a p-adic embedding needs an int or a Fraction; got "
+                f"{type(x).__name__}")
         if x == 0:
             return cls.zero(prime, prec)
         vn = int_valuation(x.numerator, prime)
@@ -250,7 +244,7 @@ class PadicNumber:
                 raise InvalidParameterError(
                     f"mixed primes {self.prime} and {other.prime}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if is_int(other) or isinstance(other, Fraction):
             return PadicNumber.from_rational(
                 other, self.prime, max(self.prec, DEFAULT_PRECISION))
         return None
@@ -490,4 +484,6 @@ def padic_power(q: PadicNumber, x) -> PadicNumber:
         raise InvalidParameterError(
             f"the exponent of a p-adic power must be an int, a Fraction or "
             f"a PadicNumber; got {type(x).__name__}")
-    return (x * q.log()).exp()
+    y = x * q.log()
+    _exp_terms(y._val, q.prime, 0, "x log q")  # name the power, not exp's x
+    return y.exp()

@@ -1,6 +1,6 @@
 """p-adic deformed factorial/gamma/beta, the twisted Volkenborn measure
-and moments, Carlitz-type Bernoulli polynomials, and the fermionic
-integral.
+and moments, Carlitz-type Bernoulli polynomials, and the twisted
+fermionic moments.
 
 Twist parameters rho != q are p-adic numbers congruent to 1 mod p, and
 the kernel is the two-base one, [j] = (rho^j - q^j)/(rho - q).
@@ -12,6 +12,8 @@ The measure implemented here is
 whose distribution relation is exact (checked in the test suite); at
 rho = 1 it reduces to the familiar q^a / [p^N] weight.  The moments and
 Carlitz values are its Riemann sums at each level, each in closed form.
+The fermionic moments sum (-1)^t [t]^r over t < p^N the same way, with
+no [p^N] prefactor.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, count, islice, takewhile
-from operator import attrgetter, mul
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
 from ._util import Frozen, IdentityResult, SuiteReport
 from .errors import InvalidParameterError
-from .padic import (PadicNumber, int_valuation, is_prime, padic_power,
-                    padic_valuation)
+from .padic import PadicNumber, int_valuation, is_prime, padic_power
 
 DEFAULT_LEVELS = 6
 DEFAULT_PRECISION = 16
@@ -70,7 +71,7 @@ class TwistParams(Frozen):
              ) -> "TwistParams":
         work = precision + DEFAULT_LEVELS + 8
         emb = lambda v: v if isinstance(v, PadicNumber) \
-            else PadicNumber.from_rational(Fraction(v), prime, work)
+            else PadicNumber.from_rational(v, prime, work)
         return cls(prime, emb(rho), emb(q), precision)
 
     def powered(self, k: int) -> "TwistParams":
@@ -264,11 +265,10 @@ class ConvergenceReport(NamedTuple):
         }
 
 
-def _converge(sums: Iterable, max_level: int, shown: Callable,
-              valuation: Callable = attrgetter("valuation")
-              ) -> ConvergenceReport:
+def _converge(sums: Iterable, max_level: int,
+              tw: TwistParams) -> ConvergenceReport:
     """Report the first max_level of the level sums (N = 1, 2, ...):
-    each level's value as shown(s) and the valuations of successive
+    each level's value as tw.shown(s) and the valuations of successive
     differences (the zero difference has valuation inf).  sums is not
     iterated when the level budget is empty."""
     if max_level < 1:
@@ -276,18 +276,8 @@ def _converge(sums: Iterable, max_level: int, shown: Callable,
             f"need at least one level; got {max_level}")
     sums = list(islice(sums, max_level))
     return ConvergenceReport(
-        tuple(range(1, max_level + 1)), tuple(shown(s) for s in sums),
-        tuple(valuation(b - a) for a, b in zip(sums, sums[1:])))
-
-
-def _at_levels(running: Iterable, p: int) -> Iterator:
-    """Items p, p^2, p^3, ... (counting from 0) of running: the level
-    sums, when running yields the partial sums from the empty one."""
-    mark = p
-    for i, total in enumerate(running):
-        if i == mark:
-            yield total
-            mark *= p
+        tuple(range(1, max_level + 1)), tuple(tw.shown(s) for s in sums),
+        tuple((b - a).valuation for a, b in zip(sums, sums[1:])))
 
 
 def _apply_prefactor(total: PadicNumber, N: int,
@@ -396,7 +386,7 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
     if method == "direct":
         base = tw.q / tw.rho * rho_a
         return _converge(_moment_sums(n, base, tw, rho_x, q_x),
-                         max_level, tw.shown)
+                         max_level, tw)
     return _carlitz_moments(n, a, rho_x, q_x, tw, max_level)
 
 
@@ -413,27 +403,26 @@ def _carlitz_moments(n, a, rho_x, q_x, tw, max_level):
     zero = PadicNumber.zero(tw.prime, tw.work_precision)
     return _converge((_resolved(sum(map(mul, coeffs, moments), zero), N, tw)
                       for N, moments in enumerate(zip(*streams), 1)),
-                     max_level, tw.shown)
+                     max_level, tw)
 
 
 # -- fermionic integral -----------------------------------------------------
 
-def fermionic_integral(f: Callable, prime: int,
-                       max_level: int = DEFAULT_LEVELS,
-                       precision: int = DEFAULT_PRECISION
+def fermionic_integral(r: int, tw: TwistParams,
+                       max_level: int = DEFAULT_LEVELS
                        ) -> ConvergenceReport:
-    """I_{-1}(f) = lim_N sum_{x < p^N} (-1)^x f(x) for odd p.
-
-    Partial sums are exact rationals; the report carries their p-adic
-    stabilization."""
-    if not is_prime(prime) or prime == 2:
-        raise InvalidParameterError("fermionic integral needs an odd prime")
-    terms = (f(x) if x % 2 == 0 else -f(x) for x in count())
-    return _converge(
-        _at_levels(accumulate(terms, initial=Fraction(0)), prime),
-        max_level,
-        lambda t: PadicNumber.from_rational(t, prime, precision),
-        lambda d: padic_valuation(d, prime))
+    """int [t]^r dmu_{-1}(t) = lim_N sum_{t<p^N} (-1)^t [t]^r, the
+    fermionic moment (Kim, J. Nonlinear Math. Phys. 14, 2007).  Each
+    level is in closed form: [t]^r = (rho^t - q^t)^r/(rho - q)^r makes
+    the sum r + 1 geometric series with ratios -rho^(r-k) q^k."""
+    if r < 0:
+        raise InvalidParameterError("moment exponent must be >= 0")
+    p, W = tw.prime, tw.work_precision
+    sums = _moment_residues(r, -1, 1, 1, tw.rho.residue(W),
+                            tw.q.residue(W), p, W)
+    scale = (tw.rho - tw.q) ** r
+    return _converge((_resolved(PadicNumber(p, 0, s, W) / scale, N, tw)
+                      for N, s in enumerate(sums, 1)), max_level, tw)
 
 
 # -- p-adic beta -------------------------------------------------------------

@@ -132,7 +132,7 @@ def spin_generators(scale, prime: int, precision: int):
     """
     if not is_prime(prime) or prime == 2:
         raise InvalidParameterError("odd prime required")
-    s = PadicNumber.from_rational(Fraction(scale), prime, precision)
+    s = PadicNumber.from_rational(scale, prime, precision)
     zero = PadicNumber.zero(prime, precision + abs(int(s.valuation
                             if not s.is_zero() else 0)) + 2)
     half = s / 2
@@ -157,7 +157,7 @@ def mat_exp(S: Mat2Padic, t) -> Mat2Padic:
     tS then lie in the domain too, in Q_p or a quadratic extension."""
     p = S.prime
     if not isinstance(t, PadicNumber):
-        t = PadicNumber.from_rational(Fraction(t), p, S.precision + 2)
+        t = PadicNumber.from_rational(t, p, S.precision + 2)
     tS = S.scaled(t)
     if (S @ S).is_zero():
         return Mat2Padic.identity(p, S.precision + 2) + tS

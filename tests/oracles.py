@@ -12,9 +12,19 @@ from rpqcalc import _kernel
 from rpqcalc.deform import rpq_number
 from rpqcalc.errors import PrecisionError
 from rpqcalc.gammabeta import rational_pow_exact
-from rpqcalc.padic import (DEFAULT_PRECISION, PadicNumber, _exp_terms,
-                          _log_terms, int_valuation)
+from rpqcalc.padic import (DEFAULT_PRECISION, PadicNumber, _check_prime,
+                          _exp_terms, _log_terms, int_valuation)
 from rpqcalc.padicfun import number_at
+
+
+def padic_valuation(x, p: int):
+    """v_p(x) for a rational x: the n in x = p^n * a/b with p dividing
+    neither a nor b.  Returns ``math.inf`` for x = 0."""
+    _check_prime(p)
+    x = Fraction(x)
+    if x == 0:
+        return math.inf
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
 def morita_gamma(n: int, p: int, W: int) -> int:
@@ -40,6 +50,29 @@ def untwisted_level_sums(f, p: int, levels: int) -> list:
         start = p ** N
         sums.append(total / start)
     return sums
+
+
+def untwisted_fermionic_sums(f, p: int, levels: int) -> list:
+    """sum_{x<p^N} (-1)^x f(x) for N = 1..levels, as exact Fractions:
+    the Riemann sums of the untwisted fermionic integral (odd p)."""
+    sums, total, start = [], Fraction(0), 0
+    for N in range(1, levels + 1):
+        total += sum(f(x) if x % 2 == 0 else -f(x)
+                     for x in range(start, p ** N))
+        start = p ** N
+        sums.append(total)
+    return sums
+
+
+def fermionic_limit(r: int, rho, q) -> Fraction:
+    """The exact limit of the twisted fermionic moment of [t]^r at
+    rational rho, q (both 1 mod p): by the binomial theorem, (rho - q)^(-r)
+    sum_k C(r,k) (-1)^k sum_t (-A_k)^t with A_k = rho^(r-k) q^k, and
+    the level sum (1 - (-A)^(p^N))/(1 + A) tends to 2/(1 + A), as
+    A^(p^N) -> 1 p-adically."""
+    rho, q = Fraction(rho), Fraction(q)
+    return sum(math.comb(r, k) * (-1) ** k * 2 / (1 + rho ** (r - k) * q ** k)
+               for k in range(r + 1)) / (rho - q) ** r
 
 
 def twisted_level_sums(f, tw, levels: int) -> list:

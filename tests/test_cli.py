@@ -187,6 +187,13 @@ class TestExitCodes:
          "parameter error: set both twist bases or neither"),
         ("eval number -n 3 --xi2 1/3", 2,
          "parameter error: set both twist bases or neither"),
+        # rho^a = exp(a log rho), and v(a log rho) = -1 + 1 = 0 here
+        ("carlitz -n 3 --a-param=1/5 --prime 5 --method direct", 3,
+         "domain error: exp requires |x log q|_p < p^(-1/(p-1)), i.e. "
+         "v(x log q) > 1/4; got v(x log q) = 0"),
+        ("carlitz -n 3 --a-param=1/5 --prime 5 --method moments", 3,
+         "domain error: exp requires |x log q|_p < p^(-1/(p-1)), i.e. "
+         "v(x log q) > 1/4; got v(x log q) = 0"),
     ])
     def test_refusal_line(self, capsys, argv, code, line):
         got, out, err = run(capsys, *argv.split())

@@ -1,4 +1,4 @@
-"""Rational valuation and truncated p-adic arithmetic."""
+"""Truncated p-adic arithmetic, and the rational valuation oracle."""
 
 import math
 import operator
@@ -9,13 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (padic_tuple, residue_exp, residue_log, tuple_add,
-                     tuple_mul, tuple_neg, tuple_pow, tuple_residue,
-                     tuple_view, tuple_with_precision)
+from oracles import (padic_tuple, padic_valuation, residue_exp, residue_log,
+                     tuple_add, tuple_mul, tuple_neg, tuple_pow,
+                     tuple_residue, tuple_view, tuple_with_precision)
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             PrecisionError, RpqError)
-from rpqcalc.padic import (PadicNumber, is_prime, padic_power,
-                           padic_valuation)
+from rpqcalc.padic import PadicNumber, is_prime, padic_power
 
 
 def factor_valuation(n: int, p: int) -> int:
@@ -99,6 +98,15 @@ class TestArithmetic:
         assert x ** 5 == x * x * x * x * x
         assert x ** 0 == 1
         assert x ** -2 == 1 / (x * x)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", True],
+                             ids=["float", "str", "bool"])
+    def test_embedding_takes_only_rationals(self, bad):
+        # 0.1 would embed the binary float, of valuation 0, not 1/10
+        with pytest.raises(InvalidParameterError,
+                           match=f"int or a Fraction; got "
+                                 f"{type(bad).__name__}"):
+            PadicNumber.from_rational(bad, 5, 4)
 
     def test_rational_embedding_resums(self):
         # digits of a/b with p not dividing b re-sum to a/b mod p^N
@@ -286,6 +294,14 @@ class TestExpLog:
         q = PadicNumber.from_rational(2, 5, 8)
         with pytest.raises(ConvergenceDomainError):
             padic_power(q, 2)
+
+    def test_power_refusal_names_the_power(self):
+        # v(1/5) = -1 and v(log 6) = 1, so x log q has valuation 0
+        q = PadicNumber.from_rational(6, 5, 8)
+        with pytest.raises(ConvergenceDomainError, match=re.escape(
+                "exp requires |x log q|_p < p^(-1/(p-1)), i.e. "
+                "v(x log q) > 1/4; got v(x log q) = 0")):
+            padic_power(q, F(1, 5))
 
 
 @settings(max_examples=60, deadline=None)

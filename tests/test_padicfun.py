@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rpqcalc import _kernel, padicfun
 from rpqcalc.deform import DeformParams
 from rpqcalc.errors import ConvergenceDomainError, InvalidParameterError
-from rpqcalc.padic import PadicNumber, padic_power, padic_valuation
+from rpqcalc.padic import PadicNumber, padic_power
 from rpqcalc.padicfun import (ConvergenceReport, TwistParams,
                               carlitz_bernoulli, delta_factor,
                               factorial_decomposition_check,
@@ -22,7 +22,9 @@ from rpqcalc.padicfun import (ConvergenceReport, TwistParams,
 from rpqcalc.poly import Polynomial
 from rpqcalc.series import generating_polynomials
 
-from oracles import morita_gamma, twisted_level_sums, untwisted_level_sums
+from oracles import (fermionic_limit, morita_gamma, padic_valuation,
+                     twisted_level_sums, untwisted_fermionic_sums,
+                     untwisted_level_sums)
 
 TW5 = TwistParams.make(5, 6, 11, precision=12)
 TW3 = TwistParams.make(3, 4, 7, precision=12)
@@ -438,26 +440,90 @@ def test_twist_power_matches_old_loop(p, offsets, precision, a, a_shift):
         assert new == _power_outcome(_old_twist_power, base, a, tw)
 
 
-class TestFermionic:
-    def test_constant_alternating(self):
-        rep = fermionic_integral(lambda x: 1, 5, 5)
-        assert all(v == 1 for v in rep.values)
+def unit_rationals(p):
+    """Rationals whose numerator and denominator p does not divide."""
+    return st.builds(F, st.integers(-200, 200).filter(lambda n: n % p),
+                     st.integers(1, 50).filter(lambda d: d % p))
 
-    def test_square_shift_identity(self):
-        # I(f1) + I(f) = 2 f(0) for f1(x) = f(x + 1)
-        f = lambda x: x ** 2 + 3
-        rep = fermionic_integral(f, 5, 6)
-        rep1 = fermionic_integral(lambda x: f(x + 1), 5, 6)
-        assert (rep1.best_value + rep.best_value - 2 * f(0)).valuation >= 6
+
+class TestFermionic:
+    def test_zeroth_moment_is_one(self):
+        # sum_{t<p^N} (-1)^t = 1, as p^N is odd
+        for tw in (TW3, TW5):
+            assert all(v == 1 for v in fermionic_integral(0, tw, 4).values)
 
     def test_direct_summation_oracle(self):
-        total = sum((-1) ** x * (3 * x + 1) for x in range(5 ** 3))
-        rep = fermionic_integral(lambda x: 3 * x + 1, 5, 3)
-        assert rep.values[-1] == PadicNumber.from_rational(total, 5, 16)
+        # level N against the term-by-term sum of (-1)^t [t]^r, compared
+        # with ==, to the common precision (the closed form can keep
+        # one digit fewer, so repr may differ)
+        for p, rho, q, levels in ((3, 4, 13, 4), (5, 6, 11, 4),
+                                  (7, 8, 15, 3)):
+            tw = TwistParams.make(p, rho, q, precision=12)
+            totals = [PadicNumber.zero(p, tw.work_precision)] * 7
+            reports = [fermionic_integral(r, tw, levels) for r in range(7)]
+            start = 0
+            for N in range(1, levels + 1):
+                for t in range(start, p ** N):
+                    b = number_at(tw, t)
+                    sign = -1 if t % 2 else 1
+                    totals = [s + sign * b ** r
+                              for r, s in enumerate(totals)]
+                start = p ** N
+                for r, rep in enumerate(reports):
+                    assert rep.values[N - 1] == tw.shown(totals[r]), \
+                        (p, r, N)
 
-    def test_odd_prime_required(self):
-        with pytest.raises(InvalidParameterError):
-            fermionic_integral(lambda x: 1, 2, 3)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([3, 5, 7]),
+           e=st.integers(1, 3), r=st.integers(0, 8),
+           precision=st.integers(12, 30))
+    def test_levels_tend_to_exact_limit(self, data, p, e, r, precision):
+        # rho = 1 + p u, q = rho + p^e w with u, w units: v(rho - q) = e
+        rho = 1 + p * data.draw(unit_rationals(p))
+        q = rho + p ** e * data.draw(unit_rationals(p))
+        tw = TwistParams.make(p, rho, q, precision)
+        limit = fermionic_limit(r, rho, q)
+        rep = fermionic_integral(r, tw, 4)
+        for N, v in enumerate(rep.values, 1):
+            d = v - PadicNumber.from_rational(limit, p, precision + 40)
+            assert d.valuation >= min(N, v.absolute_precision), (N, v)
+
+    def test_default_twist_first_moment(self):
+        # p = 5, rho = 6, q = 11: the limit is -1/42, met to valuation N
+        rep = fermionic_integral(1, TwistParams.make(5, 6, 11), 5)
+        assert fermionic_limit(1, 6, 11) == F(-1, 42)
+        limit = PadicNumber.from_rational(F(-1, 42), 5, 40)
+        assert [(v - limit).valuation for v in rep.values] == [1, 2, 3, 4, 5]
+
+    def test_negative_exponent_refused(self):
+        with pytest.raises(InvalidParameterError,
+                           match="moment exponent must be >= 0"):
+            fermionic_integral(-1, TW5)
+
+    # the untwisted oracle, rho = q = 1: exact alternating partial sums
+
+    def test_constant_alternating(self):
+        assert untwisted_fermionic_sums(lambda x: 1, 5, 5) == [1] * 5
+
+    def test_square_shift_identity(self):
+        # I(f1) + I(f) = 2 f(0) for f1(x) = f(x + 1): level N misses it
+        # by f(p^N) - f(0) = p^(2N)
+        f = lambda x: x ** 2 + 3
+        sums = untwisted_fermionic_sums(f, 5, 6)
+        sums1 = untwisted_fermionic_sums(lambda x: f(x + 1), 5, 6)
+        assert [padic_valuation(a + b - 2 * f(0), 5)
+                for a, b in zip(sums, sums1)] == [2, 4, 6, 8, 10, 12]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_untwisted_sums_tend_to_euler(self, p):
+        # level N of int x^n dmu_{-1} agrees with the Euler value E_n(0)
+        # of rpqcalc.series to valuation N at least
+        euler = generating_polynomials(DeformParams.preset("classical"),
+                                       "euler", 0, 10)
+        for n, e_n in enumerate(euler):
+            sums = untwisted_fermionic_sums(lambda x: x ** n, p, 3)
+            for N, s in enumerate(sums, 1):
+                assert padic_valuation(s - e_n, p) >= N, (n, N, s, e_n)
 
 
 class TestPadicBeta:
@@ -566,7 +632,7 @@ class TestLevelBudget:
         lambda N: volkenborn_moment(2, TW5, N),
         lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="direct"),
         lambda N: carlitz_bernoulli(2, F(1), 0, TW5, N, method="moments"),
-        lambda N: fermionic_integral(lambda x: x, 5, N),
+        lambda N: fermionic_integral(1, TW5, N),
     ], ids=["moment", "carlitz_direct", "carlitz_moments", "fermionic"])
     def test_needs_a_level(self, call, levels):
         with pytest.raises(InvalidParameterError, match="at least one"):
@@ -597,6 +663,14 @@ class TestTwistValidation:
     def test_even_prime_rejected(self):
         with pytest.raises(InvalidParameterError):
             TwistParams.make(2, 3, 5)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", True],
+                             ids=["float", "str", "bool"])
+    def test_twist_takes_only_rationals(self, bad):
+        for rho, q in ((bad, 11), (6, bad)):
+            with pytest.raises(InvalidParameterError,
+                               match=f"got {type(bad).__name__}"):
+                TwistParams.make(5, rho, q)
 
     def test_weak_twist_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -3,21 +3,28 @@ non-dunder method of such a class, is referenced somewhere in the
 package outside its own definition, so a helper left behind when its
 last caller goes is caught here, and so is public API that only tests
 reach.  The export table of ``__init__`` holds names as strings, so it
-references nothing."""
+references nothing.  The names the benchmark's tracer wraps or matches
+by string must exist in the package too."""
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
+from rpqcalc import _kernel
+from rpqcalc.padic import PadicNumber
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rpqcalc"
+TRACE_BOOT = PACKAGE.parent.parent / "perfbench" / "trace_boot.py"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # public names that no command or check suite reaches, and why each stays
 TEST_ONLY = {
     "jackson_sum": "the node-sum oracle for definite_integral_poly, until "
                    "a check entry compares the two (ROADMAP item 12)",
-    "fermionic_integral": "the exact fermionic moments of ROADMAP item 1 "
-                          "give it a route",
+    "fermionic_integral": "the fermionic moments of ROADMAP item 20 give "
+                          "it a route",
     "level_sums": "the Riemann-sum oracle of tests/oracles.py, and "
                   "perfbench/trace_boot.py wraps it by name until the "
                   "benchmark drops its kernel layer (ROADMAP item 16)",
@@ -27,6 +34,15 @@ TEST_ONLY = {
 UNCALLED_METHODS = {
     "PadicNumber.sqrt": "perfbench/trace_boot.py wraps it by name "
                         "(PADIC_OPS)",
+}
+
+# names perfbench/trace_boot.py matches that the package no longer
+# defines, and why each stays
+STALE_TRACED = {
+    "padicfun.volkenborn_integral": "gone with the general-integrand "
+                                    "Riemann path; the tracer's RIEMANN "
+                                    "set drops it with ROADMAP item 16's "
+                                    "benchmark change",
 }
 
 
@@ -137,3 +153,52 @@ def test_error_classes_are_raised():
                 raised.update(_names(exc))
     assert not classes - raised, \
         f"error classes nothing raises: {sorted(classes - raised)}"
+
+
+def _assigned(tree, name):
+    """The value assigned to the module-level ``name`` in ``tree``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"trace_boot.py assigns no {name}")
+
+
+def _traced_names():
+    """The "layer.function" keys of trace_boot.py's RIEMANN set and of
+    the string ``Tracer._hook`` compares with ``==``, and its PADIC_OPS
+    attributes of ``PadicNumber``."""
+    tree = ast.parse(TRACE_BOOT.read_text(), filename=str(TRACE_BOOT))
+    hook = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_hook")
+    compared = {c.value for node in ast.walk(hook)
+                if isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], ast.Eq)
+                for c in node.comparators
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    assert compared, "Tracer._hook compares no key: wrong tracer?"
+    return _assigned(tree, "RIEMANN") | compared, _assigned(tree, "PADIC_OPS")
+
+
+def test_traced_names_exist():
+    """Each function key the tracer matches by string is a public
+    function of that layer's module, each PADIC_OPS name an attribute of
+    ``PadicNumber``, and each name of ``_kernel.__all__`` is defined
+    there: a key for a missing name matches nothing, so the traced run
+    would not notice a rename."""
+    keys, ops = _traced_names()
+    missing = set()
+    for key in keys:
+        layer, name = key.split(".")
+        mod = importlib.import_module(f"rpqcalc.{layer}")
+        fn = getattr(mod, name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__):
+            missing.add(key)
+    unlisted = missing - set(STALE_TRACED)
+    assert not unlisted, f"traced keys the package lacks: {unlisted}"
+    stale = set(STALE_TRACED) - missing
+    assert not stale, f"allowlisted but defined again: {stale}"
+    assert [op for op in ops if not hasattr(PadicNumber, op)] == []
+    assert _kernel.__all__ and all(callable(getattr(_kernel, name, None))
+                                   for name in _kernel.__all__)

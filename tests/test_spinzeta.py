@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bch_degree3
+from oracles import bch_degree3, padic_valuation
 from rpqcalc import cli
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             PoleError)
-from rpqcalc.padic import PadicNumber, padic_valuation
+from rpqcalc.padic import PadicNumber
 from rpqcalc.spinzeta import (GHOST_GROUPS, Mat2Padic,
                               commutator, congruence_level, ghost_boundary,
                               mat_exp, mat_log, spin_generators,
@@ -56,6 +56,13 @@ class TestGenerators:
         assert commutator(Sz, Sm) == Sm.scaled(-hp)
         assert commutator(Sp, Sm) == Sz.scaled(hp * 2)
 
+    @pytest.mark.parametrize("bad", [0.1, "1/3", True],
+                             ids=["float", "str", "bool"])
+    def test_scale_takes_only_rationals(self, bad):
+        with pytest.raises(InvalidParameterError,
+                           match=f"got {type(bad).__name__}"):
+            spin_generators(bad, 5, 12)
+
     def test_antisymmetry(self):
         Sm, _, _ = gens()
         assert commutator(Sm, Sm).is_zero()
@@ -72,6 +79,14 @@ class TestGenerators:
 
 
 class TestExpLog:
+    @pytest.mark.parametrize("bad", [0.1, "1/3", True],
+                             ids=["float", "str", "bool"])
+    def test_time_takes_only_rationals(self, bad):
+        _, Sz, _ = gens(scale=5)
+        with pytest.raises(InvalidParameterError,
+                           match=f"got {type(bad).__name__}"):
+            mat_exp(Sz, bad)
+
     def test_exp_zero(self):
         Z = Mat2Padic.zero(5, 10)
         assert mat_exp(Z, 1) == Mat2Padic.identity(5, 10)
