@@ -251,10 +251,6 @@ def _write_table(args, header: list, rows):
     _write(args, emit)
 
 
-def _rat_str(x: Fraction) -> str:
-    return exact_str(Fraction(x))
-
-
 # -- eval -------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
@@ -262,48 +258,36 @@ def _cmd_eval(args) -> int:
     params = _params(args)
     op = args.operation
     if op == "number":
-        val = _rat_str(deform.rpq_number(params, args.n))
-        _emit(args, {"op": "number", "n": args.n, "value": val}, val)
+        out = {"n": args.n, "value": deform.rpq_number(params, args.n)}
     elif op == "factorial":
-        val = _rat_str(deform.rpq_factorial(params, args.n))
-        _emit(args, {"op": "factorial", "n": args.n, "value": val}, val)
+        out = {"n": args.n, "value": deform.rpq_factorial(params, args.n)}
     elif op == "binomial":
-        val = _rat_str(deform.rpq_binomial(params, args.m, args.n))
-        _emit(args, {"op": "binomial", "m": args.m, "n": args.n,
-                     "value": val}, val)
+        out = {"m": args.m, "n": args.n,
+               "value": deform.rpq_binomial(params, args.m, args.n)}
     elif op == "gamma":
         from . import gammabeta  # gamma and beta only
-        g = gammabeta.gamma_rpq(args.z, params,
-                                truncation=args.truncation)
-        val = _rat_str(g.value)
-        _emit(args, {"op": "gamma", "z": _rat_str(args.z), "value": val,
-                     "terms": g.terms,
-                     "tail_bound": _rat_str(g.tail_bound),
-                     "exact": g.exact}, val)
+        out = {"z": args.z, **gammabeta.gamma_rpq(
+            args.z, params, truncation=args.truncation)._asdict()}
     elif op == "beta":
         from . import gammabeta  # gamma and beta only
-        b = gammabeta.beta_rpq(args.x, args.y, params,
-                               truncation=args.truncation)
-        val = _rat_str(b.value)
-        _emit(args, {"op": "beta", "x": _rat_str(args.x),
-                     "y": _rat_str(args.y), "value": val,
-                     "tail_bound": _rat_str(b.tail_bound),
-                     "exact": b.exact}, val)
+        out = {"x": args.x, "y": args.y, **gammabeta.beta_rpq(
+            args.x, args.y, params, truncation=args.truncation)._asdict()}
     elif op == "integral":
         from . import quadrature  # integral only
         f = _poly_from_coeffs(args.coeffs)
-        val = _rat_str(
-            quadrature.definite_integral_poly(f, args.a, args.b, params))
-        _emit(args, {"op": "integral", "a": _rat_str(args.a),
-                     "b": _rat_str(args.b), "value": val}, val)
+        out = {"a": args.a, "b": args.b, "value":
+               quadrature.definite_integral_poly(f, args.a, args.b, params)}
     else:  # derivative; main has refused any operation not in SCOPE
         from .poly import rpq_derivative_poly  # derivative only
-        f = _poly_from_coeffs(args.coeffs)
-        d = rpq_derivative_poly(f, params)
-        coeffs = [_rat_str(d.coefficient(k))
-                  for k in range(max(d.degree, 0) + 1)]
-        _emit(args, {"op": "derivative", "coefficients": coeffs},
-              ",".join(coeffs))
+        d = rpq_derivative_poly(_poly_from_coeffs(args.coeffs), params)
+        out = {"coefficients": [d.coefficient(k)
+                                for k in range(max(d.degree, 0) + 1)]}
+    # every Fraction, a coefficient included, crosses as its exact string
+    spell = {k: [exact_str(c) for c in v] if isinstance(v, list)
+             else exact_str(v) if isinstance(v, Fraction) else v
+             for k, v in out.items()}
+    _emit(args, {"op": op, **spell}, spell["value"] if "value" in spell
+          else ",".join(spell["coefficients"]))
     return 0
 
 
@@ -360,7 +344,7 @@ def _cmd_table(args) -> int:
     if args.kind == "numbers":
         from . import deform
         vals = [deform.rpq_number(params, n) for n in range(args.count)]
-        rows = ([str(n), _rat_str(v)] for n, v in enumerate(vals))
+        rows = ([str(n), exact_str(v)] for n, v in enumerate(vals))
     elif args.kind == "factorials":
         from . import deform
         factors = [deform.rpq_number(params, k)
@@ -377,7 +361,7 @@ def _cmd_table(args) -> int:
         else:
             vals = series.generating_polynomials(params, args.kind, args.x,
                                                  args.count - 1)
-        rows = ([str(n), _rat_str(v)] for n, v in enumerate(vals))
+        rows = ([str(n), exact_str(v)] for n, v in enumerate(vals))
     elif args.kind == "volkenborn":
         from . import padicfun
         tw = _twist(args)

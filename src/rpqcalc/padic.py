@@ -404,16 +404,20 @@ class PadicNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PadicNumber":
-        """The inverse of ``to_json``.  A zero needs an int ``zero_mod``
-        >= 0; any other value an int ``valuation`` and an int
-        ``precision`` >= 1 with exactly that many int ``digits`` in
-        [0, p).  A bool is no int; a violation names its field."""
+        """The inverse of ``to_json``.  A zero needs a null ``valuation``
+        and an int ``zero_mod`` >= 0; any other value an int
+        ``valuation`` and an int ``precision`` >= 1 with exactly that
+        many int ``digits`` in [0, p).  A bool is no int; a violation,
+        a missing ``valuation`` or ``zero_mod`` included, names its
+        field."""
         if not isinstance(obj, dict):
             raise TypeError(f"p-adic JSON must be an object; got {obj!r}")
         p = obj["prime"]
         _check_prime(p)
-        if obj.get("valuation") is None:
-            zero_mod = obj.get("zero_mod", DEFAULT_PRECISION)
+        _check_field("valuation", obj, "valuation" in obj,
+                     "a key of every entry (an int, or null for a zero)")
+        if obj["valuation"] is None:
+            zero_mod = obj.get("zero_mod")
             _check_field("zero_mod", zero_mod, is_int(zero_mod)
                          and zero_mod >= 0, "an int >= 0")
             return cls.zero(p, zero_mod)

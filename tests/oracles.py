@@ -17,6 +17,22 @@ from rpqcalc.padic import (DEFAULT_PRECISION, PadicNumber, _check_prime,
 from rpqcalc.padicfun import number_at
 
 
+P, Q = Fraction(9, 10), Fraction(1, 2)
+
+# each preset's [n] at p = P, q = Q by its closed form, independent of
+# the preset dispatch (deform._preset_oracle_suite keeps its own copy,
+# as the library cannot import the tests)
+ORACLES = {
+    "heine": lambda n: (1 - Q ** n) / (1 - Q),
+    "quesne": lambda n: (1 - Q ** -n) / (Q - 1),
+    "biedenharn_macfarlane": lambda n: (Q ** n - Q ** -n) / (Q - Q ** -1),
+    "jagannathan_srinivasa": lambda n: (P ** n - Q ** n) / (P - Q),
+    "chakrabarty_jagannathan":
+        lambda n: (P ** -n - Q ** n) / (P ** -1 - Q),
+    "hounkonnou_ngompe": lambda n: (P ** n - Q ** -n) / (Q - P ** -1),
+}
+
+
 def padic_valuation(x, p: int):
     """v_p(x) for a rational x: the n in x = p^n * a/b with p dividing
     neither a nor b.  Returns ``math.inf`` for x = 0."""

@@ -30,19 +30,8 @@ from rpqcalc.spinzeta import (commutator, congruence_level, ghost_boundary,
                               mat_exp, mat_log, spin_generators,
                               zeta_spin_half)
 
-from oracles import rpq_number_at, twisted_level_sums
+from oracles import ORACLES, P, Q, rpq_number_at, twisted_level_sums
 
-P, Q = F(9, 10), F(1, 2)
-
-ORACLES = {
-    "heine": lambda n: (1 - Q ** n) / (1 - Q),
-    "quesne": lambda n: (1 - Q ** -n) / (Q - 1),
-    "biedenharn_macfarlane": lambda n: (Q ** n - Q ** -n) / (Q - Q ** -1),
-    "jagannathan_srinivasa": lambda n: (P ** n - Q ** n) / (P - Q),
-    "chakrabarty_jagannathan":
-        lambda n: (P ** -n - Q ** n) / (P ** -1 - Q),
-    "hounkonnou_ngompe": lambda n: (P ** n - Q ** -n) / (Q - P ** -1),
-}
 
 ALL_PRESETS = [DeformParams.preset(kind, p=P, q=Q) for kind in ORACLES]
 JS1 = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))

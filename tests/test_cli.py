@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import hashlib
 import importlib
 import io
 import json
@@ -31,6 +30,8 @@ from rpqcalc.poly import Polynomial
 from rpqcalc.quadrature import definite_integral_poly
 from rpqcalc.series import generating_polynomials, zigzag_numbers
 from rpqcalc.spinzeta import Mat2Padic, zeta_spin_half
+
+import golden
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -1403,152 +1404,45 @@ def test_beta_divisor_bound_too_loose(capsys):
                                 "loose\n")
 
 
-# -- pinned CLI text ----------------------------------------------------------
+# -- the golden command set ---------------------------------------------------
 
-# sha256 of the stdout of `rpqcalc [<subcommand>] --help` and of the
-# stderr of some parse errors, recorded on Python 3.11 at COLUMNS=80
-# from the hand-written parser that SCOPE and OPTIONS replaced (the six
-# subcommands that read --precision re-recorded when its help gained
-# the MAX_PRECISION cap); an option's help, order, metavar or choices
-# that moves shows here
-HELP_SHA256 = {
-    "": "48c9aa9cfc4c767c1a739b06319c66f67b14badb764f2f41ca69901536146970",
-    "eval": "47bfcc14a43335347aab466e9c552510d15253bf6ef3e444e307c893ddba8d42",
-    "check":
-        "5616227f1ca9535f48e21eb371e25624a9ce1059125959b3a73651d44c163e22",
-    "table":
-        "ab12702f43e2a7efd217805750db53e6e0023c4731c949910184324c4dfb2687",
-    "spin": "b2a454dde03bede2c0f909886d4a7558c008b40c8c264022bc0c715a50a39b38",
-    "zeta": "ce28cf6edc2e122e13134357189a4a0061a6913dc2c6cbff7c02e284890416f1",
-    "volkenborn":
-        "e6a00f2a19fb718b6c09cb024e26c2d3a86ac962f730fe65983f999d2b2c2f66",
-    "pgamma":
-        "187ec78c6a727a37e9e3ab1351840ccf0425d3d9a72f747283e9673e9c891d84",
-    "pbeta":
-        "fc31c7edb68da7633d51949475a187787d4fdc39d01f21cc600a7f4872281263",
-    "carlitz":
-        "5a81077858c1d8d556de8d08745f006eb2f89cf86e6875df8793b5e4187e0723",
-}
-ERROR_SHA256 = {
-    "evl": "44daf855dae84c73693cc2911f6f46ae69a28b740ac7279cfd1972fd85e2a7fd",
-    "pgamma":
-        "aa46c444ecfc1002c87e8187ae6a771d2110f8741cce88cefa9d779ddb8c52a4",
-    "pbeta -x 1/2 -y 1":
-        "48380597531123af7ed4be17498538660b1dec73e2b61274201934f377f796d1",
-    "eval number --prec 3":
-        "a07a36adf171901fe5b1370994c15d097c3c9b4896e5f87d15d97d4fba5f815f",
-    "table --count 3":
-        "d39972e2b2614a51573e9334781000eeebff10be0218bb9f0bb6048516865d1e",
-    "eval": "e85b894d00621e8dbdec0855c8edb644a7613750e840856076af4c38b9b01ce1",
-    "zeta eval --prime 4":
-        "1149c1159e1652dae737a9b80ec426efe914cc6b047f7e8daa4d72665f6eada4",
-    "table --kind numbers --prime 4":
-        "83bbb0cb872b8fdae80a1fa5450adf343d46bf0cdfd61372047a1b5741287318",
-}
-on_311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                            reason="argparse's layout differs by version; "
-                                   "pinned on 3.11, as CI pins outputs")
+def _replay(kind: str):
+    """A test that replays in process the golden entries (tests/golden.py)
+    of ``kind``: help pages (each by the command it documents), exit-2
+    refusals, carlitz and spin runs (the p-adic power, exp and log
+    routes), or any other output."""
+    params = []
+    for line, pin in golden.entries():
+        argv = shlex.split(line)
+        if kind == ("help" if "--help" in argv else
+                    "refusal" if pin and pin[0] == 2 else
+                    "series" if argv[0] in ("carlitz", "spin") else "output"):
+            params.append(pytest.param(line, pin, id=shlex.join(argv[:-1])
+                                       if kind == "help" else line))
+
+    @pytest.mark.parametrize("line, pin", params)
+    def test(line, pin):
+        assert golden.mismatch(line, pin, golden.run(line)) == ""
+    return test
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+test_help_text_pinned = _replay("help")
+test_parse_errors_pinned = _replay("refusal")
+test_series_routes_pinned = _replay("series")
+test_outputs_pinned = _replay("output")
 
 
-# (exit code, stdout sha256) of commands that reach the p-adic exp and
-# log series and that no benchmark pool entry runs: carlitz with a
-# non-integer --a-param (a p-adic power q^a = exp(a log q)) and spin exp
-# with t = 1/p or a scale p^i (the matrix exponential), recorded from
-# the residue loops that the shared series sums replaced
-SERIES_ROUTE_SHA256 = {
-    "carlitz -n 2 --a-param 1/2 --prime 3 --method direct --format plain": (
-        0, "9a02321d49c76981f389ee80dd89544a5b8956d8075fdbf71e431ca5c6015af8"),
-    "carlitz -n 2 --a-param 1/2 --prime 3 --method direct --format json": (
-        0, "2a78554f4b32c24bdb0adf2eb6f77300da4c123574e479c63e9f61b342b709ac"),
-    "carlitz -n 2 --a-param 1/2 --prime 3 --method moments --format plain": (
-        0, "9a02321d49c76981f389ee80dd89544a5b8956d8075fdbf71e431ca5c6015af8"),
-    "carlitz -n 2 --a-param 1/2 --prime 3 --method moments --format json": (
-        0, "98c30d06382dd81fe9008c6c7b363eacf53429faa7271f2e1378114b7f23303b"),
-    "carlitz -n 2 --a-param 1/2 --prime 5 --method direct --format plain": (
-        0, "85f49c457acbf6d197635ba859594b77f7685803276bd9f45c8af9e9ca143a43"),
-    "carlitz -n 2 --a-param 1/2 --prime 5 --method direct --format json": (
-        0, "8ded67dc0f0b4a758befd0cb4fa476c948f47afb34ff01abb0278db22242dd47"),
-    "carlitz -n 2 --a-param 1/2 --prime 5 --method moments --format plain": (
-        0, "85f49c457acbf6d197635ba859594b77f7685803276bd9f45c8af9e9ca143a43"),
-    "carlitz -n 2 --a-param 1/2 --prime 5 --method moments --format json": (
-        0, "15ddbae45374e3ce198ec345d268c66c101b6c44dc81cdfd19085f66d5f875a5"),
-    "carlitz -n 2 --a-param 1/2 --prime 7 --method direct --format plain": (
-        0, "c2f099eb9f4cf2bed36c9c917abcf6f9f19cb4ce5bc4d5d79162dec483a12ae8"),
-    "carlitz -n 2 --a-param 1/2 --prime 7 --method direct --format json": (
-        0, "4e040b5ea4bb8ddc0247d6b109d272660466d9d2b4849437cf2ee9ce0c586d08"),
-    "carlitz -n 2 --a-param 1/2 --prime 7 --method moments --format plain": (
-        0, "c2f099eb9f4cf2bed36c9c917abcf6f9f19cb4ce5bc4d5d79162dec483a12ae8"),
-    "carlitz -n 2 --a-param 1/2 --prime 7 --method moments --format json": (
-        0, "913444d09d2a749fb5966252b907b81f0267399213e6f55c45e6b556aadc626c"),
-    "carlitz -n 3 --a-param=-3/4 --prime 5 --method moments": (
-        0, "2ff6c523bdf0fe256735fcfafedefe3716fa28a91ae9c8016cad4cbeb2956fe9"),
-    "carlitz -n 3 --a-param=2/3 --prime 5 --method direct": (
-        0, "4a75442f4a221be7365df4f6aa7755d9d33306200bd1fa8ba6e178c4782511cb"),
-    "carlitz -n 3 --a-param=7/3 --prime 7 --method moments": (
-        0, "cc310bdc5015edac7e9eaa5988389d3fb0142604c3ed5b7bffe5981aa58706e4"),
-    "carlitz -n 3 --a-param=1/5 --prime 3 --method direct": (
-        0, "41d7a8d79f4d62e26097f4344c7fc1bcf02b8a5a78c2f759852fad6728eab382"),
-    "carlitz -n 3 --a-param=1/5 --prime 5 --method moments": (
-        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "carlitz -n 1 --a-param 1/2 --prime 5 --x-int 4 --precision 40": (
-        0, "e9df2b8f2a7fbb028a003a57225db72a9948467b6d146856ddcf14c640cd5078"),
-    "spin exp --generator minus --prime 3 -t 1/3": (
-        0, "2080c86011c3b2b95b73703d4b84b570771de847babef74b6c747cabac6b89a4"),
-    "spin exp --generator z --prime 3 -t 1/3": (
-        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "spin exp --generator plus --prime 3 -t 1/3": (
-        0, "561aa7e8f67295d92104ec76d7608858ada4a32dd240542c47ffcebb89c58d06"),
-    "spin exp --generator minus --prime 5 -t 1/5": (
-        0, "d78fceb1f0cccf3e576918194ca82b8f80568d251e4b3bfd9bfffc790ceda675"),
-    "spin exp --generator z --prime 5 -t 1/5": (
-        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "spin exp --generator plus --prime 5 -t 1/5": (
-        0, "e4a44010e12485e31b436e729467cbbacfacd6752c27e2f9d480c880b7956667"),
-    "spin exp --generator minus --prime 7 -t 1/7": (
-        0, "9ecd659e3476c476369085d97048204af4128c84935c1f2fb50578aaf714120a"),
-    "spin exp --generator z --prime 7 -t 1/7": (
-        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "spin exp --generator plus --prime 7 -t 1/7": (
-        0, "b3e631f9b0c24fff23567049f770ad36f1ff586bc10d2b003cfd5b7265546e96"),
-    "spin exp --generator z --prime 3 --scale 3": (
-        0, "cd5054c4cb6ae22a9f12ce41ed8f3ddd6c8648a977db5c6a20ce145fbb456916"),
-    "spin exp --generator z --prime 3 --scale 9 -t 1/3 --format json": (
-        0, "55d91a9565641548cab8fca88151c064af9aa2b0f57d2d151e41810d20ab6e0a"),
-    "spin exp --generator z --prime 5 --scale 5": (
-        0, "4f249bccd32cefbed4089eedb0009dfa3bbbdbf16f6dbe9e82e83df4eb2c5a2b"),
-    "spin exp --generator z --prime 5 --scale 25 -t 1/5 --format json": (
-        0, "da4880cbff447feda9ecf16acf3846e545c32968399bee9177e0a60353414306"),
-    "spin exp --generator z --prime 7 --scale 7": (
-        0, "f8d00e40101df7ff61c8ce7cfd4f0f52a0f47afa6df39cb89f715cd1647f91d3"),
-    "spin exp --generator z --prime 7 --scale 49 -t 1/7 --format json": (
-        0, "7ba606a99d7ee54dcda79a3db3fadc24b527584d13a2166dbcf115c4e1fcc1e5"),
-}
-
-
-@pytest.mark.parametrize("line", list(SERIES_ROUTE_SHA256))
-def test_series_routes_pinned(capsys, line):
-    code, out, _ = run(capsys, *line.split())
-    assert (code, _sha256(out)) == SERIES_ROUTE_SHA256[line]
-
-
-@on_311
-@pytest.mark.parametrize("name", list(HELP_SHA256))
-def test_help_text_pinned(capsys, monkeypatch, name):
-    monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = run(capsys, *name.split(), "--help")
-    assert (code, err, _sha256(out)) == (0, "", HELP_SHA256[name])
-
-
-@on_311
-@pytest.mark.parametrize("line", list(ERROR_SHA256))
-def test_parse_errors_pinned(capsys, monkeypatch, line):
-    monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = run(capsys, *line.split())
-    assert (code, out, _sha256(err)) == (2, "", ERROR_SHA256[line])
+def test_golden_set_covers_every_operation():
+    """Each group of tests/golden.json holds commands of its key, and
+    each cli.SCOPE key has an entry in every --format it takes."""
+    seen = set()
+    for group, pins in json.loads(golden.GOLDEN.read_text()).items():
+        for argv in map(shlex.split, pins):
+            assert argv[:len(group.split())] == group.split(), argv
+            seen.add((group, argv[argv.index("--format") + 1]
+                      if "--format" in argv else "plain"))
+    assert {(key, fmt) for key, reads in cli.SCOPE.items() if "format" in reads
+            for fmt in cli.OPTIONS["format"]["choices"]} - seen == set()
 
 
 def _readme_commands():

@@ -18,18 +18,7 @@ from rpqcalc.deform import (PRESET_KINDS, DeformParams, StructureFunction,
 from rpqcalc.errors import InvalidParameterError, SingularDeformationError
 from rpqcalc.padic import PadicNumber
 
-P, Q = F(9, 10), F(1, 2)
-
-# direct-formula evaluators, independent of the preset dispatch
-ORACLES = {
-    "heine": lambda n: (1 - Q ** n) / (1 - Q),
-    "quesne": lambda n: (1 - Q ** -n) / (Q - 1),
-    "biedenharn_macfarlane": lambda n: (Q ** n - Q ** -n) / (Q - Q ** -1),
-    "jagannathan_srinivasa": lambda n: (P ** n - Q ** n) / (P - Q),
-    "chakrabarty_jagannathan":
-        lambda n: (P ** -n - Q ** n) / (P ** -1 - Q),
-    "hounkonnou_ngompe": lambda n: (P ** n - Q ** -n) / (Q - P ** -1),
-}
+from oracles import ORACLES, P, Q
 
 
 def preset(kind, p=P, q=Q):

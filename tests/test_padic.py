@@ -437,6 +437,12 @@ BAD_JSON = {
                        "precision"),
     "float_valuation": (dict(ONE_5, valuation=0.5), "valuation"),
     "bool_valuation": (dict(ONE_5, valuation=False), "valuation"),
+    "no_valuation": ({"prime": 5}, "valuation"),
+    "no_valuation_key": ({"prime": 5, "precision": 1, "digits": [1]},
+                         "valuation"),
+    "null_valuation_no_zero_mod": ({"prime": 5, "valuation": None,
+                                    "digits": [], "precision": 0},
+                                   "zero_mod"),
 }
 
 
