@@ -4,10 +4,23 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import InvalidParameterError
+
 
 def is_int(x) -> bool:
     """An ``int`` that is not a ``bool``."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def rational(name: str, x) -> Fraction:
+    """x, an int (not a bool) or a ``Fraction``, as a ``Fraction``.  Any
+    other type is refused: a float would carry its binary expansion."""
+    if isinstance(x, Fraction):
+        return x
+    if is_int(x):
+        return Fraction(x)
+    raise InvalidParameterError(
+        f"{name} must be an int or Fraction; got {type(x).__name__}")
 
 
 def uncapped(fn, *args, **kwargs):

@@ -477,7 +477,11 @@ def _cmd_carlitz(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 def _int_list(text: str) -> list:
-    return [int(t) for t in text.split(",")]
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}")
 
 
 COMMANDS = {

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from ._util import (Frozen, IdentityResult, SuiteReport, is_int,
+from ._util import (Frozen, IdentityResult, SuiteReport, is_int, rational,
                     ratio_product)
 from .errors import (InvalidParameterError, SingularDeformationError,
                      SingularityError)
@@ -137,13 +137,14 @@ def _kernel_term(term) -> tuple:
 
 
 def _rational(name: str, x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    from .padic import PadicNumber  # only to word the refusal
-    hint = (" (p-adic twists go through padicfun.TwistParams)"
-            if isinstance(x, PadicNumber) else "")
-    raise InvalidParameterError(
-        f"{name} must be an int or Fraction; got {type(x).__name__}{hint}")
+    try:
+        return rational(name, x)
+    except InvalidParameterError as err:
+        from .padic import PadicNumber  # only to word the refusal
+        if isinstance(x, PadicNumber):
+            err.args = (f"{err} (p-adic twists go through "
+                        "padicfun.TwistParams)",)
+        raise
 
 
 class DeformParams(Frozen):
@@ -206,8 +207,6 @@ class DeformParams(Frozen):
         """Check [n] = [1] (xi1^n - xi2^n)/(xi1 - xi2) for n up to
         ``TWIST_WINDOW``; holds for all presets, may fail for custom
         kernels."""
-        if self.structure.kind == "classical":
-            return False  # xi1 = xi2 = 1 degenerates the quotient
         c = self.twist_scale()
         x1, x2 = self.xi1, self.xi2
         d = x1 - x2
@@ -219,18 +218,16 @@ class DeformParams(Frozen):
 
 def rpq_number(params: DeformParams, n: int):
     """[n] = R(p^n, q^n), an exact rational."""
-    if n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidParameterError(f"deformed number needs n >= 0; got {n}")
     if params.structure.kind == "classical":
         return Fraction(n)
-    if n == 0:
-        return Fraction(0)
     return params.structure.value(params.p ** n, params.q ** n, params)
 
 
 def rpq_factorial(params: DeformParams, n: int):
     """[n]! = [1][2]...[n]; empty product 1 for n = 0.  Memoised."""
-    if n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidParameterError(f"factorial needs n >= 0; got {n}")
     facts = params._factorials
     for k in range(len(facts), n + 1):
@@ -247,7 +244,7 @@ def rpq_binomial(params: DeformParams, m: int, n: int):
     A [k] = 0 with k <= m - j makes the factorial quotient 0/0, which
     raises; only a custom kernel can reach it, so only a custom kernel
     pays for the scan of [1] .. [m-j]."""
-    if not 0 <= n <= m:
+    if not (is_int(m) and is_int(n) and 0 <= n <= m):
         raise InvalidParameterError(
             f"binomial needs 0 <= n <= m; got m = {m}, n = {n}")
     j = min(n, m - n)

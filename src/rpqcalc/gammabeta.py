@@ -27,7 +27,8 @@ from typing import NamedTuple, Optional
 from .deform import DeformParams, rpq_factorial, rpq_number
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from ._util import IdentityResult, SuiteReport, exact_str, ratio_product
+from ._util import (IdentityResult, SuiteReport, exact_str, is_int,
+                    ratio_product, rational)
 from .poly import Polynomial, rpq_derivative_poly
 
 DEFAULT_TRUNCATION = 256
@@ -37,14 +38,14 @@ DEFAULT_REL_TOL = Fraction(1, 10 ** 30)
 # -- exact rational powers ----------------------------------------------
 
 def _int_nth_root(n: int, b: int) -> Optional[int]:
-    """Exact integer b-th root of n >= 0, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1) or b == 1:
+    """Exact integer b-th root of n >= 0, or None.  A root r >= 2 has
+    2^b <= r^b = n < 2^L (L the bit length of n), so b < L and r < 2^(L/b)."""
+    if n < 2:
         return n
-    lo, hi = 0, 1
-    while hi ** b < n:
-        hi *= 2
+    bits = n.bit_length()
+    if b >= bits:
+        return None
+    lo, hi = 2, 1 << -(-bits // b)
     while lo < hi:
         mid = (lo + hi) // 2
         if mid ** b < n:
@@ -60,7 +61,7 @@ def rational_pow_exact(x: Fraction, e: Fraction) -> Fraction:
     Raises when the required root is irrational: exact arithmetic can
     only evaluate gamma/beta at arguments whose twist-base powers are
     rational."""
-    x, e = Fraction(x), Fraction(e)
+    x, e = rational("x", x), rational("e", e)
     if x == 0:
         if e > 0:
             return Fraction(0)
@@ -86,8 +87,10 @@ def power_basis(x, y, n: int, mode: str, params: DeformParams):
     which expands the product in that variable."""
     if mode not in ("minus", "plus"):
         raise InvalidParameterError("mode must be 'minus' or 'plus'")
-    if n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidParameterError(f"the power basis needs n >= 0; got {n}")
+    x, y = (v if isinstance(v, Polynomial) else rational(name, v)
+            for name, v in (("x", x), ("y", y)))
     sign = -1 if mode == "minus" else 1
     x1, x2 = params.xi1, params.xi2
     acc = Fraction(1)
@@ -131,7 +134,7 @@ def gamma_rpq(z, params: DeformParams,
     if truncation < 1:
         raise InvalidParameterError(
             f"truncation must be >= 1; got {truncation}")
-    z = Fraction(z)
+    z = rational("z", z)
     if z.denominator == 1:
         n = z.numerator - 1
         if n < 0:
@@ -185,9 +188,10 @@ def beta_rpq(x, y, params: DeformParams,
     """beta(x, y) = Gamma(x) Gamma(y) / Gamma(x+y).  With relative
     bounds a, b and c on the three gammas, the quotient's relative
     bound is (1 + a)(1 + b)/(1 - c) - 1, which needs c < 1."""
+    x, y = rational("x", x), rational("y", y)
     gx = gamma_rpq(x, params, truncation)
     gy = gamma_rpq(y, params, truncation)
-    gxy = gamma_rpq(Fraction(x) + Fraction(y), params, truncation)
+    gxy = gamma_rpq(x + y, params, truncation)
     if gxy.tail_bound >= 1:
         raise ConvergenceDomainError("divisor bound too loose")
     bound = ((1 + gx.tail_bound) * (1 + gy.tail_bound)
@@ -345,7 +349,7 @@ def gamma_duplication_report(params: DeformParams, z,
             vs (xi1+xi2)^(2z-1) Gamma_{R(p^2,q^2)}(z) Gamma_{R(p^2,q^2)}(z+1/2)
 
     measured, never asserted: no proof exists under general deformation."""
-    z = Fraction(z)
+    z = rational("z", z)
     p2 = params.powered(2)
     lhs = gamma_rpq(2 * z, params, truncation).value \
         * gamma_rpq(Fraction(1, 2), p2, truncation).value
@@ -362,7 +366,7 @@ def beta_reflection_report(params: DeformParams, x,
     """beta(x, 1-x) beside its product form Gamma(x) Gamma(1-x).  The
     deformed gamma lacks the classical reflection formula, so no closed
     form is compared and nothing is asserted."""
-    x = Fraction(x)
+    x = rational("x", x)
     b = beta_rpq(x, 1 - x, params, truncation)
     gg = gamma_rpq(x, params, truncation).value \
         * gamma_rpq(1 - x, params, truncation).value

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._util import is_int
+from ._util import is_int, rational
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PrecisionError)
 
@@ -168,15 +168,10 @@ class PadicNumber:
 
     @classmethod
     def from_rational(cls, x, prime: int, prec: int = DEFAULT_PRECISION):
-        """Embed x, an int (not a bool) or a ``Fraction``; any rational
-        is fine, as p-powers go to the valuation.  Any other type is
-        refused: a float would embed its binary expansion, not the
-        rational it was meant to be."""
+        """Embed the rational x (``_util.rational``): any rational is
+        fine, as p-powers go to the valuation."""
         _check_prime(prime)  # before int_valuation, which loops at p = 1
-        if not (is_int(x) or isinstance(x, Fraction)):
-            raise InvalidParameterError(
-                f"a p-adic embedding needs an int or a Fraction; got "
-                f"{type(x).__name__}")
+        x = rational("the p-adic embedding's x", x)
         if x == 0:
             return cls.zero(prime, prec)
         vn = int_valuation(x.numerator, prime)

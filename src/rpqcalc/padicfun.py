@@ -24,7 +24,7 @@ from itertools import accumulate, count, islice, takewhile
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
-from ._util import Frozen, IdentityResult, SuiteReport
+from ._util import Frozen, IdentityResult, SuiteReport, is_int
 from .errors import InvalidParameterError
 from .padic import PadicNumber, int_valuation, is_prime, padic_power
 
@@ -122,7 +122,7 @@ def _bracket_product(m: int, sign: int, tw: TwistParams) -> PadicNumber:
 
 def padic_factorial_rpq(n: int, tw: TwistParams) -> PadicNumber:
     """Restricted factorial prod_{j < n, p not | j} [j]."""
-    if n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidParameterError("factorial needs n >= 0")
     return _bracket_product(n, 1, tw)
 
@@ -131,6 +131,8 @@ def padic_gamma_rpq(n: int, tw: TwistParams) -> PadicNumber:
     """(-1)^n times the restricted factorial; negative integers through
     the recurrence Gamma(z) = Gamma(z+1)/delta(z), which unrolls to
     (-1)^n / prod_{n <= z < 0, p not | z} [z]."""
+    if not is_int(n):
+        raise InvalidParameterError(f"p-adic gamma needs an int n; got {n!r}")
     g = padic_factorial_rpq(n, tw) if n >= 0 \
         else _bracket_product(1 - n, -1, tw).inverse()
     return g if n % 2 == 0 else -g

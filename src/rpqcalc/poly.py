@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._util import is_int, rational
 from .errors import InvalidParameterError, SingularDeformationError
 
 
@@ -19,15 +20,14 @@ class Polynomial:
 
     def __init__(self, coeffs=None):
         clean = {}
-        if coeffs:
-            for n, c in (coeffs.items() if isinstance(coeffs, dict)
-                         else enumerate(coeffs)):
-                if not isinstance(c, (int, Fraction)):
-                    raise InvalidParameterError(
-                        "polynomial coefficients must be int or Fraction; "
-                        f"got {type(c).__name__}")
-                if c != 0:
-                    clean[int(n)] = c
+        for n, c in (coeffs.items() if isinstance(coeffs, dict)
+                     else enumerate(coeffs or ())):
+            if not is_int(n) or n < 0:
+                raise InvalidParameterError(
+                    f"polynomial degrees must be ints >= 0; got {n!r}")
+            c = rational("polynomial coefficient", c)
+            if c:
+                clean[n] = c
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, *_):
@@ -55,9 +55,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(k) == other.coefficient(k)
-                   for k in keys)
+        return self.coeffs == other.coeffs  # no zero is ever stored
 
     __hash__ = None
 
@@ -101,18 +99,13 @@ class Polynomial:
                            for n, coef in self.coeffs.items()})
 
     def __call__(self, x):
-        """Horner evaluation at a scalar."""
-        if not self.coeffs:
-            return Fraction(0)
-        acc = None
+        """Sparse Horner evaluation at a rational x."""
+        x = rational("x", x)
+        acc, last = 0, max(self.coeffs, default=0)
         for n in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[n]
-            if acc is None:
-                acc, last = c, n
-            else:
-                acc = acc * x ** (last - n) + c
-                last = n
-        return acc * x ** last if last else acc
+            acc = acc * x ** (last - n) + self.coeffs[n]
+            last = n
+        return acc * x ** last
 
     def __repr__(self):
         if not self.coeffs:

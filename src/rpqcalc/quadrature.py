@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._util import IdentityResult, SuiteReport
+from ._util import IdentityResult, SuiteReport, rational
 from .deform import DeformParams
 from .errors import InvalidParameterError
 from .poly import (Polynomial, rpq_antiderivative_poly,
@@ -44,7 +44,7 @@ def jackson_sum(f, a, params: DeformParams, terms: int = 200):
         raise InvalidParameterError(
             "node-sum quadrature is defined for the two-base (p, q) "
             "family only; use the exact antiderivative for other kernels")
-    p, q, a = params.p, params.q, Fraction(a)
+    p, q, a = params.p, params.q, rational("a", a)
     total = Fraction(0)
     for r in range(terms + 1):  # ascending r: deterministic order
         w = q ** r / p ** (r + 1)

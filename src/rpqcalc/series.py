@@ -55,6 +55,8 @@ def _factorial_coeffs(f: list, params: DeformParams) -> list:
 # -- deformed exponentials ----------------------------------------------
 
 def _exp_series(params: DeformParams, order: int, xi) -> list:
+    if order < 0:
+        raise InvalidParameterError("order must be >= 0")
     coeffs = []
     for n in range(order + 1):
         f = rpq_factorial(params, n)
@@ -66,15 +68,11 @@ def _exp_series(params: DeformParams, order: int, xi) -> list:
 
 def exp_lower(params: DeformParams, order: int) -> list:
     """e(z): coefficient xi1^C(n,2)/[n]! at z^n, n = 0..order."""
-    if order < 0:
-        raise InvalidParameterError("order must be >= 0")
     return _exp_series(params, order, params.xi1)
 
 
 def exp_upper(params: DeformParams, order: int) -> list:
     """E(z): coefficient xi2^C(n,2)/[n]! at z^n, n = 0..order."""
-    if order < 0:
-        raise InvalidParameterError("order must be >= 0")
     return _exp_series(params, order, params.xi2)
 
 

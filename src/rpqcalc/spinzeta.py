@@ -230,7 +230,7 @@ def zeta_spin_half(prime: int, s: int) -> ZetaSpinValue:
 
     evaluated exactly at integer s (t = p^(-s) must be rational), each
     factor zeta_p(m s - a) as 1/(1 - p^a t^m)."""
-    if not isinstance(s, int):
+    if not is_int(s):
         raise InvalidParameterError(
             "exact evaluation needs integer s (p^(-s) must be rational)")
     if not is_prime(prime):

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -322,6 +323,22 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "not prime" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_irrational_root_refused_in_bounded_memory(self):
+        # at z = 1/v the exponent (z-1)(z-2)/2 has denominator 2 v^2, and
+        # the root search used to begin by building 2^(2 v^2)
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpqcalc.cli", "eval", "gamma", "-z",
+             "1/1000001", "-p", "9/10", "-q", "1/2"],
+            capture_output=True, text=True, timeout=10, preexec_fn=cap,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "parameter error: 9/10^1000000500000/1000002000001 is "
+            "irrational; pick parameters whose 1000002000001-th roots are "
+            "exact\n")
 
     @pytest.mark.parametrize("argv", [
         ("check", "--module", "padicfun", "--prime", "1"),

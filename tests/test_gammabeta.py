@@ -1,5 +1,6 @@
 """Power basis, deformed gamma/beta, Taylor expansions."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -13,7 +14,8 @@ from rpqcalc.deform import (PRESET_KINDS, DeformParams, rpq_factorial,
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             PoleError, RpqError)
 from rpqcalc.gammabeta import (DEFAULT_REL_TOL, DEFAULT_TRUNCATION,
-                               GammaValue, beta_rpq, gamma_rpq,
+                               GammaValue, _int_nth_root, beta_rpq,
+                               gamma_rpq,
                                gamma_duplication_report, power_basis,
                                power_basis_derivative_suite,
                                power_basis_identity_suite, power_basis_poly,
@@ -139,6 +141,15 @@ class TestRationalPow:
     def test_irrational_rejected(self):
         with pytest.raises(InvalidParameterError):
             rational_pow_exact(F(1, 2), F(1, 2))
+
+    @given(st.integers(0, 5000), st.integers(1, 16))
+    def test_int_root_matches_brute_force(self, n, b):
+        r = next(r for r in itertools.count() if r ** b >= n)
+        assert _int_nth_root(n, b) == (r if r ** b == n else None)
+
+    @given(st.integers(0, 10 ** 30), st.integers(1, 64))
+    def test_int_root_of_a_power(self, r, b):
+        assert _int_nth_root(r ** b, b) == r
 
 
 class TestPowerBasis:

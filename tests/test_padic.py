@@ -104,7 +104,7 @@ class TestArithmetic:
     def test_embedding_takes_only_rationals(self, bad):
         # 0.1 would embed the binary float, of valuation 0, not 1/10
         with pytest.raises(InvalidParameterError,
-                           match=f"int or a Fraction; got "
+                           match=f"int or Fraction; got "
                                  f"{type(bad).__name__}"):
             PadicNumber.from_rational(bad, 5, 4)
 

@@ -276,7 +276,7 @@ class TestSeriesProtocol:
 def test_non_rational_polynomial_coefficients_refused(make):
     # only int and Fraction: a float would carry its binary expansion
     with pytest.raises(InvalidParameterError,
-                       match="polynomial coefficients must be int or "
+                       match="polynomial coefficient must be an int or "
                              "Fraction; got "):
         make()
 
