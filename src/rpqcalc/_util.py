@@ -6,6 +6,11 @@ from typing import NamedTuple
 
 from .errors import InvalidParameterError
 
+# library defaults, here so cli.SCOPE shares them without a library import
+DEFAULT_PRECISION = 16  # p-adic digits shown
+DEFAULT_LEVELS = 6  # Riemann-sum levels of the p-adic integrals
+DEFAULT_TRUNCATION = 256  # factors of a truncated gamma product
+
 
 def is_int(x) -> bool:
     """An ``int`` that is not a ``bool``."""

@@ -25,7 +25,8 @@ import os
 import sys
 from fractions import Fraction
 
-from ._util import exact_str, running_product_strs, uncapped
+from ._util import (DEFAULT_LEVELS, DEFAULT_PRECISION, DEFAULT_TRUNCATION,
+                    exact_str, running_product_strs, uncapped)
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError, RpqError, SingularDeformationError,
                      SingularityError)
@@ -38,7 +39,6 @@ CHECK_MODULES = ("deform", "series", "quadrature", "gammabeta",
 
 MALFORMED = (ValueError, ZeroDivisionError, KeyError, TypeError)
 
-DEFAULT_PRECISION = 16
 # the most p-adic digits --precision takes: the cost of a p-adic
 # operation grows faster than linearly in its digits, so without a cap
 # one option value could keep any p-adic command busy for hours
@@ -99,9 +99,9 @@ SCOPE = {
     "eval number": dict(_DEFORM, n=0),
     "eval factorial": dict(_DEFORM, n=0),
     "eval binomial": dict(_DEFORM, m=0, n=0),
-    "eval gamma": dict(_DEFORM, z=Fraction(1), truncation=256),
+    "eval gamma": dict(_DEFORM, z=Fraction(1), truncation=DEFAULT_TRUNCATION),
     "eval beta": dict(_DEFORM, x=Fraction(1), y=Fraction(1),
-                      truncation=256),
+                      truncation=DEFAULT_TRUNCATION),
     "eval integral": dict(_DEFORM, coeffs="", a=Fraction(0),
                           b=Fraction(1)),
     "eval derivative": dict(_DEFORM, coeffs=""),
@@ -112,7 +112,7 @@ SCOPE = {
     "table --kind euler": dict(_DEFORM, count=11, x=Fraction(0)),
     "table --kind genocchi": dict(_DEFORM, count=11, x=Fraction(0)),
     "table --kind zigzag": dict(_DEFORM, count=11),
-    "table --kind volkenborn": dict(_TWIST, count=11, levels=6),
+    "table --kind volkenborn": dict(_TWIST, count=11, levels=DEFAULT_LEVELS),
     "table --kind zeta": _GRID,
     "spin exp": dict(_PRIME, precision=DEFAULT_PRECISION, generator="z",
                      scale=Fraction(1), t=Fraction(5)),
@@ -120,11 +120,11 @@ SCOPE = {
     "spin level": _MATRIX,
     "zeta eval": dict(_PRIME, s=3),
     "zeta table": _GRID,
-    "volkenborn": dict(_TWIST, moment=1, levels=6),
+    "volkenborn": dict(_TWIST, moment=1, levels=DEFAULT_LEVELS),
     "pgamma": dict(_TWIST, n=None),
     "pbeta": dict(_TWIST, x=None, y=None),
-    "carlitz": dict(_TWIST, n=1, a_param=Fraction(0), x_int=0, levels=6,
-                    method="direct"),
+    "carlitz": dict(_TWIST, n=1, a_param=Fraction(0), x_int=0,
+                    levels=DEFAULT_LEVELS, method="direct"),
 }
 
 

@@ -27,11 +27,10 @@ from typing import NamedTuple, Optional
 from .deform import DeformParams, rpq_factorial, rpq_number
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from ._util import (IdentityResult, SuiteReport, exact_str, is_int,
-                    ratio_product, rational)
+from ._util import (DEFAULT_TRUNCATION, IdentityResult, SuiteReport,
+                    exact_str, is_int, ratio_product, rational)
 from .poly import Polynomial, rpq_derivative_poly
 
-DEFAULT_TRUNCATION = 256
 DEFAULT_REL_TOL = Fraction(1, 10 ** 30)
 
 

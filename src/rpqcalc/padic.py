@@ -18,8 +18,6 @@ from ._util import is_int, rational
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PrecisionError)
 
-DEFAULT_PRECISION = 32
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -99,11 +97,11 @@ def _log_terms(w: int, p: int, target: int, arg: str = "u - 1") -> int:
     return n
 
 
-def _exp_sum(x, one, target: int, terms: int):
+def _exp_sum(x, one, terms: int):
     """sum_{n < terms} x^n / n! for a PadicNumber or a 2x2 matrix x,
-    from ``one`` = x^0 known modulo p^target; the term counts of
-    ``_exp_terms`` make it exp(x) modulo p^target."""
-    acc = term = one
+    from ``one`` = x^0 known modulo p^target (its precision); the term
+    counts of ``_exp_terms`` make it exp(x) modulo p^target."""
+    acc, term, target = one, one, one.precision
     for n in range(1, terms):
         term = PadicNumber.from_rational(
             Fraction(1, n), x.prime, target + n) * (term * x)
@@ -111,11 +109,11 @@ def _exp_sum(x, one, target: int, terms: int):
     return acc
 
 
-def _log_sum(x, one, target: int, terms: int):
+def _log_sum(x, one, terms: int):
     """sum_{0 < n < terms} (-1)^(n-1) x^n / n for a PadicNumber or a 2x2
-    matrix x, known modulo p^target like ``one`` = x^0; the term counts
-    of ``_log_terms`` make it log(1 + x) modulo p^target."""
-    acc, power = one - one, one  # acc starts as zero mod p^target
+    matrix x, known modulo p^target like ``one`` = x^0 (its precision);
+    the term counts of ``_log_terms`` make it log(1 + x) modulo p^target."""
+    acc, power, target = one - one, one, one.precision  # acc = 0 mod p^target
     for n in range(1, terms):
         power = power * x
         acc = acc + PadicNumber.from_rational(
@@ -159,15 +157,15 @@ class PadicNumber:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, prime: int, abs_precision: int = DEFAULT_PRECISION):
+    def zero(cls, prime: int, abs_precision: int):
         return cls(prime, abs_precision, 0, 0)
 
     @classmethod
-    def one(cls, prime: int, prec: int = DEFAULT_PRECISION):
+    def one(cls, prime: int, prec: int):
         return cls(prime, 0, 1, prec)
 
     @classmethod
-    def from_rational(cls, x, prime: int, prec: int = DEFAULT_PRECISION):
+    def from_rational(cls, x, prime: int, prec: int):
         """Embed the rational x (``_util.rational``): any rational is
         fine, as p-powers go to the valuation."""
         _check_prime(prime)  # before int_valuation, which loops at p = 1
@@ -239,10 +237,15 @@ class PadicNumber:
                 raise InvalidParameterError(
                     f"mixed primes {self.prime} and {other.prime}")
             return other
-        if is_int(other) or isinstance(other, Fraction):
-            return PadicNumber.from_rational(
-                other, self.prime, max(self.prec, DEFAULT_PRECISION))
-        return None
+        if not (is_int(other) or isinstance(other, Fraction)):
+            return None
+        # exact: no less precise than self, relatively and absolutely
+        p, A = self.prime, self.absolute_precision
+        if not other:
+            return PadicNumber.zero(p, A)
+        v = int_valuation(other.numerator, p) \
+            - int_valuation(other.denominator, p)
+        return PadicNumber.from_rational(other, p, max(self.prec, A - v, 1))
 
     # -- arithmetic --------------------------------------------------
 
@@ -307,9 +310,8 @@ class PadicNumber:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return PadicNumber.one(self.prime,
-                                   self.prec or DEFAULT_PRECISION)
+        if n == 0:  # a zero (no digit) gives one to its absolute precision
+            return PadicNumber.one(self.prime, self.prec or max(self._val, 1))
         if n < 0:
             return self.inverse() ** (-n)
         m = self.prime ** self.prec
@@ -335,14 +337,14 @@ class PadicNumber:
         """
         A = self.absolute_precision
         terms = _exp_terms(self._val, self.prime, A)
-        return _exp_sum(self, PadicNumber.one(self.prime, A), A, terms)
+        return _exp_sum(self, PadicNumber.one(self.prime, A), terms)
 
     def log(self) -> "PadicNumber":
         """log(u) = sum (-1)^(n-1) (u-1)^n / n for |u - 1|_p < 1."""
         x = self - 1
         A = x.absolute_precision
         terms = _log_terms(x._val, self.prime, A)
-        return _log_sum(x, PadicNumber.one(self.prime, A), A, terms)
+        return _log_sum(x, PadicNumber.one(self.prime, A), terms)
 
     def sqrt(self) -> "PadicNumber":
         """Square root by Hensel lifting (odd p, square unit, even
@@ -477,12 +479,10 @@ def padic_power(q: PadicNumber, x) -> PadicNumber:
         _exp_terms(d._val, q.prime, 0, "q - 1")
     if isinstance(x, Fraction) and x.denominator == 1 or is_int(x):
         return q ** int(x)
-    if isinstance(x, Fraction):
-        x = PadicNumber.from_rational(x, q.prime, max(q.prec, 1))
-    elif not isinstance(x, PadicNumber):
+    if not isinstance(x, (Fraction, PadicNumber)):
         raise InvalidParameterError(
             f"the exponent of a p-adic power must be an int, a Fraction or "
             f"a PadicNumber; got {type(x).__name__}")
-    y = x * q.log()
+    y = q.log() * x
     _exp_terms(y._val, q.prime, 0, "x log q")  # name the power, not exp's x
     return y.exp()

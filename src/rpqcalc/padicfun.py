@@ -24,12 +24,10 @@ from itertools import accumulate, count, islice, takewhile
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
-from ._util import Frozen, IdentityResult, SuiteReport, is_int
+from ._util import (DEFAULT_LEVELS, DEFAULT_PRECISION, Frozen,
+                    IdentityResult, SuiteReport, is_int)
 from .errors import InvalidParameterError
 from .padic import PadicNumber, int_valuation, is_prime, padic_power
-
-DEFAULT_LEVELS = 6
-DEFAULT_PRECISION = 16
 
 
 class TwistParams(Frozen):
@@ -402,8 +400,7 @@ def _carlitz_moments(n, a, rho_x, q_x, tw, max_level):
     streams = [_moment_sums(
         r, tw.q / tw.rho * padic_power(tw.rho, a + n - r), tw, one, one)
         for r in range(n + 1)]
-    zero = PadicNumber.zero(tw.prime, tw.work_precision)
-    return _converge((_resolved(sum(map(mul, coeffs, moments), zero), N, tw)
+    return _converge((_resolved(sum(map(mul, coeffs, moments)), N, tw)
                       for N, moments in enumerate(zip(*streams), 1)),
                      max_level, tw)
 

@@ -12,8 +12,8 @@ from rpqcalc import _kernel
 from rpqcalc.deform import rpq_number
 from rpqcalc.errors import PrecisionError
 from rpqcalc.gammabeta import rational_pow_exact
-from rpqcalc.padic import (DEFAULT_PRECISION, PadicNumber, _check_prime,
-                          _exp_terms, _log_terms, int_valuation)
+from rpqcalc.padic import (PadicNumber, _check_prime, _exp_terms,
+                          _log_terms, int_valuation)
 from rpqcalc.padicfun import number_at
 
 
@@ -211,10 +211,11 @@ def tuple_mul(a: tuple, b: tuple) -> tuple:
 
 
 def tuple_pow(a: tuple, n: int) -> tuple:
-    """a ** n for n >= 0."""
+    """a ** n for n >= 0; a ** 0 is one to a's precision, or to a zero's
+    absolute precision (at least 1)."""
     p, val, unit, prec = a
     if n == 0:
-        return _tuple_padic(p, 0, 1, prec or DEFAULT_PRECISION)
+        return _tuple_padic(p, 0, 1, prec or max(val, 1))
     if unit == 0:
         return (p, val * n, 0, 0)
     return _tuple_padic(p, val * n, pow(unit, n, p ** prec), prec)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpqcalc import cli, gammabeta, padicfun
+from rpqcalc import cli
 from rpqcalc._util import IdentityResult, SuiteReport, exact_str, uncapped
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.gammabeta import gamma_rpq
@@ -855,16 +855,6 @@ class TestOptionScope:
 
     def test_zeta_table_is_table_kind_zeta(self):
         assert cli.SCOPE["zeta table"] is cli.SCOPE["table --kind zeta"]
-
-    def test_defaults_are_the_library_defaults(self):
-        # the CLI keeps its own copies, so that parsing loads no library
-        # module; each must equal the library default it copies
-        assert cli.DEFAULT_PRECISION == padicfun.DEFAULT_PRECISION
-        for key in ("volkenborn", "carlitz", "table --kind volkenborn"):
-            assert cli.SCOPE[key]["levels"] == padicfun.DEFAULT_LEVELS
-        for key in ("eval gamma", "eval beta"):
-            assert cli.SCOPE[key]["truncation"] == \
-                gammabeta.DEFAULT_TRUNCATION
 
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_help_renders(self, capsys, name):

@@ -228,6 +228,55 @@ class TestPrecisionRule:
             PadicNumber.from_rational(7, 5, 3).residue(-1)
 
 
+@st.composite
+def exact_operand_cases(draw):
+    """A prime, a value x with valuation -5..60 and 1-60 digits (a zero
+    now and then), and an exact int or Fraction r (0 included) whose
+    valuation ranges about as widely."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    val, prec = draw(st.integers(-5, 60)), draw(st.integers(1, 60))
+    x = draw(st.one_of(
+        st.integers(0, p ** prec - 1).map(
+            lambda unit: PadicNumber(p, val, unit, prec)),
+        st.just(PadicNumber.zero(p, val + prec))))
+    unit = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                          st.fractions(max_denominator=10 ** 6)))
+    r = unit * F(p) ** draw(st.integers(-5, 70))
+    return x, r.numerator if r.denominator == 1 and draw(st.booleans()) \
+        else r
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_operand_cases())
+@example((PadicNumber(5, 40, 7, 16), 1))
+@example((PadicNumber.zero(5, 50), 0))
+def test_exact_operands_never_limit_a_result(case):
+    """An int or a Fraction is exact: a sum keeps x's absolute
+    precision, a product or quotient x's relative precision, and each
+    equals the result with r embedded to ample precision."""
+    x, r = case
+    p = x.prime
+    sums = (x + r, x - r, r - x)
+    assert [s.absolute_precision for s in sums] == [x.absolute_precision] * 3
+    if r:
+        big = PadicNumber.from_rational(r, p, 200)  # more than x has
+        assert [repr(s) for s in sums] == \
+            [repr(x + big), repr(x - big), repr(big - x)]
+        products = [(x * r, x * big), (x / r, x / big)]
+        if not x.is_zero():
+            products.append((r / x, big / x))
+        for got, want in products:
+            assert got.precision == x.precision
+            assert repr(got) == repr(want)
+    else:
+        assert repr(x + r) == repr(x) and (x * r).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            x / r
+    one = x ** 0
+    assert one == 1 and one.valuation == 0
+    assert one.precision == (x.precision or max(x.absolute_precision, 1))
+
+
 class TestExpLog:
     def test_exp_zero(self):
         assert PadicNumber.zero(5, 10).exp() == 1

@@ -390,6 +390,31 @@ class TestCarlitz:
                 [str(v) for v in base.values]
 
 
+def _carlitz_outcome(n, a, x, tw, levels, method):
+    """The values (by repr) and difference valuations of a Carlitz
+    report, or the type and message of the error it raises."""
+    try:
+        rep = carlitz_bernoulli(n, a, x, tw, levels, method)
+    except (ConvergenceDomainError, InvalidParameterError) as exc:
+        return type(exc), str(exc)
+    return [repr(v) for v in rep.values], rep.diff_valuations
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), precision=st.integers(1, 80),
+       levels=st.integers(1, 4), n=st.integers(0, 4),
+       a=st.sampled_from([0, 1, -2, F(1, 2), 3]),
+       x=st.sampled_from([0, 1, -2, F(1, 2), 3]))
+@example(p=5, precision=60, levels=4, n=3, a=0, x=0)
+def test_carlitz_methods_agree_digit_for_digit(p, precision, levels, n, a,
+                                               x):
+    """The umbral form prints what the direct integral prints, at every
+    precision: no step of it caps the digits."""
+    tw = TwistParams.make(p, 1 + p, 1 + 2 * p, precision)
+    assert _carlitz_outcome(n, a, x, tw, levels, "moments") == \
+        _carlitz_outcome(n, a, x, tw, levels, "direct")
+
+
 def _old_twist_power(base, a, tw):
     """base^a as the Carlitz values computed it before it went through
     ``padic.padic_power``: exp(a log base) with its own domain check."""
