@@ -84,9 +84,9 @@ def _prime(text: str) -> int:
 _OUTPUT = dict(format="plain", out=None)
 # preset None is DeformParams' default kernel, jagannathan_srinivasa
 _DEFORM = dict(_OUTPUT, preset=None, kernel=None, p=Fraction(1),
-               q=Fraction(1, 2), xi1=None, xi2=None)
+               q=Fraction(1, 2))
 _PRIME = dict(_OUTPUT, prime=5)
-# rho and q None are 1 + p and 1 + 2p, which follow --prime
+# rho and q None are TwistParams.make's 1 + p and 1 + 2p: they follow --prime
 _TWIST = dict(_PRIME, q=None, rho=None, precision=DEFAULT_PRECISION)
 _GRID = dict(_OUTPUT, primes=(2, 3), s_values=(2, 3, 4))
 _MATRIX = dict(_OUTPUT, matrix_file=None, matrix_json=None)
@@ -166,14 +166,12 @@ def _params(args):
                 structure = StructureFunction.from_json(json.load(fh))
         except MALFORMED as exc:
             raise InvalidParameterError(f"malformed --kernel file: {exc!r}")
-    return DeformParams(args.p, args.q, structure, args.xi1, args.xi2)
+    return DeformParams(args.p, args.q, structure)
 
 
 def _twist(args):
     from .padicfun import TwistParams  # the p-adic commands only
-    rho = 1 + args.prime if args.rho is None else args.rho
-    q = 1 + 2 * args.prime if args.q is None else args.q
-    return TwistParams.make(args.prime, rho, q, precision=args.precision)
+    return TwistParams.make(args.prime, args.rho, args.q, args.precision)
 
 
 def _emit(args, payload, plain_line: str | None = None):
@@ -510,7 +508,6 @@ OPTIONS = {
                    help="JSON file with a custom kernel "
                         "{numerator:[[s,t,coeff]...], denominator:[...]}"),
     "p": dict(type=_fraction, help="default 1"),
-    "xi1": dict(type=_fraction), "xi2": dict(type=_fraction),
     "prime": dict(type=_prime),
     "q": dict(type=_fraction,
               help="default 1/2, or 1 + 2 --prime for a p-adic twist"),

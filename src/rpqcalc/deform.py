@@ -148,17 +148,17 @@ def _rational(name: str, x) -> Fraction:
 
 
 class DeformParams(Frozen):
-    """Bound deformation parameters: scalars p, q, twist bases, kernel.
+    """Bound deformation parameters: scalars p, q and the kernel,
+    which sets the twist bases xi1, xi2.
 
-    All four scalars are rational; the standing assumption
-    0 < q < p <= 1 is enforced (p != q always); R(p^n, q^n) is
-    sanity-checked positive on a finite window at binding time.
+    p and q are rational; the standing assumption 0 < q < p <= 1 is
+    enforced (p != q always); R(p^n, q^n) is sanity-checked positive on
+    a finite window at binding time.
     """
 
     _fields = ("p", "q", "structure", "xi1", "xi2")
 
-    def __init__(self, p, q, structure: Optional[StructureFunction] = None,
-                 xi1=None, xi2=None):
+    def __init__(self, p, q, structure: Optional[StructureFunction] = None):
         if structure is None:
             structure = StructureFunction.preset("jagannathan_srinivasa")
         kind = structure.kind
@@ -166,14 +166,9 @@ class DeformParams(Frozen):
         if kind != "classical" and not (0 < q and q < p <= 1):
             raise InvalidParameterError(
                 f"need 0 < q < p <= 1; got p = {p}, q = {q}")
-        if (xi1 is None) != (xi2 is None):
-            raise InvalidParameterError("set both twist bases or neither")
-        if xi1 is None:
-            # a custom kernel takes jagannathan_srinivasa's bases, (p, q)
-            twists = _PRESETS.get(kind, _PRESETS["jagannathan_srinivasa"])[1]
-            xi1, xi2 = twists(p, q)
-        self._set(p, q, structure, _rational("xi1", xi1),
-                  _rational("xi2", xi2))
+        # a custom kernel takes jagannathan_srinivasa's bases, (p, q)
+        twists = _PRESETS.get(kind, _PRESETS["jagannathan_srinivasa"])[1]
+        self._set(p, q, structure, *map(Fraction, twists(p, q)))
         self._bind_check()
 
     def _bind_check(self):
@@ -186,17 +181,17 @@ class DeformParams(Frozen):
                     f"custom kernel gives R(p^{n}, q^{n}) = {val} <= 0")
 
     @classmethod
-    def preset(cls, kind: str, p=1, q=Fraction(1, 2), xi1=None, xi2=None):
-        return cls(p, q, StructureFunction.preset(kind), xi1, xi2)
+    def preset(cls, kind: str, p=1, q=Fraction(1, 2)):
+        return cls(p, q, StructureFunction.preset(kind))
 
     @cached_property
     def _factorials(self) -> list:
         return [Fraction(1)]
 
     def powered(self, k: int) -> "DeformParams":
-        """Parameters for R(p^k, q^k): p, q and both twists k-th powered."""
-        return DeformParams(self.p ** k, self.q ** k, self.structure,
-                            self.xi1 ** k, self.xi2 ** k)
+        """Parameters for R(p^k, q^k), whose twist bases are the k-th
+        powers of these."""
+        return DeformParams(self.p ** k, self.q ** k, self.structure)
 
     def twist_scale(self):
         """The constant c with [n] = c (xi1^n - xi2^n)/(xi1 - xi2); equals

@@ -139,6 +139,10 @@ class PadicNumber:
 
     def __init__(self, prime: int, val: int, unit: int, prec: int):
         _check_prime(prime)
+        for name, arg in (("val", val), ("unit", unit), ("prec", prec)):
+            if not is_int(arg):
+                raise InvalidParameterError(
+                    f"PadicNumber's {name} must be an int; got {arg!r}")
         if prec < 0:
             raise PrecisionError(f"precision must be >= 0; got {prec}")
         if unit and not prec:
@@ -308,7 +312,7 @@ class PadicNumber:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        if not is_int(n):
             return NotImplemented
         if n == 0:  # a zero (no digit) gives one to its absolute precision
             return PadicNumber.one(self.prime, self.prec or max(self._val, 1))

@@ -65,8 +65,15 @@ class TwistParams(Frozen):
             raise InvalidParameterError("need rho != q at this precision")
 
     @classmethod
-    def make(cls, prime: int, rho, q, precision: int = DEFAULT_PRECISION
-             ) -> "TwistParams":
+    def make(cls, prime: int, rho=None, q=None,
+             precision: int = DEFAULT_PRECISION) -> "TwistParams":
+        """The twist (rho, q), each an int, a ``Fraction`` or a
+        ``PadicNumber``; rho defaults to 1 + prime and q to 1 + 2 prime."""
+        if not is_int(precision) or precision < 1:
+            raise InvalidParameterError(
+                f"need precision >= 1; got {precision!r}")
+        rho = 1 + prime if rho is None else rho
+        q = 1 + 2 * prime if q is None else q
         work = precision + DEFAULT_LEVELS + 8
         emb = lambda v: v if isinstance(v, PadicNumber) \
             else PadicNumber.from_rational(v, prime, work)
@@ -246,9 +253,8 @@ class ConvergenceReport(NamedTuple):
     @property
     def converged(self) -> bool:
         ds = self.diff_valuations
-        inf = float("inf")
         return len(ds) >= 2 and all(
-            b > a or (a == inf and b == inf)
+            b > a or a == b == math.inf
             for a, b in zip(ds, ds[1:]))
 
     @property
@@ -259,7 +265,7 @@ class ConvergenceReport(NamedTuple):
         return {
             "levels": list(self.levels),
             "values": [str(v) for v in self.values],
-            "diff_valuations": [v if v != float("inf") else "inf"
+            "diff_valuations": [v if v != math.inf else "inf"
                                 for v in self.diff_valuations],
             "converged": self.converged,
         }
@@ -271,7 +277,7 @@ def _converge(sums: Iterable, max_level: int,
     each level's value as tw.shown(s) and the valuations of successive
     differences (the zero difference has valuation inf).  sums is not
     iterated when the level budget is empty."""
-    if max_level < 1:
+    if not is_int(max_level) or max_level < 1:
         raise InvalidParameterError(
             f"need at least one level; got {max_level}")
     sums = list(islice(sums, max_level))
@@ -359,7 +365,7 @@ def volkenborn_moment(r: int, tw: TwistParams,
                       max_level: int = DEFAULT_LEVELS
                       ) -> ConvergenceReport:
     """int [t]^r dmu(t): the Carlitz value B_{r;0}(0)."""
-    if r < 0:
+    if not is_int(r) or r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
     return carlitz_bernoulli(r, 0, 0, tw, max_level)
 
@@ -377,7 +383,7 @@ def carlitz_bernoulli(n: int, a, x, tw: TwistParams,
     expansion into twisted moments (the umbral form).  The two paths
     are independent and compared in the test suite.
     """
-    if n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidParameterError("need n >= 0")
     if method not in ("direct", "moments"):
         raise InvalidParameterError("method must be direct or moments")
@@ -414,7 +420,7 @@ def fermionic_integral(r: int, tw: TwistParams,
     fermionic moment (Kim, J. Nonlinear Math. Phys. 14, 2007).  Each
     level is in closed form: [t]^r = (rho^t - q^t)^r/(rho - q)^r makes
     the sum r + 1 geometric series with ratios -rho^(r-k) q^k."""
-    if r < 0:
+    if not is_int(r) or r < 0:
         raise InvalidParameterError("moment exponent must be >= 0")
     p, W = tw.prime, tw.work_precision
     sums = _moment_residues(r, -1, 1, 1, tw.rho.residue(W),
@@ -497,7 +503,7 @@ def _measure_suite(tw: TwistParams) -> SuiteReport:
 
 def check_suites() -> tuple:
     """The reports of ``rpqcalc check --module padicfun``."""
-    tw = TwistParams.make(5, 6, 11, precision=12)
+    tw = TwistParams.make(5, precision=12)
     return (gamma_recurrence_check(tw, 10),
             factorial_decomposition_check(7, tw),
             padic_beta_suite(tw, [(1, 1), (2, 3)]),

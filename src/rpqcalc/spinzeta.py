@@ -197,7 +197,7 @@ def congruence_level(g: Mat2Padic) -> int:
     diff = g - Mat2Padic.identity(g.prime, g.precision + 2)
     v = diff.min_valuation()
     cap = g.precision
-    if v == float("inf") or v > cap:
+    if v > cap:
         return cap
     return max(int(v), 0)
 

@@ -185,10 +185,11 @@ class TestExitCodes:
         ("spin level", 2,
          "parameter error: provide --matrix-file or --matrix-json"),
         ("check", 2, "parameter error: no modules selected"),
+        # the twist bases follow from the kernel: no option sets them
         ("eval number -n 3 --xi1 1/3", 2,
-         "parameter error: set both twist bases or neither"),
+         "rpqcalc: error: unrecognized arguments: --xi1 1/3"),
         ("eval number -n 3 --xi2 1/3", 2,
-         "parameter error: set both twist bases or neither"),
+         "rpqcalc: error: unrecognized arguments: --xi2 1/3"),
         # rho^a = exp(a log rho), and v(a log rho) = -1 + 1 = 0 here
         ("carlitz -n 3 --a-param=1/5 --prime 5 --method direct", 3,
          "domain error: exp requires |x log q|_p < p^(-1/(p-1)), i.e. "
@@ -387,7 +388,7 @@ class TestExitCodes:
         ("table", "--kind", "zeta", "-p", "1"),
     ])
     def test_deform_options_only_where_used(self, capsys, argv):
-        # --preset, --kernel, -p, --xi1 and --xi2 build DeformParams,
+        # --preset, --kernel, -p and -q build DeformParams,
         # which only eval and the Fraction table kinds use
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -911,6 +912,103 @@ class TestOptionScope:
         assert (code, out, err) == (2, "", "parameter error: --matrix-file "
                                     "and --matrix-json are mutually "
                                     "exclusive\n")
+
+
+# -- every option read changes the result ----------------------------------
+
+# [[1, 25], [0, 1]] at p = 5, of level 2 where the identity's is 3
+UNIPOTENT_5 = json.dumps(Mat2Padic(
+    *(PadicNumber.from_rational(x, 5, 3) for x in (1, 25, 0, 1))).to_json())
+# a custom kernel [n] = p^(2n) - q^(2n), no constant multiple of a
+# preset's, so that binomials change too
+KERNEL = '{"numerator": [[2, 0, 1], [0, 2, -1]], "denominator": [[0, 0, 1]]}'
+DEFORM_VARIANTS = {"preset": "--preset heine", "kernel": "--kernel {kernel}",
+                   "p": "-p 4/5", "q": "-q 1/3"}
+# the gamma product needs exact roots, so p = 1 and q, 1 - q are squares;
+# there each preset with |xi2/xi1| < 1 gives the default's values, so
+# the preset variant is one that refuses
+GAMMA_VARIANTS = dict(DEFORM_VARIANTS, preset="--preset quesne",
+                      q="-q 16/25", truncation="--truncation 3")
+TWIST_VARIANTS = {"prime": "--prime 3", "rho": "--rho 16", "q": "-q 21",
+                  "precision": "--precision 5"}
+GRID = ("table --kind zeta --primes 3 --s-values 2",
+        {"primes": "--primes 5", "s_values": "--s-values 3"})
+# Each SCOPE key: a command that exits 0 and, for each option it reads
+# but --format and --out, a variant: tokens appended to the command (the
+# last value of an option wins) or, when they start with the subcommand,
+# a command line of their own.  carlitz --method is left out: its two
+# routes print the same digits by design.
+OPTION_CONTRACT = {
+    "eval number": ("eval number -n 3 -p 9/10",
+                    dict(DEFORM_VARIANTS, n="-n 4")),
+    "eval factorial": ("eval factorial -n 3 -p 9/10",
+                       dict(DEFORM_VARIANTS, n="-n 4")),
+    "eval binomial": ("eval binomial -m 4 -n 1 -p 9/10",
+                      dict(DEFORM_VARIANTS, m="-m 5", n="-n 2")),
+    "eval gamma": ("eval gamma -z 3/2 -q 9/25 --truncation 2",
+                   dict(GAMMA_VARIANTS, z="-z 5/2")),
+    "eval beta": ("eval beta -x 3/2 -y 3/2 -q 9/25 --truncation 2",
+                  dict(GAMMA_VARIANTS, x="-x 5/2", y="-y 5/2")),
+    "eval integral": ("eval integral --coeffs 1,2 -p 9/10",
+                      dict(DEFORM_VARIANTS, coeffs="--coeffs 1,3",
+                           a="-a 1/2", b="-b 2")),
+    "eval derivative": ("eval derivative --coeffs 1,2,3 -p 9/10",
+                        dict(DEFORM_VARIANTS, coeffs="--coeffs 1,2,4")),
+    "check": ("check --module gammabeta",
+              {"module": "--module deform",
+               "classical_limit": "--classical-limit"}),
+    **{f"table --kind {kind}": (f"table --kind {kind} --count 5 -p 9/10",
+                                dict(DEFORM_VARIANTS, count="--count 6"))
+       for kind in ("numbers", "factorials", "zigzag")},
+    **{f"table --kind {kind}": (f"table --kind {kind} --count 5 -p 9/10",
+                                dict(DEFORM_VARIANTS, count="--count 6",
+                                     x="-x 1"))
+       for kind in ("bernoulli", "euler", "genocchi")},
+    "table --kind volkenborn": ("table --kind volkenborn --count 2",
+                                dict(TWIST_VARIANTS, count="--count 3",
+                                     levels="--levels 3")),
+    "table --kind zeta": GRID,
+    "spin exp": ("spin exp --precision 3 -t 15",
+                 {"prime": "--prime 3", "precision": "--precision 4",
+                  "generator": "--generator plus", "scale": "--scale 5",
+                  "t": "-t 30"}),
+    **{f"spin {op}": (f"spin {op} --matrix-json {{identity}}",
+                      {"matrix_json": "--matrix-json {unipotent}",
+                       "matrix_file": f"spin {op} --matrix-file {{file}}"})
+       for op in ("log", "level")},
+    "zeta eval": ("zeta eval", {"prime": "--prime 3", "s": "-s 4"}),
+    "zeta table": GRID,
+    "volkenborn": ("volkenborn --levels 2",
+                   dict(TWIST_VARIANTS, moment="--moment 2",
+                        levels="--levels 3")),
+    "pgamma": ("pgamma -n 3", dict(TWIST_VARIANTS, n="-n 4")),
+    "pbeta": ("pbeta -x 2 -y 3", dict(TWIST_VARIANTS, x="-x 3", y="-y 4")),
+    "carlitz": ("carlitz -n 2 --levels 2",
+                dict(TWIST_VARIANTS, n="-n 3", a_param="--a-param 1",
+                     x_int="--x-int 1", levels="--levels 3")),
+}
+
+
+@pytest.mark.parametrize("key", cli.SCOPE)
+def test_every_option_read_changes_the_result(capsys, tmp_path, key):
+    # an option that is accepted and ignored leaves stdout and the exit
+    # code as they were; an option with no variant here fails too
+    base, variants = OPTION_CONTRACT[key]
+    reads = set(cli.SCOPE[key]) - {"format", "out"} - (
+        {"method"} if key == "carlitz" else set())
+    assert set(variants) == reads
+    (tmp_path / "kernel.json").write_text(KERNEL)
+    (tmp_path / "g.json").write_text(UNIPOTENT_5)
+    fill = {k: shlex.quote(str(v)) for k, v in dict(
+        kernel=tmp_path / "kernel.json", file=tmp_path / "g.json",
+        identity=IDENTITY_5, unipotent=UNIPOTENT_5).items()}
+    result = lambda line: run(capsys, *shlex.split(line.format(**fill)))[:2]
+    first = result(base)
+    assert first[0] == 0
+    for dest, tokens in variants.items():
+        line = tokens if tokens.startswith(key.split()[0]) \
+            else f"{base} {tokens}"
+        assert result(line) != first, dest
 
 
 @pytest.mark.parametrize("sink", ["stdout", "out"])
@@ -1490,8 +1588,8 @@ FUZZ_VALUES = {
     "out": st.sampled_from([os.devnull, "no-such-dir/out.txt"]),
     "preset": st.sampled_from(["heine", "classical", "bogus"]),
     "kernel": st.sampled_from([os.devnull, "no-such-dir/kernel.json"]),
-    **dict.fromkeys(["xi1", "xi2", "scale", "t", "z", "x", "y", "a", "b",
-                     "a_param"], FRACTIONS),
+    **dict.fromkeys(["scale", "t", "z", "x", "y", "a", "b", "a_param"],
+                    FRACTIONS),
     # values in range for the deformation (0 < q < p <= 1) and for a
     # twist at p = 3, 5 or 7 (rho, q = 1 mod p), as well as any fraction
     **dict.fromkeys(["p", "q", "rho"], st.one_of(st.sampled_from(

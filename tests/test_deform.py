@@ -58,32 +58,24 @@ class TestNumbers:
         cl = DeformParams.preset("classical", p=1, q=1)
         assert rpq_number(cl, 17) == 17
 
-    @pytest.mark.parametrize("slot", ["p", "q", "xi1", "xi2"])
+    @pytest.mark.parametrize("slot", ["p", "q"])
     def test_padic_parameter_refused(self, slot):
         # p-adic deformed numbers belong to padicfun.TwistParams
-        args = {"p": 1, "q": F(1, 2), "xi1": 1, "xi2": F(1, 2),
+        args = {"p": 1, "q": F(1, 2),
                 slot: PadicNumber.from_rational(6, 5, 12)}
         with pytest.raises(InvalidParameterError, match="TwistParams"):
-            DeformParams(args["p"], args["q"], None, args["xi1"],
-                         args["xi2"])
-
-    @pytest.mark.parametrize("given", ["xi1", "xi2"])
-    def test_one_twist_base_refused(self, given):
-        with pytest.raises(InvalidParameterError,
-                           match="^set both twist bases or neither$"):
-            DeformParams(1, F(1, 2), None, **{given: F(1, 3)})
+            DeformParams(args["p"], args["q"])
 
     @pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2"],
                              ids=["float", "Decimal", "str"])
-    @pytest.mark.parametrize("slot", ["p", "q", "xi1", "xi2"])
+    @pytest.mark.parametrize("slot", ["p", "q"])
     def test_non_rational_parameter_refused(self, slot, value):
         # only int and Fraction: a float would carry its binary expansion
-        args = {"p": 1, "q": F(1, 2), "xi1": 1, "xi2": F(1, 2), slot: value}
+        args = {"p": 1, "q": F(1, 2), slot: value}
         with pytest.raises(InvalidParameterError,
                            match=f"^{slot} must be an int or Fraction; "
                                  f"got {type(value).__name__}$"):
-            DeformParams(args["p"], args["q"], None, args["xi1"],
-                         args["xi2"])
+            DeformParams(args["p"], args["q"])
 
 
 class TestFactorials:

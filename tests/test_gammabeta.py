@@ -275,9 +275,8 @@ class TestGamma:
         assert g.tail_bound <= F(1, 10 ** 30)
 
     def test_convergence_domain(self):
-        flipped = DeformParams.preset("jagannathan_srinivasa", p=1,
-                                      q=F(9, 25), xi1=F(9, 25),
-                                      xi2=F(1))
+        # quesne's bases (1, 25/9) give xi2/xi1 = 25/9 > 1
+        flipped = DeformParams.preset("quesne", p=1, q=F(9, 25))
         with pytest.raises(ConvergenceDomainError):
             gamma_rpq(F(1, 2), flipped)
 

@@ -1,7 +1,7 @@
-"""The README promises no floating point in the library.  Every float
-in ``src/rpqcalc`` is the sentinel ``float("inf")`` (or ``math.inf``),
-there are no float literals, and no float-valued ``math`` name appears
-anywhere."""
+"""The README promises no floating point in the library.  The one
+float in ``src/rpqcalc`` is the infinity sentinel ``math.inf``: the name
+``float`` appears nowhere, there are no float literals, and no other
+float-valued ``math`` name appears anywhere."""
 
 import ast
 from pathlib import Path
@@ -12,34 +12,21 @@ EXACT_MATH = frozenset(("comb", "factorial", "gcd", "inf", "isqrt", "lcm",
                         "perm", "prod"))
 
 
-def _is_inf_call(node):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "float" and not node.keywords
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value == "inf")
-
-
 def _violations(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    for stmt in tree.body:
-        inf_calls = {id(n.func) for n in ast.walk(stmt) if _is_inf_call(n)}
-        for node in ast.walk(stmt):
-            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-            if isinstance(node, ast.Name) and node.id == "float" \
-                    and id(node) not in inf_calls:
-                yield f"{where}: float other than float(\"inf\")"
-            elif isinstance(node, ast.Constant) \
-                    and isinstance(node.value, float):
-                yield f"{where}: float literal {node.value!r}"
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "math" \
-                    and node.attr not in EXACT_MATH:
-                yield f"{where}: math.{node.attr}"
-            elif isinstance(node, ast.ImportFrom) and node.module == "math":
-                yield from (f"{where}: from math import {a.name}"
-                            for a in node.names if a.name not in EXACT_MATH)
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Name) and node.id == "float":
+            yield f"{where}: the name float"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield f"{where}: float literal {node.value!r}"
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "math" and node.attr not in EXACT_MATH:
+            yield f"{where}: math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            yield from (f"{where}: from math import {a.name}"
+                        for a in node.names if a.name not in EXACT_MATH)
 
 
 def test_no_floating_point_outside_the_known_site():

@@ -720,3 +720,39 @@ class TestTwistValidation:
     def test_powered(self):
         tw = TW5.powered(5)
         assert (tw.rho - TW5.rho ** 5).is_zero()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_default_twist(self, p):
+        assert TwistParams.make(p, precision=12) == \
+            TwistParams.make(p, 1 + p, 1 + 2 * p, precision=12)
+
+
+# each integer argument of the p-adic layer, with the error a bool or a
+# float there raises: the integer gate of the same check as its sign
+INT_ARGUMENTS = {
+    "PadicNumber-val": (lambda v: PadicNumber(5, v, 7, 3),
+                        InvalidParameterError),
+    "PadicNumber-unit": (lambda v: PadicNumber(5, 0, v, 3),
+                         InvalidParameterError),
+    "PadicNumber-prec": (lambda v: PadicNumber(5, 0, 7, v),
+                         InvalidParameterError),
+    "pow-exponent": (lambda v: PadicNumber(5, 0, 7, 3) ** v, TypeError),
+    "carlitz-n": (lambda v: carlitz_bernoulli(v, 0, 0, TW5, 2),
+                  InvalidParameterError),
+    "volkenborn-r": (lambda v: volkenborn_moment(v, TW5, 2),
+                     InvalidParameterError),
+    "fermionic-r": (lambda v: fermionic_integral(v, TW5, 2),
+                    InvalidParameterError),
+    "levels": (lambda v: volkenborn_moment(1, TW5, v),
+               InvalidParameterError),
+    "make-precision": (lambda v: TwistParams.make(5, 6, 11, precision=v),
+                       InvalidParameterError),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("call, error", INT_ARGUMENTS.values(),
+                         ids=INT_ARGUMENTS)
+def test_integer_arguments_refuse_bool_and_float(call, error, value):
+    with pytest.raises(error):
+        call(value)
