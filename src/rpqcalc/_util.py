@@ -10,6 +10,11 @@ from .errors import InvalidParameterError
 DEFAULT_PRECISION = 16  # p-adic digits shown
 DEFAULT_LEVELS = 6  # Riemann-sum levels of the p-adic integrals
 DEFAULT_TRUNCATION = 256  # factors of a truncated gamma product
+# the largest exact gamma value, in bits of its numerator or denominator,
+# that gammabeta builds at a non-integer argument (~315,000 digits): its
+# size grows with the argument, and the time to print it with the square
+# of its size
+MAX_VALUE_BITS = 1 << 20
 
 
 def is_int(x) -> bool:

@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional
 from .deform import DeformParams, rpq_factorial, rpq_number
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from ._util import (DEFAULT_TRUNCATION, IdentityResult, SuiteReport,
-                    exact_str, is_int, ratio_product, rational)
+from ._util import (DEFAULT_TRUNCATION, MAX_VALUE_BITS, IdentityResult,
+                    SuiteReport, exact_str, is_int, ratio_product, rational)
 from .poly import Polynomial, rpq_derivative_poly
 
 DEFAULT_REL_TOL = Fraction(1, 10 ** 30)
@@ -125,20 +125,29 @@ class GammaValue(NamedTuple):
     exact: bool
 
 
-def gamma_rpq(z, params: DeformParams,
-              truncation: int = DEFAULT_TRUNCATION) -> GammaValue:
-    """Deformed gamma.  Positive integers take the exact factorial
-    path Gamma(n+1) = [n]!; rational arguments use the truncated
-    normalized product with a reported geometric tail bound."""
+def _log2_ceil(r: Fraction) -> int:
+    """ceil(log2) of the larger of |numerator| and denominator of r."""
+    return max((abs(r.numerator) - 1).bit_length(),
+               (r.denominator - 1).bit_length())
+
+
+def _product_plan(name: str, z: Fraction, params: DeformParams,
+                  truncation: int):
+    """Every refusal of ``gamma_rpq`` at z, raised before any power is
+    taken; then None on the exact integer path, else (xh, terms, bound)
+    of the truncated product.
+
+    The value's bit size is predicted from the bit lengths of the bases
+    and the exponents: each power x^e holds about |e| ceil(log2 x) bits,
+    and factor i of the product carries xh^(z+i).  A prediction over
+    ``MAX_VALUE_BITS`` refuses the argument ``name``."""
     if truncation < 1:
         raise InvalidParameterError(
             f"truncation must be >= 1; got {truncation}")
-    z = rational("z", z)
     if z.denominator == 1:
-        n = z.numerator - 1
-        if n < 0:
+        if z < 1:
             raise PoleError(f"gamma has a pole at z = {z}")
-        return GammaValue(rpq_factorial(params, n), n, Fraction(0), True)
+        return None
     if not params.is_twist_consistent():
         raise ConvergenceDomainError(
             "kernel is not consistent with its twist bases; the "
@@ -148,11 +157,6 @@ def gamma_rpq(z, params: DeformParams,
     if not 0 < abs(xh) < 1:
         raise ConvergenceDomainError(
             f"product ratio needs |xi2/xi1| < 1; got {xh}")
-    c = params.twist_scale()
-    pre = (rational_pow_exact(c, z - 1)
-           * rational_pow_exact(x1, (z - 1) * (z - 2) / 2)
-           * rational_pow_exact(1 - xh, 1 - z))
-    xh_z = rational_pow_exact(xh, z)
     # tail of the normalized product: factors 1 + O(xh^i); relative
     # bound 2 xh^M/(1-xh)^2 once that is below 1/2
     terms = min(32, truncation)
@@ -161,6 +165,33 @@ def gamma_rpq(z, params: DeformParams,
         if bound <= DEFAULT_REL_TOL or terms >= truncation:
             break
         terms = min(2 * terms, truncation)
+    bits = (abs(z - 1) * _log2_ceil(params.twist_scale())
+            + abs((z - 1) * (z - 2) / 2) * _log2_ceil(x1)
+            + abs(1 - z) * _log2_ceil(1 - xh)
+            + terms * (abs(z) + Fraction(terms + 1, 2)) * _log2_ceil(xh))
+    if bits > MAX_VALUE_BITS:
+        raise InvalidParameterError(
+            f"{name} = {z} needs an exact value of about {round(bits)} bits, "
+            f"over MAX_VALUE_BITS = {MAX_VALUE_BITS}")
+    return xh, terms, bound
+
+
+def gamma_rpq(z, params: DeformParams,
+              truncation: int = DEFAULT_TRUNCATION) -> GammaValue:
+    """Deformed gamma.  Positive integers take the exact factorial
+    path Gamma(n+1) = [n]!; rational arguments use the truncated
+    normalized product with a reported geometric tail bound."""
+    z = rational("z", z)
+    plan = _product_plan("z", z, params, truncation)
+    if plan is None:
+        n = z.numerator - 1
+        return GammaValue(rpq_factorial(params, n), n, Fraction(0), True)
+    xh, terms, bound = plan
+    x1, c = params.xi1, params.twist_scale()
+    pre = (rational_pow_exact(c, z - 1)
+           * rational_pow_exact(x1, (z - 1) * (z - 2) / 2)
+           * rational_pow_exact(1 - xh, 1 - z))
+    xh_z = rational_pow_exact(xh, z)
     # with xh = a/b and xh^z = s/t, factor i of the product,
     # (1 - xh^(i+1))/(1 - xh^(z+i)), is the integer ratio
     # t (b^(i+1) - a^(i+1)) / (b (t b^i - s a^i))
@@ -188,6 +219,8 @@ def beta_rpq(x, y, params: DeformParams,
     bounds a, b and c on the three gammas, the quotient's relative
     bound is (1 + a)(1 + b)/(1 - c) - 1, which needs c < 1."""
     x, y = rational("x", x), rational("y", y)
+    for name, v in (("x", x), ("y", y), ("x + y", x + y)):
+        _product_plan(name, v, params, truncation)
     gx = gamma_rpq(x, params, truncation)
     gy = gamma_rpq(y, params, truncation)
     gxy = gamma_rpq(x + y, params, truncation)

@@ -1,15 +1,17 @@
 """Deformed exponentials and the special series read off them.
 
 A series is a plain list of its exact rational coefficients c_0..c_M
-(``int`` or ``Fraction``) at z^0..z^M; a product truncates to the
-shorter list.  The polynomial families and the zigzag numbers are read
-off in factorial normalisation, c_n [n]!.
+(``int`` or ``Fraction``) at z^0..z^M.  The one operation on them is
+the quotient, ``_divide``, which truncates to the shorter list.  The
+polynomial families and the zigzag numbers are read off in factorial
+normalisation, c_n [n]!.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from ._util import IdentityResult, SuiteReport
 from .deform import DeformParams, _rational, rpq_factorial, rpq_number
@@ -17,33 +19,29 @@ from .errors import InvalidParameterError, SingularDeformationError
 from .poly import Polynomial, rpq_derivative_poly
 
 
-def _dot(xs, ys):
-    """sum(x * y) over paired rational coefficients.
+def _divide(a: list, b: list) -> list:
+    """The quotient series a/b, truncated to the shorter list; b_0 != 0.
 
-    The terms go over one common denominator and are reduced once,
-    instead of one gcd-reduced ``Fraction`` addition per term; a pair
-    with a zero factor is skipped, so an all-zero sum is 0."""
-    nums, dens = [], []
-    for x, y in zip(xs, ys):
-        if not (x and y):
-            continue
-        nums.append(x.numerator * y.numerator)
-        dens.append(x.denominator * y.denominator)
-    L = math.lcm(*dens)
-    return Fraction(sum(n * (L // d) for n, d in zip(nums, dens)), L)
+    Each operand goes over its own common denominator once, and the
+    quotient coefficients found so far stay integers over theirs, so
 
+        y_n = (a_n - sum_{k>=1} b_k y_(n-k)) / b_0
 
-def _mul(a: list, b: list) -> list:
-    """The product of two series, truncated to the shorter one."""
-    return [_dot(a[:k + 1], b[k::-1]) for k in range(min(len(a), len(b)))]
-
-
-def _inverse(b: list) -> list:
-    """The reciprocal of a series whose constant term is nonzero."""
-    b0 = b[0]
-    out = [Fraction(1) / b0]
-    for n in range(1, len(b)):
-        out.append(-_dot(out, b[n:0:-1]) / b0)
+    is one integer sum, reduced once."""
+    n = min(len(a), len(b))
+    da = math.lcm(*(c.denominator for c in a[:n]))
+    db = math.lcm(*(c.denominator for c in b[:n]))
+    A = [c.numerator * (db * da // c.denominator) for c in a[:n]]
+    B = [c.numerator * (db // c.denominator) for c in b[:n]]
+    out, Y, D = [], [], 1                       # y_k = Y_k / D, k < len(Y)
+    for m in range(n):
+        y = Fraction(A[m] * D - da * sum(map(mul, B[m:0:-1], Y)),
+                     da * B[0] * D)
+        scale = y.denominator // math.gcd(D, y.denominator)
+        if scale > 1:
+            Y, D = [v * scale for v in Y], D * scale
+        Y.append(y.numerator * (D // y.denominator))
+        out.append(y)
     return out
 
 
@@ -95,7 +93,7 @@ def zigzag_numbers(params: DeformParams, count: int) -> list:
         raise InvalidParameterError("count must be >= 1")
     sin, cos = _sin_cos(exp_lower(params, count - 1))
     sin[0] += 1                                      # now 1 + sin
-    return _factorial_coeffs(_mul(sin, _inverse(cos)), params)
+    return _factorial_coeffs(_divide(sin, cos), params)
 
 
 # -- Bernoulli / Euler / Genocchi families --------------------------------
@@ -117,16 +115,15 @@ def generating_polynomials(params: DeformParams, family: str, x,
         raise InvalidParameterError("order must be >= 0")
     x = _rational("x", x)
     e = exp_lower(params, order + 1)
-    exz = [c * x ** n for n, c in enumerate(e)]
+    exz = [c * x ** n for n, c in enumerate(e[:order + 1])]
     if family == "bernoulli":
         if e[1] == 0:
             raise SingularDeformationError(
                 "e(z) - 1 has zero linear term: [1] = 0")
-        kernel = _inverse(e[1:])                     # z/(e(z)-1)
-    else:                                            # [2]/(e(z)+1)
+        series = _divide(exz, e[1:])                 # e(xz) z/(e(z)-1)
+    else:                                            # [2] e(xz)/(e(z)+1)
         two = rpq_number(params, 2)
-        kernel = [two * c for c in _inverse([e[0] + 1] + e[1:])]
-    series = _mul(kernel, exz)[:order + 1]
+        series = _divide([two * c for c in exz], [e[0] + 1] + e[1:])
     if family == "genocchi":
         # numerator carries a factor z: G_0 = 0, G_(n+1) from slot n
         series = [Fraction(0)] + series[:order]
@@ -165,7 +162,7 @@ def operator_algebra_check(params: DeformParams, n_max: int) -> SuiteReport:
 def _series_suite(js: DeformParams) -> SuiteReport:
     """E(-z) e(z) = 1 coefficientwise, and G_(n+1) = [n+1] E_n."""
     E_neg = [-c if n % 2 else c for n, c in enumerate(exp_upper(js, 10))]
-    prod = _mul(E_neg, exp_lower(js, 10))
+    prod = _divide(E_neg, _divide([1] + [0] * 10, exp_lower(js, 10)))
     results = [IdentityResult("E(-z) e(z) = 1 (z^0)", prod[0], Fraction(1))]
     for n in range(1, 11):
         results.append(IdentityResult(

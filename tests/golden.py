@@ -7,10 +7,13 @@ Each entry is a command line (``shlex.join`` of its argv) with its pin
 ``tests/golden.json``, grouped by the ``cli.SCOPE`` key they run (or by
 subcommand, or ``""``, when they name none).
 
-Every run sets ``COLUMNS=80``.  Argparse lays out its text (a ``--help``
-page, an exit-2 ``usage:`` error) differently on each Python version, so
-the hash of that stream is compared on Python 3.11 only, where it was
-recorded; the exit code and the other stream are compared everywhere.
+Every run sets ``COLUMNS=80`` and runs in the repository root, so an
+entry names a file by its path relative to the root (the custom kernels
+``tests/custom_kernel.json`` and ``tests/custom_kernel_float.json``).
+Argparse lays out its text (a ``--help`` page, an exit-2 ``usage:``
+error) differently on each Python version, so the hash of that stream
+is compared on Python 3.11 only, where it was recorded; the exit code
+and the other stream are compared everywhere.
 An entry pinned ``null`` fails, printing the observed pin to paste.
 
 Not a test module.  ``tests/test_cli.py`` replays every entry in process;
@@ -61,14 +64,20 @@ def run(line: str, process: bool = False):
     if process:
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "rpqcalc.cli",
-             *shlex.split(line)], capture_output=True, timeout=300,
+             *shlex.split(line)], capture_output=True, timeout=300, cwd=ROOT,
             env=dict(os.environ, COLUMNS="80", PYTHONPATH=str(ROOT / "src")))
         return proc.returncode, proc.stdout, proc.stderr
     from rpqcalc import cli
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(shlex.split(line))
+    here = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="80"), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(shlex.split(line))
+    finally:
+        os.chdir(here)
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 

@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpqcalc import cli
-from rpqcalc._util import IdentityResult, SuiteReport, exact_str, uncapped
+from rpqcalc._util import (MAX_VALUE_BITS, IdentityResult, SuiteReport,
+                           exact_str, uncapped)
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.gammabeta import gamma_rpq
 from rpqcalc.padic import PadicNumber
@@ -340,6 +341,25 @@ class TestExitCodes:
             "parameter error: 9/10^1000000500000/1000002000001 is "
             "irrational; pick parameters whose 1000002000001-th roots are "
             "exact\n")
+
+    @pytest.mark.parametrize("argv, name, bits", [
+        (("eval", "gamma", "-z", "47001/2"), "z = 47001/2", 1057698),
+        (("eval", "gamma", "-z", "200001/2"), "z = 200001/2", 4500198),
+        (("eval", "beta", "-x", "1", "-y", "47001/2"), "y = 47001/2",
+         1057698),
+    ])
+    def test_value_size_refused_before_any_power(self, argv, name, bits):
+        # just over MAX_VALUE_BITS: the exact value would take seconds,
+        # and at z = 200001/2 minutes, to build and to print
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpqcalc.cli", *argv, "-q", "9/25",
+             "--truncation", "8"],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"parameter error: {name} needs an exact value of about {bits} "
+            f"bits, over MAX_VALUE_BITS = {MAX_VALUE_BITS}\n")
 
     @pytest.mark.parametrize("argv", [
         ("check", "--module", "padicfun", "--prime", "1"),

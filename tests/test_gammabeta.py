@@ -3,12 +3,15 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rpqcalc import gammabeta
+from rpqcalc._util import MAX_VALUE_BITS
 from rpqcalc.deform import (PRESET_KINDS, DeformParams, rpq_factorial,
                             rpq_number)
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
@@ -288,6 +291,33 @@ class TestGamma:
             gamma_rpq(z, JS9, truncation)
         with pytest.raises(InvalidParameterError, match="truncation"):
             beta_rpq(z, F(1, 3), JS9, truncation)
+
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    @pytest.mark.parametrize("z,truncation", [
+        (F(1, 2), 256), (F(-401, 2), 8), (F(201, 2), 64), (F(-5, 2), 1)])
+    def test_value_size_prediction_bounds_the_value(self, monkeypatch, kind,
+                                                    z, truncation):
+        # with the budget one bit below the value's size, the same call
+        # is refused
+        params = DeformParams.preset(kind, p=1, q=F(9, 25))
+        v = gamma_rpq(z, params, truncation).value
+        size = max(v.numerator.bit_length(), v.denominator.bit_length())
+        monkeypatch.setattr(gammabeta, "MAX_VALUE_BITS", size - 1)
+        with pytest.raises(InvalidParameterError, match=(
+                rf"^z = {z} needs an exact value of about \d+ bits, over "
+                rf"MAX_VALUE_BITS = {size - 1}$")):
+            gamma_rpq(z, params, truncation)
+
+    @pytest.mark.parametrize("x, y, name", [
+        (F(47001, 2), 1, "x = 47001/2"), (2, F(47001, 2), "y = 47001/2"),
+        (F(46001, 2), F(2001, 4), "x + y = 94003/4")])
+    def test_beta_names_the_argument_over_the_budget(self, x, y, name):
+        # x = 46001/2 alone is under the budget; beta refuses x + y
+        # before it builds gamma(x)
+        with pytest.raises(InvalidParameterError, match=(
+                rf"^{re.escape(name)} needs an exact value of about \d+ "
+                rf"bits, over MAX_VALUE_BITS = {MAX_VALUE_BITS}$")):
+            beta_rpq(x, y, JS9, 8)
 
     def test_truncation_one_is_a_product_of_one_term(self):
         assert gamma_rpq(F(1, 2), JS9, 1).terms == 1

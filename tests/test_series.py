@@ -14,10 +14,9 @@ from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
 from rpqcalc.errors import InvalidParameterError
 from rpqcalc.poly import (Polynomial, rpq_antiderivative_poly,
                           rpq_derivative_poly)
-from rpqcalc.series import (_dot, _factorial_coeffs, _inverse, _mul,
-                            _sin_cos, exp_lower, exp_upper,
-                            generating_polynomials, operator_algebra_check,
-                            zigzag_numbers)
+from rpqcalc.series import (_divide, _factorial_coeffs, _sin_cos,
+                            exp_lower, exp_upper, generating_polynomials,
+                            operator_algebra_check, zigzag_numbers)
 
 JS = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
 CL = DeformParams.preset("classical", p=1, q=1)
@@ -122,7 +121,7 @@ class TestExponentials:
     def test_product_inverse_pair(self, params):
         e = exp_lower(params, 10)
         E = exp_upper(params, 10)
-        assert _mul(scale_arg(E, -1), e) == [1] + [0] * 10
+        assert reference_mul(scale_arg(E, -1), e) == [1] + [0] * 10
 
     def test_classical_limit_is_plain_exponential(self):
         e = exp_lower(CL, 8)
@@ -152,7 +151,7 @@ class TestTrig:
 
     def test_classical_tangent(self):
         sin, cos = _sin_cos(exp_lower(CL, 7))
-        t = _mul(sin, _inverse(cos))
+        t = _divide(sin, cos)
         assert t[1] == 1
         assert t[3] == F(1, 3)
         assert t[5] == F(2, 15)
@@ -241,9 +240,9 @@ class TestSeriesProtocol:
             kernel = lambda family: [
                 c / rpq_factorial(params, n) for n, c in
                 enumerate(generating_polynomials(params, family, 0, 6))]
-            assert _mul(kernel("bernoulli"), e[1:]) == [1] + [0] * 6
+            assert reference_mul(kernel("bernoulli"), e[1:]) == [1] + [0] * 6
             two = rpq_number(params, 2)
-            assert _mul(kernel("euler"), [e[0] + 1] + e[1:]) == \
+            assert reference_mul(kernel("euler"), [e[0] + 1] + e[1:]) == \
                 [two] + [0] * 6
 
     @pytest.mark.parametrize("make", [
@@ -304,48 +303,28 @@ scalars = st.one_of(st.integers(-10**6, 10**6),
                               st.integers(1, 10**4)))
 
 
-class TestDot:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(scalars, scalars), max_size=12))
-    def test_matches_term_sum(self, pairs):
-        xs = [x for x, _ in pairs]
-        ys = [y for _, y in pairs]
-        got = _dot(xs, ys)
-        assert got == term_sum(xs, ys)
-        assert type(got) is F
+zero_heavy = st.one_of(st.just(0), st.just(F(0)), scalars)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(*[st.one_of(st.just(0), st.just(F(0)),
-                                          scalars)] * 2), max_size=12))
-    @example([(0, F(1, 3)), (F(0), 5)])
-    @example([(F(2, 3), 0), (1, F(-1, 2))])
-    def test_zero_factors_skipped(self, pairs):
-        # the zigzag cos is zero at every odd slot, e(0 z) after slot 0
-        xs = [x for x, _ in pairs]
-        ys = [y for _, y in pairs]
-        got = _dot(xs, ys)
-        assert got == sum((F(x) * y for x, y in pairs), F(0))
-        assert type(got) is F
 
-    def test_empty_and_int(self):
-        assert _dot([], []) == 0 and type(_dot([], [])) is F
-        got = _dot([2, -3], [5, 7])
-        assert got == -11 and type(got) is F
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(scalars, min_size=1, max_size=10),
-           st.lists(scalars, min_size=1, max_size=10))
-    @example([1, 3, 2], [1, 2])
-    @example([2, 1], [3, 2])
-    def test_mul_and_inverse(self, a, b):
-        # integer coefficients divide exactly, never into floats
-        exact = lambda s: all(type(c) in (int, F) for c in s)
-        assert _mul(a, b) == reference_mul(a, b) and exact(_mul(a, b))
-        if a[0] != 0:
-            inv = _inverse(a)
-            assert inv == reference_inverse(a) and exact(inv)
-            quot = _mul(b, inv)
-            assert exact(quot) and _mul(quot, a) == b[:len(quot)]
+class TestDivide:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(zero_heavy, max_size=12),
+           st.lists(zero_heavy, max_size=11),
+           scalars.filter(bool))
+    @example([1, 3, 2], [2], 1)                  # int only
+    @example([2, 1], [2, 5, 7], 3)               # a shorter than b
+    @example([1, 1, 0, -F(1, 6), 0, F(1, 120)],  # 1 + sin over cos
+             [0, -F(1, 2), 0, F(1, 24), 0], 1)
+    def test_matches_reference_loops(self, a, tail, b0):
+        # the quotient truncates to the shorter list, equals the product
+        # with the inverse taken term by term, stays exact (integer
+        # coefficients never divide into floats) and times b gives a
+        b = [b0] + tail
+        got = _divide(a, b)
+        assert got == reference_mul(a, reference_inverse(b))
+        assert len(got) == min(len(a), len(b))
+        assert all(type(c) in (int, F) for c in got)
+        assert reference_mul(got, b) == a[:len(got)]
 
 
 # -- the series arithmetic the families were first written in -------------
