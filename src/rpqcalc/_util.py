@@ -17,6 +17,15 @@ DEFAULT_TRUNCATION = 256  # factors of a truncated gamma product
 MAX_VALUE_BITS = 1 << 20
 
 
+def check_value_bits(name: str, value, bits) -> None:
+    """Refuse the argument ``name`` = value when its exact result is
+    predicted to need more than ``MAX_VALUE_BITS`` bits."""
+    if bits > MAX_VALUE_BITS:
+        raise InvalidParameterError(
+            f"{name} = {value} needs an exact value of about {round(bits)} "
+            f"bits, over MAX_VALUE_BITS = {MAX_VALUE_BITS}")
+
+
 def is_int(x) -> bool:
     """An ``int`` that is not a ``bool``."""
     return isinstance(x, int) and not isinstance(x, bool)

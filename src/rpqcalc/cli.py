@@ -26,7 +26,8 @@ import sys
 from fractions import Fraction
 
 from ._util import (DEFAULT_LEVELS, DEFAULT_PRECISION, DEFAULT_TRUNCATION,
-                    exact_str, running_product_strs, uncapped)
+                    check_value_bits, exact_str, running_product_strs,
+                    uncapped)
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError, RpqError, SingularDeformationError,
                      SingularityError)
@@ -258,6 +259,7 @@ def _cmd_eval(args) -> int:
     if op == "number":
         out = {"n": args.n, "value": deform.rpq_number(params, args.n)}
     elif op == "factorial":
+        check_value_bits("n", args.n, deform._factorial_bits(params, args.n))
         out = {"n": args.n, "value": deform.rpq_factorial(params, args.n)}
     elif op == "binomial":
         out = {"m": args.m, "n": args.n,

@@ -1,12 +1,11 @@
 """Structure functions and deformed numbers/factorials/binomials.
 
-A deformation is a bivariate kernel R(u, v) with R(1, 1) = 0; the
-deformed number of n is R(p^n, q^n).  The table ``_PRESETS`` gives six
-named presets and ``classical`` (the p = q -> 1 limit, [n] = n), each
-with its closed form and its canonical pair of twist bases; ``custom``
-kernels are rational N(u, v)/D(u, v), given by Laurent-polynomial
-coefficient lists.  The Biedenharn-Macfarlane suite of ``check --module
-deform`` runs on that preset's own numbers.
+A deformation is a bivariate kernel R(u, v) with R(1, 1) = 0, and the
+deformed number of n is R(p^n, q^n).  Each preset of ``_PRESETS`` is
+its twist bases and scale: [n] = c (xi1^n - xi2^n)/(xi1 - xi2), which
+is its kernel at (p^n, q^n) identically in n (``classical``, the
+p = q -> 1 limit, has xi1 = xi2 = 1 and [n] = n).  A ``custom`` kernel
+is a rational N(u, v)/D(u, v) of Laurent-polynomial coefficient lists.
 
 Every parameter and value is an exact rational (``Fraction``).  The
 p-adic deformed numbers over twists rho, q = 1 (mod p) live in
@@ -24,25 +23,16 @@ from ._util import (Frozen, IdentityResult, SuiteReport, is_int, rational,
 from .errors import (InvalidParameterError, SingularDeformationError,
                      SingularityError)
 
-# Each preset's kernel R(u, v) at the bound (p, q) (None: the spectral
-# classical [n] = n) and twist bases (xi1, xi2) at (p, q), the dilations
-# of its derivative and the bases of its exponentials and power products.
+# Each preset's (xi1, xi2, c = [1]) at (p, q).  The bases are also the
+# dilations of the derivative and of the exponentials and power products.
 _PRESETS = {
-    "heine": (lambda u, v, p, q: (1 - v) / (1 - q),
-              lambda p, q: (1, q)),
-    "quesne": (lambda u, v, p, q: (1 - v ** -1) / (q - 1),
-               lambda p, q: (1, q ** -1)),
-    "biedenharn_macfarlane": (
-        lambda u, v, p, q: (v - v ** -1) / (q - q ** -1),
-        lambda p, q: (q, q ** -1)),
-    "jagannathan_srinivasa": (lambda u, v, p, q: (u - v) / (p - q),
-                              lambda p, q: (p, q)),
-    "chakrabarty_jagannathan": (
-        lambda u, v, p, q: (u ** -1 - v) / (p ** -1 - q),
-        lambda p, q: (p ** -1, q)),
-    "hounkonnou_ngompe": (lambda u, v, p, q: (u - v ** -1) / (q - p ** -1),
-                          lambda p, q: (p, q ** -1)),
-    "classical": (None, lambda p, q: (1, 1)),
+    "heine": lambda p, q: (1, q, 1),
+    "quesne": lambda p, q: (1, 1 / q, 1 / q),
+    "biedenharn_macfarlane": lambda p, q: (q, 1 / q, 1),
+    "jagannathan_srinivasa": lambda p, q: (p, q, 1),
+    "chakrabarty_jagannathan": lambda p, q: (1 / p, q, 1),
+    "hounkonnou_ngompe": lambda p, q: (p, 1 / q, p / q),
+    "classical": lambda p, q: (1, 1, 1),
 }
 PRESET_KINDS = tuple(_PRESETS)
 
@@ -104,21 +94,6 @@ class StructureFunction(Frozen):
     def from_json(cls, obj: dict) -> "StructureFunction":
         return cls.custom(obj["numerator"], obj["denominator"])
 
-    def value(self, u, v, params: "DeformParams"):
-        """R(u, v).  Preset kernels also use the bound parameters p, q
-        (their closed forms carry constant denominators like p - q)."""
-        if self.kind == "custom":
-            den = _laurent_eval(self.denominator, u, v)
-            if den == 0:
-                raise SingularityError(
-                    f"custom kernel denominator vanishes at ({u}, {v})")
-            return _laurent_eval(self.numerator, u, v) / den
-        kernel = _PRESETS[self.kind][0]
-        if kernel is None:
-            raise InvalidParameterError(
-                "classical kernel is defined spectrally, not pointwise")
-        return kernel(u, v, params.p, params.q)
-
 
 def _kernel_term(term) -> tuple:
     """A custom kernel's [s, t, coeff] term as (int, int, Fraction): the
@@ -167,8 +142,8 @@ class DeformParams(Frozen):
             raise InvalidParameterError(
                 f"need 0 < q < p <= 1; got p = {p}, q = {q}")
         # a custom kernel takes jagannathan_srinivasa's bases, (p, q)
-        twists = _PRESETS.get(kind, _PRESETS["jagannathan_srinivasa"])[1]
-        self._set(p, q, structure, *map(Fraction, twists(p, q)))
+        bases = _PRESETS.get(kind, _PRESETS["jagannathan_srinivasa"])(p, q)
+        self._set(p, q, structure, *map(Fraction, bases[:2]))
         self._bind_check()
 
     def _bind_check(self):
@@ -194,30 +169,35 @@ class DeformParams(Frozen):
         return DeformParams(self.p ** k, self.q ** k, self.structure)
 
     def twist_scale(self):
-        """The constant c with [n] = c (xi1^n - xi2^n)/(xi1 - xi2); equals
-        [1] for every preset."""
+        """c = [1], the scale of [n] = c (xi1^n - xi2^n)/(xi1 - xi2)."""
         return rpq_number(self, 1)
 
     def is_twist_consistent(self) -> bool:
-        """Check [n] = [1] (xi1^n - xi2^n)/(xi1 - xi2) for n up to
-        ``TWIST_WINDOW``; holds for all presets, may fail for custom
-        kernels."""
-        c = self.twist_scale()
-        x1, x2 = self.xi1, self.xi2
-        d = x1 - x2
-        if d == 0:
-            return False
-        return all(rpq_number(self, n) == c * (x1 ** n - x2 ** n) / d
-                   for n in range(1, TWIST_WINDOW + 1))
+        """Whether [n] = [1] (xi1^n - xi2^n)/(xi1 - xi2).  Every preset
+        but classical, whose bases coincide, is that formula; a custom
+        kernel is checked for n up to ``TWIST_WINDOW``, and may fail."""
+        if self.structure.kind != "custom":
+            return self.xi1 != self.xi2
+        c, x1, x2 = self.twist_scale(), self.xi1, self.xi2
+        return all(rpq_number(self, n) == c * (x1 ** n - x2 ** n) / (x1 - x2)
+                   for n in range(2, TWIST_WINDOW + 1))
 
 
 def rpq_number(params: DeformParams, n: int):
-    """[n] = R(p^n, q^n), an exact rational."""
+    """[n], an exact rational: c (xi1^n - xi2^n)/(xi1 - xi2) for a preset
+    (n for classical), N(p^n, q^n)/D(p^n, q^n) for a custom kernel."""
     if not is_int(n) or n < 0:
         raise InvalidParameterError(f"deformed number needs n >= 0; got {n}")
-    if params.structure.kind == "classical":
-        return Fraction(n)
-    return params.structure.value(params.p ** n, params.q ** n, params)
+    sf = params.structure
+    if sf.kind == "custom":
+        u, v = params.p ** n, params.q ** n
+        den = _laurent_eval(sf.denominator, u, v)
+        if den == 0:
+            raise SingularityError(
+                f"custom kernel denominator vanishes at ({u}, {v})")
+        return _laurent_eval(sf.numerator, u, v) / den
+    x1, x2, c = _PRESETS[sf.kind](params.p, params.q)
+    return c * (x1 ** n - x2 ** n) / (x1 - x2) if x1 != x2 else Fraction(n)
 
 
 def rpq_factorial(params: DeformParams, n: int):
@@ -229,6 +209,30 @@ def rpq_factorial(params: DeformParams, n: int):
         # a slot write, not append: a racing thread rewrites the same value
         facts[k:k + 1] = [facts[k - 1] * rpq_number(params, k)]
     return facts[n]
+
+
+def _log2_ceil(r: Fraction) -> int:
+    """ceil(log2) of the larger of |numerator| and denominator of r."""
+    return (max(abs(r.numerator), r.denominator) - 1).bit_length()
+
+
+def _factorial_bits(params: DeformParams, n: int) -> int:
+    """An upper bound on the bits of [n]!'s numerator and denominator:
+    with h = ``_log2_ceil``, h([k]) <= a + (k-1) b + log2 k, as a preset's
+    [k] = c sum_{j<k} xi1^j xi2^(k-1-j) is k integers over d^(k-1), d the
+    product of the bases' denominators, and h(x y) <= h(x) + h(y) and
+    h(x + y) <= h(x) + h(y) + 1 bound a custom kernel's N and D."""
+    sf, h = params.structure, _log2_ceil
+    if sf.kind == "custom":
+        terms = sf.numerator + sf.denominator
+        b = sum(abs(s) * h(params.p) + abs(t) * h(params.q)
+                for s, t, _ in terms)
+        a = sum(h(c) + 1 for *_, c in terms) + b
+    else:
+        x1, x2, c = _PRESETS[sf.kind](params.p, params.q)
+        a, b = h(c), h(max(x1, x2, 1) * x1.denominator * x2.denominator)
+    n = max(n, 0)  # rpq_factorial refuses a negative n
+    return n * a + n * (n - 1) // 2 * b + n * n.bit_length() + 1
 
 
 def rpq_binomial(params: DeformParams, m: int, n: int):
@@ -261,11 +265,11 @@ def bm_identity_suite(q, n: int, m: int) -> SuiteReport:
     """Exact checks of the addition, negation and three-term recurrence
     identities of the biedenharn_macfarlane preset at p = 1, 0 < q < 1:
     [k] = (q^k - q^-k)/(q - q^-1) is ``rpq_number`` for k >= 0 and the
-    preset's kernel at (p^k, q^k) for k < 0."""
+    same two-base formula, with the preset's bases (q, 1/q), for k < 0."""
     bm = DeformParams.preset("biedenharn_macfarlane", p=1, q=q)
-    q = bm.q
+    q, x1, x2 = bm.q, bm.xi1, bm.xi2
     num = lambda k: (rpq_number(bm, k) if k >= 0
-                     else bm.structure.value(bm.p ** k, q ** k, bm))
+                     else (x1 ** k - x2 ** k) / (x1 - x2))
     results = [
         IdentityResult(
             "[n+m] = q^-m [n] + q^n [m]",
@@ -282,27 +286,22 @@ def bm_identity_suite(q, n: int, m: int) -> SuiteReport:
 
 
 def _preset_oracle_suite() -> SuiteReport:
-    """Each preset's [n] against its printed closed form."""
-    q = Fraction(1, 2)
-    p = Fraction(9, 10)
-    oracles = {
-        "heine": lambda n: (1 - q ** n) / (1 - q),
-        "quesne": lambda n: (1 - q ** -n) / (q - 1),
-        "biedenharn_macfarlane":
-            lambda n: (q ** n - q ** -n) / (q - q ** -1),
-        "jagannathan_srinivasa": lambda n: (p ** n - q ** n) / (p - q),
-        "chakrabarty_jagannathan":
-            lambda n: (p ** -n - q ** n) / (p ** -1 - q),
-        "hounkonnou_ngompe":
-            lambda n: (p ** n - q ** -n) / (q - p ** -1),
+    """Each preset's [n] against its printed kernel R(u, v) at (p^n, q^n)."""
+    q, p = Fraction(1, 2), Fraction(9, 10)
+    kernels = {
+        "heine": lambda u, v: (1 - v) / (1 - q),
+        "quesne": lambda u, v: (1 - 1 / v) / (q - 1),
+        "biedenharn_macfarlane": lambda u, v: (v - 1 / v) / (q - 1 / q),
+        "jagannathan_srinivasa": lambda u, v: (u - v) / (p - q),
+        "chakrabarty_jagannathan": lambda u, v: (1 / u - v) / (1 / p - q),
+        "hounkonnou_ngompe": lambda u, v: (u - 1 / v) / (q - 1 / p),
     }
     results = []
-    for kind, oracle in oracles.items():
+    for kind, kernel in kernels.items():
         pr = DeformParams.preset(kind, p=p, q=q)
         for n in (0, 1, 5, 13):
             results.append(IdentityResult(
-                f"{kind}[{n}]", rpq_number(pr, n),
-                oracle(n) if n else Fraction(0)))
+                f"{kind}[{n}]", rpq_number(pr, n), kernel(p ** n, q ** n)))
     return SuiteReport("preset_closed_forms", tuple(results))
 
 

@@ -24,11 +24,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .deform import DeformParams, rpq_factorial, rpq_number
+from .deform import (DeformParams, _factorial_bits, _log2_ceil,
+                     rpq_factorial, rpq_number)
 from .errors import (ConvergenceDomainError, InvalidParameterError,
                      PoleError)
-from ._util import (DEFAULT_TRUNCATION, MAX_VALUE_BITS, IdentityResult,
-                    SuiteReport, exact_str, is_int, ratio_product, rational)
+from ._util import (DEFAULT_TRUNCATION, IdentityResult, SuiteReport,
+                    check_value_bits, exact_str, is_int, ratio_product,
+                    rational)
 from .poly import Polynomial, rpq_derivative_poly
 
 DEFAULT_REL_TOL = Fraction(1, 10 ** 30)
@@ -125,21 +127,16 @@ class GammaValue(NamedTuple):
     exact: bool
 
 
-def _log2_ceil(r: Fraction) -> int:
-    """ceil(log2) of the larger of |numerator| and denominator of r."""
-    return max((abs(r.numerator) - 1).bit_length(),
-               (r.denominator - 1).bit_length())
-
-
 def _product_plan(name: str, z: Fraction, params: DeformParams,
                   truncation: int):
     """Every refusal of ``gamma_rpq`` at z, raised before any power is
-    taken; then None on the exact integer path, else (xh, terms, bound)
-    of the truncated product.
+    taken or any product built; then None on the exact integer path,
+    else (xh, terms, bound) of the truncated product.
 
     The value's bit size is predicted from the bit lengths of the bases
-    and the exponents: each power x^e holds about |e| ceil(log2 x) bits,
-    and factor i of the product carries xh^(z+i).  A prediction over
+    and the exponents: on the integer path, by ``_factorial_bits`` for
+    [z-1]!; else each power x^e holds about |e| ceil(log2 x) bits, and
+    factor i of the product carries xh^(z+i).  A prediction over
     ``MAX_VALUE_BITS`` refuses the argument ``name``."""
     if truncation < 1:
         raise InvalidParameterError(
@@ -147,6 +144,7 @@ def _product_plan(name: str, z: Fraction, params: DeformParams,
     if z.denominator == 1:
         if z < 1:
             raise PoleError(f"gamma has a pole at z = {z}")
+        check_value_bits(name, z, _factorial_bits(params, z.numerator - 1))
         return None
     if not params.is_twist_consistent():
         raise ConvergenceDomainError(
@@ -169,10 +167,7 @@ def _product_plan(name: str, z: Fraction, params: DeformParams,
             + abs((z - 1) * (z - 2) / 2) * _log2_ceil(x1)
             + abs(1 - z) * _log2_ceil(1 - xh)
             + terms * (abs(z) + Fraction(terms + 1, 2)) * _log2_ceil(xh))
-    if bits > MAX_VALUE_BITS:
-        raise InvalidParameterError(
-            f"{name} = {z} needs an exact value of about {round(bits)} bits, "
-            f"over MAX_VALUE_BITS = {MAX_VALUE_BITS}")
+    check_value_bits(name, z, bits)
     return xh, terms, bound
 
 

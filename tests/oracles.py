@@ -19,18 +19,23 @@ from rpqcalc.padicfun import number_at
 
 P, Q = Fraction(9, 10), Fraction(1, 2)
 
-# each preset's [n] at p = P, q = Q by its closed form, independent of
-# the preset dispatch (deform._preset_oracle_suite keeps its own copy,
-# as the library cannot import the tests)
-ORACLES = {
-    "heine": lambda n: (1 - Q ** n) / (1 - Q),
-    "quesne": lambda n: (1 - Q ** -n) / (Q - 1),
-    "biedenharn_macfarlane": lambda n: (Q ** n - Q ** -n) / (Q - Q ** -1),
-    "jagannathan_srinivasa": lambda n: (P ** n - Q ** n) / (P - Q),
-    "chakrabarty_jagannathan":
-        lambda n: (P ** -n - Q ** n) / (P ** -1 - Q),
-    "hounkonnou_ngompe": lambda n: (P ** n - Q ** -n) / (Q - P ** -1),
+# each preset's printed kernel R(u, v) at the bound (p, q), independent of
+# the library's two-base form (deform._preset_oracle_suite keeps its own
+# copy, as the library cannot import the tests)
+KERNELS = {
+    "heine": lambda u, v, p, q: (1 - v) / (1 - q),
+    "quesne": lambda u, v, p, q: (1 - 1 / v) / (q - 1),
+    "biedenharn_macfarlane": lambda u, v, p, q: (v - 1 / v) / (q - 1 / q),
+    "jagannathan_srinivasa": lambda u, v, p, q: (u - v) / (p - q),
+    "chakrabarty_jagannathan": lambda u, v, p, q: (1 / u - v) / (1 / p - q),
+    "hounkonnou_ngompe": lambda u, v, p, q: (u - 1 / v) / (q - 1 / p),
 }
+
+
+def kernel_number(kind: str, n: int, p=P, q=Q) -> Fraction:
+    """[n] of the preset ``kind`` at (p, q) by its printed kernel,
+    R(p^n, q^n)."""
+    return KERNELS[kind](p ** n, q ** n, p, q)
 
 
 def padic_valuation(x, p: int):

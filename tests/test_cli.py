@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpqcalc import cli
+from rpqcalc import _util, cli
 from rpqcalc._util import (MAX_VALUE_BITS, IdentityResult, SuiteReport,
                            exact_str, uncapped)
 from rpqcalc.deform import DeformParams, rpq_factorial, rpq_number
@@ -360,6 +360,59 @@ class TestExitCodes:
         assert proc.stderr == (
             f"parameter error: {name} needs an exact value of about {bits} "
             f"bits, over MAX_VALUE_BITS = {MAX_VALUE_BITS}\n")
+
+    @pytest.mark.parametrize("argv, name, bits", [
+        (("eval", "gamma", "-z", "700", "-q", "9/25"), "z = 700", 1226746),
+        (("eval", "beta", "-x", "30001/2", "-y", "30001/2", "-q", "9/25",
+          "--truncation", "8"), "x + y = 30001", 2250375001),
+        (("eval", "factorial", "-n", "2000"), "n = 2000", 2021001),
+    ])
+    def test_factorial_size_refused_before_any_product(self, argv, name,
+                                                        bits):
+        # [699]! at q = 9/25 is 1.13 Mbit, just over the budget, and took
+        # 7 s to build and print; [30000]! and [2000]! took minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpqcalc.cli", *argv],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"parameter error: {name} needs an exact value of about {bits} "
+            f"bits, over MAX_VALUE_BITS = {MAX_VALUE_BITS}\n")
+
+    def test_factorial_under_the_budget_prints(self, capsys):
+        # [399]! at q = 9/25, about 0.4 Mbit, is under the budget
+        code, out, err = run(capsys, "eval", "gamma", "-z", "400",
+                             "-q", "9/25")
+        js = DeformParams.preset("jagannathan_srinivasa", q=F(9, 25))
+        assert (code, err) == (0, "")
+        assert out == exact_str(rpq_factorial(js, 399)) + "\n"
+
+    def test_negative_factorial_is_refused_as_negative(self, capsys):
+        # the size bound's formula, read at n = -2000, is over the budget
+        code, out, err = run(capsys, "eval", "factorial", "-n", "-2000",
+                             "-q", "1/3")
+        assert (code, out, err) == (
+            2, "", "parameter error: factorial needs n >= 0; got -2000\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("-n", "40"), ("-n", "0"),
+        ("-n", "90", "--preset", "hounkonnou_ngompe", "-p", "9/10"),
+        ("-n", "60", "--kernel", "tests/custom_kernel.json", "-p", "9/10")])
+    def test_factorial_size_prediction_bounds_the_value(
+            self, capsys, monkeypatch, argv):
+        # with the budget one bit below the value's size, the same
+        # command is refused
+        monkeypatch.chdir(Path(SRC).parent)
+        code, out, _ = run(capsys, "eval", "factorial", *argv)
+        v = uncapped(F, out.strip())
+        size = max(v.numerator.bit_length(), v.denominator.bit_length())
+        monkeypatch.setattr(_util, "MAX_VALUE_BITS", size - 1)
+        code, out, err = run(capsys, "eval", "factorial", *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            rf"parameter error: n = {argv[1]} needs an exact value of about "
+            rf"\d+ bits, over MAX_VALUE_BITS = {size - 1}\n", err)
 
     @pytest.mark.parametrize("argv", [
         ("check", "--module", "padicfun", "--prime", "1"),

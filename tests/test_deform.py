@@ -18,7 +18,7 @@ from rpqcalc.deform import (PRESET_KINDS, DeformParams, StructureFunction,
 from rpqcalc.errors import InvalidParameterError, SingularDeformationError
 from rpqcalc.padic import PadicNumber
 
-from oracles import ORACLES, P, Q
+from oracles import KERNELS, P, Q, kernel_number
 
 
 def preset(kind, p=P, q=Q):
@@ -31,18 +31,18 @@ class TestNumbers:
         assert rpq_number(js, 3) == F(7, 4)
 
     def test_zero_always(self):
-        for kind in ORACLES:
+        for kind in KERNELS:
             assert rpq_number(preset(kind), 0) == 0
 
     def test_bm_example(self):
         bm = preset("biedenharn_macfarlane", q=F(1, 2))
         assert rpq_number(bm, 2) == F(5, 2)
 
-    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_against_oracles(self, kind):
         pr = preset(kind)
         for n in range(1, 30):
-            assert rpq_number(pr, n) == ORACLES[kind](n), (kind, n)
+            assert rpq_number(pr, n) == kernel_number(kind, n), (kind, n)
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -83,7 +83,7 @@ class TestFactorials:
         assert rpq_factorial(preset("heine"), 0) == 1
 
     def test_single(self):
-        for kind in ORACLES:
+        for kind in KERNELS:
             pr = preset(kind)
             assert rpq_factorial(pr, 1) == rpq_number(pr, 1)
 
@@ -91,7 +91,7 @@ class TestFactorials:
         js = DeformParams.preset("jagannathan_srinivasa", p=1, q=F(1, 2))
         assert rpq_factorial(js, 3) == F(21, 8)
 
-    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_recursion(self, kind):
         pr = preset(kind)
         for n in range(1, 16):
@@ -291,13 +291,49 @@ class TestBinomialProducts:
         assert (got == 0) == (m >= 65)
 
 
+# rationals 0 < q < p <= 1, drawn as one pair
+PQ = st.tuples(st.fractions(F(1, 97), 1, max_denominator=97),
+               st.fractions(F(1, 97), 1, max_denominator=97)).filter(
+    lambda t: t[0] != t[1]).map(lambda t: (max(t), min(t)))
+
+
+class TestBaseForm:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(KERNELS)), pq=PQ,
+           n=st.integers(0, 40), k=st.integers(1, 3))
+    def test_every_preset_is_its_printed_kernel(self, kind, pq, n, k):
+        # the library's c (xi1^n - xi2^n)/(xi1 - xi2) against the printed
+        # kernel R(p^n, q^n), also for R(p^k, q^k), whose bound
+        # parameters are p^k and q^k
+        p, q = pq
+        pr = preset(kind, p=p, q=q)
+        assert rpq_number(pr, n) == kernel_number(kind, n, p, q)
+        assert rpq_number(pr.powered(k), n) == \
+            kernel_number(kind, n, p ** k, q ** k)
+
+
 class TestTwistConsistency:
-    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_presets_consistent(self, kind):
         assert preset(kind).is_twist_consistent()
 
+    def test_classical_is_not(self):
+        # its bases (1, 1) coincide, so the formula is 0/0
+        cl = DeformParams.preset("classical", p=1, q=1)
+        assert not cl.is_twist_consistent()
+
+    def test_custom_kernel_is_sampled(self):
+        js = StructureFunction.custom([[1, 0, 1], [0, 1, -1]],
+                                      [[0, 0, P - Q]])
+        assert DeformParams(P, Q, js).is_twist_consistent()
+        # (u - v) + (u - v)^2 is positive but no two-base number
+        square = StructureFunction.custom(
+            [[1, 0, 1], [0, 1, -1], [2, 0, 1], [1, 1, -2], [0, 2, 1]],
+            [[0, 0, 1]])
+        assert not DeformParams(P, Q, square).is_twist_consistent()
+
     def test_scale_is_first_number(self):
-        for kind in ORACLES:
+        for kind in KERNELS:
             pr = preset(kind)
             assert pr.twist_scale() == rpq_number(pr, 1)
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpqcalc import gammabeta
+from rpqcalc import _util
 from rpqcalc._util import MAX_VALUE_BITS
-from rpqcalc.deform import (PRESET_KINDS, DeformParams, rpq_factorial,
-                            rpq_number)
+from rpqcalc.deform import (PRESET_KINDS, DeformParams, StructureFunction,
+                            rpq_factorial, rpq_number)
 from rpqcalc.errors import (ConvergenceDomainError, InvalidParameterError,
                             PoleError, RpqError)
 from rpqcalc.gammabeta import (DEFAULT_REL_TOL, DEFAULT_TRUNCATION,
@@ -302,15 +302,42 @@ class TestGamma:
         params = DeformParams.preset(kind, p=1, q=F(9, 25))
         v = gamma_rpq(z, params, truncation).value
         size = max(v.numerator.bit_length(), v.denominator.bit_length())
-        monkeypatch.setattr(gammabeta, "MAX_VALUE_BITS", size - 1)
+        monkeypatch.setattr(_util, "MAX_VALUE_BITS", size - 1)
         with pytest.raises(InvalidParameterError, match=(
                 rf"^z = {z} needs an exact value of about \d+ bits, over "
                 rf"MAX_VALUE_BITS = {size - 1}$")):
             gamma_rpq(z, params, truncation)
 
+    @pytest.mark.parametrize("params", [
+        *(DeformParams.preset(kind, p=p, q=F(9, 25))
+          for kind in PRESET_KINDS for p in (1, F(9, 10))),
+        # custom kernels: two-base, a negative exponent and a fraction
+        # coefficient, and one that is no two-base number
+        DeformParams(F(9, 10), F(9, 25), StructureFunction.custom(
+            [[-1, 0, 1], [0, 1, -1]], [[0, 0, F(10, 9) - F(9, 25)]])),
+        DeformParams(F(9, 10), F(9, 25), StructureFunction.custom(
+            [[1, 0, 1], [0, 1, -1], [2, 0, 1], [1, 1, -2], [0, 2, 1]],
+            [[0, 0, 3], [1, 1, F(1, 7)]]))],
+        ids=lambda pr: f"{pr.structure.kind}-{pr.p}")
+    @pytest.mark.parametrize("z", [1, 2, 17, 90])
+    def test_factorial_size_prediction_bounds_the_value(self, monkeypatch,
+                                                        params, z):
+        # the integer path's [z-1]!: with the budget one bit below the
+        # value's size, the same call is refused before any product
+        v = gamma_rpq(z, params).value
+        size = max(v.numerator.bit_length(), v.denominator.bit_length())
+        monkeypatch.setattr(_util, "MAX_VALUE_BITS", size - 1)
+        with pytest.raises(InvalidParameterError, match=(
+                rf"^z = {z} needs an exact value of about \d+ bits, over "
+                rf"MAX_VALUE_BITS = {size - 1}$")):
+            gamma_rpq(z, params)
+
     @pytest.mark.parametrize("x, y, name", [
         (F(47001, 2), 1, "x = 47001/2"), (2, F(47001, 2), "y = 47001/2"),
-        (F(46001, 2), F(2001, 4), "x + y = 94003/4")])
+        (F(46001, 2), F(2001, 4), "x + y = 94003/4"),
+        # [20014]! and [700]! are over the budget too
+        (F(29, 2), F(40001, 2), "x + y = 20015"), (400, 301, "x + y = 701"),
+        (701, 1, "x = 701"), (1, 701, "y = 701")])
     def test_beta_names_the_argument_over_the_budget(self, x, y, name):
         # x = 46001/2 alone is under the budget; beta refuses x + y
         # before it builds gamma(x)
